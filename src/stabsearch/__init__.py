@@ -15,10 +15,8 @@ from .constraints import (
     OrClause,
     VarRef,
     XorClause,
-    add_degree_and_balance,
     constraint_census,
     encode,
-    encode_commutation,
 )
 from .cnf import CnfExport, export_cnf
 from .css import (
@@ -27,7 +25,6 @@ from .css import (
     CssCode,
     check_commutation,
     extract_code,
-    rank_gf2,
     shor_code,
     stats,
     steane_code,
@@ -43,7 +40,7 @@ from .erasure import (
     success_probability,
 )
 from .gf2 import BitMatrix
-from .graphs import SupportGraph, edge_count, sample_support_graph, shared_qubits
+from .graphs import SupportGraph, sample_support_graph, shared_qubits
 from .harness import (
     CodeRecord,
     PixelResult,

@@ -27,6 +27,7 @@ expands them only on export.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -143,7 +144,6 @@ class ConstraintSystem:
         self.variables = tuple(variables)
         self.constraints = tuple(constraints)
         self.params = params or EncodingParams()
-        self._by_key = {(v.kind, v.index): v.id for v in self.variables}
         for i, v in enumerate(self.variables):
             if v.id != i:
                 raise ValueError("variable ids must be dense and in order")
@@ -164,12 +164,6 @@ class ConstraintSystem:
     @property
     def num_vars(self) -> int:
         return len(self.variables)
-
-    def var_id(self, kind: str, index: tuple[int, ...]) -> int:
-        return self._by_key[(kind, index)]
-
-    def has_var(self, kind: str, index: tuple[int, ...]) -> bool:
-        return (kind, index) in self._by_key
 
     def to_json(self) -> str:
         def cdoc(c: Constraint) -> dict:
@@ -217,30 +211,26 @@ def intersecting_pairs(g: SupportGraph) -> list[tuple[int, int, tuple[int, ...]]
     return out
 
 
-def _and_definition(target: int, in1: int, in2: int, tag: str) -> list[OrClause]:
-    """target <-> (in1 AND in2) as the standard three clauses."""
+def _and_definition(target: int, in1: int, in2: int, tag: str, pos2: bool = True) -> list[OrClause]:
+    """target <-> (in1 AND in2) as the standard three clauses; with
+    pos2=False the second input is negated: target <-> (in1 AND NOT in2)."""
     return [
         OrClause(((target, False), (in1, True)), tag),
-        OrClause(((target, False), (in2, True)), tag),
-        OrClause(((target, True), (in1, False), (in2, False)), tag),
+        OrClause(((target, False), (in2, pos2)), tag),
+        OrClause(((target, True), (in1, False), (in2, not pos2)), tag),
     ]
 
 
-def _and_not_definition(target: int, in1: int, in2: int, tag: str) -> list[OrClause]:
-    """target <-> (in1 AND NOT in2)."""
-    return [
-        OrClause(((target, False), (in1, True)), tag),
-        OrClause(((target, False), (in2, False)), tag),
-        OrClause(((target, True), (in1, False), (in2, True)), tag),
-    ]
-
-
-def encode_commutation(g: SupportGraph) -> ConstraintSystem:
-    """Build the commutation-only system for a support graph.
+def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintSystem:
+    """Build the constraint system for a support graph in one pass.
 
     Activator and Pauli variables exist for every edge and stabilizer;
     same/even/both auxiliaries only for pairs that actually intersect.
+    The degree and balance constraints that params asks for follow the
+    commutation constraints, and type indicators follow the pair
+    auxiliaries.
     """
+    params = params or EncodingParams()
     variables: list[VarRef] = []
 
     def new_var(kind: str, index: tuple[int, ...]) -> int:
@@ -262,26 +252,6 @@ def encode_commutation(g: SupportGraph) -> ConstraintSystem:
         for q, b in zip(shared, both):
             constraints.extend(_and_definition(b, a_id[(q, s1)], a_id[(q, s2)], TAG_BOTH))
 
-    return ConstraintSystem(g, variables, constraints, EncodingParams())
-
-
-def add_degree_and_balance(cs: ConstraintSystem, params: EncodingParams) -> ConstraintSystem:
-    """Extend a commutation system with degree and balance requirements.
-
-    Returns a new system; cs itself is untouched.  With all-default
-    params the system is returned unchanged.
-    """
-    if params == EncodingParams():
-        return cs
-    g = cs.graph
-    variables = list(cs.variables)
-    constraints = list(cs.constraints)
-
-    def new_var(kind: str, index: tuple[int, ...]) -> int:
-        vid = len(variables)
-        variables.append(VarRef(vid, kind, index))
-        return vid
-
     if params.min_qubit_degree > 0:
         x_id = {}
         z_id = {}
@@ -289,11 +259,9 @@ def add_degree_and_balance(cs: ConstraintSystem, params: EncodingParams) -> Cons
             x_id[edge] = new_var(XIND, edge)
             z_id[edge] = new_var(ZIND, edge)
         for edge in g.edges:
-            q, s = edge
-            a = cs.var_id(ACTIVATOR, edge)
-            p = cs.var_id(PAULI, (s,))
+            a, p = a_id[edge], p_id[edge[1]]
             constraints.extend(_and_definition(x_id[edge], a, p, TAG_XIND))
-            constraints.extend(_and_not_definition(z_id[edge], a, p, TAG_ZIND))
+            constraints.extend(_and_definition(z_id[edge], a, p, TAG_ZIND, pos2=False))
         for q in range(g.n):
             xs = tuple(x_id[(q, s)] for s in g.qubit_neighbors(q))
             zs = tuple(z_id[(q, s)] for s in g.qubit_neighbors(q))
@@ -302,25 +270,16 @@ def add_degree_and_balance(cs: ConstraintSystem, params: EncodingParams) -> Cons
 
     if params.min_stab_degree > 0 or params.max_stab_degree is not None:
         for s in range(g.m):
-            acts = tuple(cs.var_id(ACTIVATOR, (q, s)) for q in g.stabilizer_neighbors(s))
+            acts = tuple(a_id[(q, s)] for q in g.stabilizer_neighbors(s))
             if params.min_stab_degree > 0:
                 constraints.append(Linear(acts, ">=", params.min_stab_degree, TAG_SDEG_MIN))
             if params.max_stab_degree is not None and acts:
                 constraints.append(Linear(acts, "<=", params.max_stab_degree, TAG_SDEG_MAX))
 
     if params.balanced:
-        paulis = tuple(cs.var_id(PAULI, (s,)) for s in range(g.m))
-        constraints.append(Linear(paulis, "==", g.m // 2, TAG_BALANCE))
+        constraints.append(Linear(tuple(p_id), "==", g.m // 2, TAG_BALANCE))
 
     return ConstraintSystem(g, variables, constraints, params)
-
-
-def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintSystem:
-    """Commutation plus optional degree/balance constraints in one call."""
-    cs = encode_commutation(g)
-    if params is not None:
-        cs = add_degree_and_balance(cs, params)
-    return cs
 
 
 @dataclass(frozen=True)
@@ -351,21 +310,6 @@ class Census:
         stats = self.by_tag.get(tag)
         return stats.width_counts.get(width, 0) if stats else 0
 
-    def to_dict(self) -> dict:
-        return {
-            "or_count": self.or_count,
-            "xor_count": self.xor_count,
-            "linear_count": self.linear_count,
-            "by_tag": {
-                tag: {
-                    "count": s.count,
-                    "mean_width": s.mean_width,
-                    "width_counts": {str(w): c for w, c in sorted(s.width_counts.items())},
-                }
-                for tag, s in sorted(self.by_tag.items())
-            },
-        }
-
 
 def constraint_census(cs: ConstraintSystem) -> Census:
     or_count = xor_count = linear_count = 0
@@ -382,10 +326,8 @@ def constraint_census(cs: ConstraintSystem) -> Census:
             w = len(c.vars)
         widths.setdefault(c.tag, []).append(w)
 
-    by_tag = {}
-    for tag, ws in widths.items():
-        counts: dict[int, int] = {}
-        for w in ws:
-            counts[w] = counts.get(w, 0) + 1
-        by_tag[tag] = CategoryStats(len(ws), sum(ws) / len(ws), counts)
+    by_tag = {
+        tag: CategoryStats(len(ws), sum(ws) / len(ws), dict(Counter(ws)))
+        for tag, ws in widths.items()
+    }
     return Census(or_count, xor_count, linear_count, by_tag)

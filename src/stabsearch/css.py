@@ -9,6 +9,7 @@ overlaps every Z generator on an even number of qubits.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .constraints import EncodingParams
@@ -86,10 +87,6 @@ def extract_code(g: SupportGraph, a: Assignment) -> CssCode:
     return code
 
 
-def rank_gf2(mat: BitMatrix) -> int:
-    return mat.rank()
-
-
 @dataclass(frozen=True)
 class CodeStats:
     n: int
@@ -116,11 +113,9 @@ class CodeStats:
         }
 
 
-def stats(c: CssCode, g: SupportGraph | None = None) -> CodeStats:
+def stats(c: CssCode) -> CodeStats:
     """Code parameters: k from ranks (generators may be dependent), density,
     and degree histograms of the Tanner graph."""
-    if g is not None and g.n != c.n:
-        raise ValueError("graph and code disagree on qubit count")
     m_x = c.hx.num_rows
     m_z = c.hz.num_rows
     m = m_x + m_z
@@ -133,12 +128,6 @@ def stats(c: CssCode, g: SupportGraph | None = None) -> CodeStats:
         for q in range(c.n)
     ]
     sdeg = [r.bit_count() for r in c.hx.rows] + [r.bit_count() for r in c.hz.rows]
-    qhist: dict[int, int] = {}
-    for d in qdeg:
-        qhist[d] = qhist.get(d, 0) + 1
-    shist: dict[int, int] = {}
-    for d in sdeg:
-        shist[d] = shist.get(d, 0) + 1
     return CodeStats(
         n=c.n,
         m_x=m_x,
@@ -146,8 +135,8 @@ def stats(c: CssCode, g: SupportGraph | None = None) -> CodeStats:
         k=k,
         rate=k / c.n,
         density=density,
-        qubit_degree_hist=qhist,
-        stab_degree_hist=shist,
+        qubit_degree_hist=dict(Counter(qdeg)),
+        stab_degree_hist=dict(Counter(sdeg)),
         mean_stab_degree=(sum(sdeg) / m) if m else 0.0,
     )
 

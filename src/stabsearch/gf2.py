@@ -77,15 +77,8 @@ class BitMatrix:
     def row_weights(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
-    def col_weights(self) -> list[int]:
-        return [sum((r >> j) & 1 for r in self.rows) for j in range(self.cols)]
-
     def total_weight(self) -> int:
         return sum(r.bit_count() for r in self.rows)
 
     def rank(self) -> int:
         return rank_int_rows(list(self.rows))
-
-
-def rank_gf2(mat: BitMatrix) -> int:
-    return mat.rank()

@@ -34,7 +34,6 @@ class SupportGraph:
     gamma: float
     seed: int
     edges: tuple[tuple[int, int], ...]
-    _edge_set: frozenset = field(init=False, repr=False, compare=False)
     _qubit_adj: tuple = field(init=False, repr=False, compare=False)
     _stab_adj: tuple = field(init=False, repr=False, compare=False)
 
@@ -53,12 +52,8 @@ class SupportGraph:
             qadj[q].append(s)
             sadj[s].append(q)
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-        object.__setattr__(self, "_edge_set", frozenset(seen))
         object.__setattr__(self, "_qubit_adj", tuple(tuple(sorted(a)) for a in qadj))
         object.__setattr__(self, "_stab_adj", tuple(tuple(sorted(a)) for a in sadj))
-
-    def has_edge(self, q: int, s: int) -> bool:
-        return (q, s) in self._edge_set
 
     def qubit_neighbors(self, q: int) -> tuple[int, ...]:
         """Stabilizers adjacent to qubit q, ascending."""
@@ -113,10 +108,6 @@ def sample_support_graph(n: int, m: int, gamma: float, rng: RngSpec) -> SupportG
                 if unit(base + s) < gamma:
                     edges.append((q, s))
     return SupportGraph(n=n, m=m, gamma=gamma, seed=rng.key(), edges=tuple(edges))
-
-
-def edge_count(g: SupportGraph) -> int:
-    return len(g.edges)
 
 
 def shared_qubits(g: SupportGraph, s1: int, s2: int) -> list[int]:

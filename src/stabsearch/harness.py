@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -119,6 +120,10 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, out_dir: str = "sweep_out") -> "SweepConfig":
+        """Config from a document; raises ValueError naming any unknown key."""
+        unknown = set(doc) - {f.name for f in fields(cls)} - {"format_version"}
+        if unknown:
+            raise ValueError(f"unknown sweep config keys: {', '.join(sorted(unknown))}")
         return cls(
             qubit_counts=tuple(doc["qubit_counts"]),
             gamma_min=doc["gamma_min"],
@@ -249,6 +254,17 @@ def _run_sample(task: tuple) -> dict:
     }
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path so that readers see the old file or the whole new one.
+
+    A sweep treats every existing pixel or record file as done, so a
+    write cut short must never leave a truncated file under its name.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def _pixel_path(out: Path, n: int, gamma_index: int) -> Path:
     return out / "pixels" / f"pixel_n{n}_g{gamma_index:03d}.json"
 
@@ -282,7 +298,7 @@ def run_phase_sweep(cfg: SweepConfig, task_limit: int | None = None) -> list[Pix
         if config_path.read_text().strip() != snapshot:
             raise ValueError(f"output directory {out} holds a sweep with a different config")
     else:
-        config_path.write_text(snapshot)
+        _write_atomic(config_path, snapshot)
 
     gammas = cfg.gammas()
     pixels: list[PixelResult] = []
@@ -318,7 +334,7 @@ def run_phase_sweep(cfg: SweepConfig, task_limit: int | None = None) -> list[Pix
                         record_ids.append(rec_doc["code_id"])
                         rec_path = out / "codes" / f"{rec_doc['code_id']}.json"
                         if not rec_path.exists():
-                            rec_path.write_text(json.dumps(rec_doc, sort_keys=True))
+                            _write_atomic(rec_path, json.dumps(rec_doc, sort_keys=True))
                 doc = {
                     "format_version": PIXEL_FORMAT_VERSION,
                     "n": n,
@@ -331,7 +347,7 @@ def run_phase_sweep(cfg: SweepConfig, task_limit: int | None = None) -> list[Pix
                     "verdicts": [o["verdict"] for o in outcomes],
                     "records": record_ids,
                 }
-                path.write_text(json.dumps(doc, sort_keys=True))
+                _write_atomic(path, json.dumps(doc, sort_keys=True))
                 pixels.append(_pixel_from_doc(doc))
                 computed += 1
     finally:
@@ -362,22 +378,13 @@ def sweep_pixels(out_dir: str | Path) -> list[PixelResult]:
     return [_pixel_from_doc(d) for d in docs]
 
 
-def records_for_pixel(out_dir: str | Path, n: int, gamma: float) -> list[str]:
-    out = Path(out_dir)
-    for path in sorted((out / "pixels").glob(f"pixel_n{n}_*.json")):
-        doc = json.loads(path.read_text())
-        if doc["gamma"] == gamma:
-            return doc["records"]
-    return []
-
-
 def write_pixel_csv(path: str | Path, pixels: list[PixelResult]) -> None:
     lines = [CSV_FORMAT_LINE, "n,m,gamma,sat,unsat,unknown,classification"]
     for px in sorted(pixels, key=lambda p: (p.n, p.gamma)):
         lines.append(
             f"{px.n},{px.m},{px.gamma!r},{px.sat},{px.unsat},{px.unknown},{px.classification}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(Path(path), "\n".join(lines) + "\n")
 
 
 def run_density_study(records: list[CodeRecord]) -> list[dict]:

@@ -90,10 +90,3 @@ class CounterStream:
     def unit(self, index: int) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.u64(index) >> 11) * _INV53
-
-    def bernoulli(self, index: int, p: float) -> bool:
-        return self.unit(index) < p
-
-    def below(self, index: int, bound: int) -> int:
-        """Integer in [0, bound), by 64-bit reduction (bias < 2**-40 for bound < 2**24)."""
-        return (self.u64(index) * bound) >> 64

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 
 from .constraints import (
@@ -61,6 +61,9 @@ WALL_CLOCK_SAFETY_FACTOR = 10.0
 # slice is long enough for genuine unsatisfiability proofs.
 _FIRST_SLICE_FRACTION = 1 / 32
 _MIN_SLICE = 50_000
+
+# Conflicts between restarts: this many times the next Luby number.
+_LUBY_BASE = 128
 
 _VAR_ACT_DECAY = 1.0 / 0.95
 _CLA_ACT_DECAY = 1.0 / 0.999
@@ -118,15 +121,11 @@ class SolverConfig:
 
     time_budget: float = 60.0
     seed: int = 0
-    restart_policy: str = "luby"  # or "geometric"
-    restart_base: int = 128
     probe_candidates: bool = True
 
     def __post_init__(self):
         if self.time_budget <= 0:
             raise ValueError("time_budget must be positive")
-        if self.restart_policy not in ("luby", "geometric"):
-            raise ValueError(f"unknown restart policy {self.restart_policy!r}")
 
 
 def check(cs: ConstraintSystem, a: Assignment) -> bool:
@@ -258,7 +257,6 @@ class _Engine:
 
     def __init__(self, cs: ConstraintSystem, cfg: SolverConfig):
         self.cs = cs
-        self.cfg = cfg
         nv = cs.num_vars
         self.nvars = nv
         self.values = [-1] * nv
@@ -704,7 +702,7 @@ class _Engine:
         if not self.ok:
             return UNSAT
         restart_num = 0
-        conflict_countdown = self._restart_interval(restart_num)
+        conflict_countdown = _LUBY_BASE * _luby(restart_num + 1)
         max_learnts = max(4000, len(self.clauses) // 3)
 
         while True:
@@ -729,7 +727,7 @@ class _Engine:
             if conflict_countdown <= 0:
                 self.stats.restarts += 1
                 restart_num += 1
-                conflict_countdown = self._restart_interval(restart_num)
+                conflict_countdown = _LUBY_BASE * _luby(restart_num + 1)
                 self._backtrack(0)
                 if len(self.learnts) > max_learnts:
                     self._reduce_db()
@@ -742,11 +740,6 @@ class _Engine:
             self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(2 * v + (self.phase[v] ^ 1), None)
-
-    def _restart_interval(self, k: int) -> int:
-        if self.cfg.restart_policy == "luby":
-            return self.cfg.restart_base * _luby(k + 1)
-        return int(self.cfg.restart_base * (1.5 ** min(k, 64)))
 
     def assignment(self) -> Assignment:
         return Assignment(tuple(self.values))
@@ -762,18 +755,15 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     cfg = cfg or SolverConfig()
     t0 = time.monotonic()
 
-    if cfg.probe_candidates:
-        probe = _probe_candidates(cs)
-        if probe is not None:
-            stats = SolverStats()
-            stats.wall_time_s = time.monotonic() - t0
-            return SolveResult(SAT, probe, stats)
-
     warm_phases = None
     if cfg.probe_candidates:
-        greedy = _greedy_degree_candidate(cs)
+        model, greedy = _probe_candidates(cs)
+        if model is not None:
+            stats = SolverStats()
+            stats.wall_time_s = time.monotonic() - t0
+            return SolveResult(SAT, model, stats)
         if greedy is not None:
-            warm_phases = consistent_completion(cs, greedy[0], greedy[1]).values
+            warm_phases = greedy.values
 
     total_budget = int(cfg.time_budget * PROPS_PER_SECOND)
     deadline = t0 + max(1.0, cfg.time_budget) * WALL_CLOCK_SAFETY_FACTOR
@@ -785,16 +775,7 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     model = None
     while remaining > 0:
         work = min(remaining, slice_budget)
-        engine = _Engine(
-            cs,
-            SolverConfig(
-                time_budget=cfg.time_budget,
-                seed=cfg.seed + attempt,
-                restart_policy=cfg.restart_policy,
-                restart_base=cfg.restart_base,
-                probe_candidates=cfg.probe_candidates,
-            ),
-        )
+        engine = _Engine(cs, replace(cfg, seed=cfg.seed + attempt))
         if warm_phases is not None:
             for v, b in enumerate(warm_phases):
                 engine.phase[v] = b
@@ -823,14 +804,18 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     return SolveResult(verdict, None, agg)
 
 
-def _probe_candidates(cs: ConstraintSystem) -> Assignment | None:
-    """Try cheap structured assignments before searching."""
+def _probe_candidates(cs: ConstraintSystem) -> tuple[Assignment | None, Assignment | None]:
+    """Try cheap structured assignments before searching.
+
+    Returns (model, greedy): the first probe that satisfies cs, if any,
+    and the completed greedy degree candidate, if one was built, which
+    the search takes as its initial phases.
+    """
     zero = consistent_completion(cs, {}, [0] * cs.graph.m)
     if check(cs, zero):
-        return zero
-    greedy = _greedy_degree_candidate(cs)
-    if greedy is not None:
-        cand = consistent_completion(cs, greedy[0], greedy[1])
-        if check(cs, cand):
-            return cand
-    return None
+        return zero, None
+    candidate = _greedy_degree_candidate(cs)
+    if candidate is None:
+        return None, None
+    greedy = consistent_completion(cs, *candidate)
+    return (greedy if check(cs, greedy) else None), greedy

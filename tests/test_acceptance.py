@@ -29,7 +29,6 @@ from stabsearch.constraints import (
     EncodingParams,
     constraint_census,
     encode,
-    encode_commutation,
 )
 from stabsearch.css import check_commutation, satisfies_degree_bounds
 from stabsearch.erasure import (
@@ -127,7 +126,7 @@ def test_criterion_01_encoder_soundness():
         m = rng.randint(2, 4)
         gamma = rng.choice([0.4, 0.6, 0.8, 1.0])
         g = sample_support_graph(n, m, gamma, RngSpec(4242, done * 97 + rng.randint(0, 96)))
-        cs = encode_commutation(g)
+        cs = encode(g)
         if not (0 < cs.num_vars <= 16):
             continue
         sat_set = satisfying_set(cs)
@@ -173,7 +172,7 @@ def test_criterion_03_trivial_satisfiability():
         m = max(2, round(0.9 * n))
         gamma = rng.uniform(0.05, 0.35)
         g = sample_support_graph(n, m, gamma, RngSpec(808, trial))
-        cs = encode_commutation(g)
+        cs = encode(g)
         t0 = time.time()
         r = solve(cs, SolverConfig(time_budget=10, seed=trial))
         elapsed = time.time() - t0

@@ -111,6 +111,16 @@ class TestSweepAndDensity:
         assert lines[2].endswith("unsatisfiable")
         assert ",2,0," in lines[2]  # unsat=2, unknown=0
 
+    def test_unknown_config_key_is_validation_error(self, tmp_path, capsys):
+        cfg = {"qubit_counts": [5], "gamma_min": 0.5, "gamma_max": 0.5, "gamma_step": 0.1,
+               "sample": 10}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "typo"
+        assert run(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 4
+        assert "sample" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestDecode:
     def test_decode_plain_code_document(self, tmp_path, capsys):

@@ -18,16 +18,18 @@ from stabsearch.constraints import (
     TAG_SDEG_MAX,
     TAG_SDEG_MIN,
     TAG_XDEG,
+    TAG_XIND,
     TAG_ZDEG,
+    TAG_ZIND,
+    XIND,
+    ZIND,
     ConstraintSystem,
     EncodingParams,
     Linear,
     OrClause,
     XorClause,
-    add_degree_and_balance,
     constraint_census,
     encode,
-    encode_commutation,
 )
 from stabsearch.graphs import SupportGraph, sample_support_graph, shared_qubits
 from stabsearch.rng import RngSpec
@@ -58,7 +60,7 @@ class TestCommutationEncoding:
     def test_pair_graph_variable_and_constraint_counts(self):
         # two stabilizers sharing three qubits: 6 activators, 2 Pauli,
         # 1 same, 1 even, 3 both = 13 variables; 1 OR + 2 XOR + 9 OR = 12
-        cs = encode_commutation(fig_two_stabilizers_graph())
+        cs = encode(fig_two_stabilizers_graph())
         assert cs.num_vars == 13
         assert len(cs.constraints) == 12
         kinds = [v.kind for v in cs.variables]
@@ -69,7 +71,7 @@ class TestCommutationEncoding:
         assert kinds.count(BOTH) == 3
 
     def test_pair_graph_census(self):
-        census = constraint_census(encode_commutation(fig_two_stabilizers_graph()))
+        census = constraint_census(encode(fig_two_stabilizers_graph()))
         assert census.or_count == 10
         assert census.xor_count == 2
         assert census.linear_count == 0
@@ -83,20 +85,20 @@ class TestCommutationEncoding:
 
     def test_single_stabilizer_emits_nothing(self):
         g = sample_support_graph(6, 1, 1.0, RngSpec(0))
-        cs = encode_commutation(g)
+        cs = encode(g)
         assert len(cs.constraints) == 0
         assert cs.num_vars == 6 + 1
 
     def test_disjoint_pair_emits_nothing(self):
         g = SupportGraph(n=4, m=2, gamma=0.0, seed=0, edges=((0, 0), (1, 0), (2, 1), (3, 1)))
-        cs = encode_commutation(g)
+        cs = encode(g)
         assert len(cs.constraints) == 0
-        assert not cs.has_var(SAME, (0, 1))
+        assert SAME not in {v.kind for v in cs.variables}
 
     def test_all_inactive_assignment_satisfies_any_commutation_system(self):
         for seed in range(5):
             g = sample_support_graph(10, 9, 0.5, RngSpec(seed))
-            cs = encode_commutation(g)
+            cs = encode(g)
             for paulis in ([0] * g.m, [s % 2 for s in range(g.m)]):
                 a = consistent_completion(cs, {}, paulis)
                 assert check(cs, a)
@@ -123,7 +125,7 @@ class TestCommutationEncoding:
             n = rng.randint(2, 4)
             m = rng.randint(2, 3)
             g = sample_support_graph(n, m, rng.choice([0.5, 0.8, 1.0]), RngSpec(seed, 17))
-            cs = encode_commutation(g)
+            cs = encode(g)
             if 0 < cs.num_vars <= 14:
                 break
         sat_set = satisfying_set(cs)
@@ -142,18 +144,17 @@ class TestCommutationEncoding:
 class TestDegreeAndBalance:
     def test_default_params_leave_system_unchanged(self):
         g = sample_support_graph(6, 5, 0.6, RngSpec(2))
-        cs = encode_commutation(g)
-        assert add_degree_and_balance(cs, EncodingParams()) is cs
+        assert encode(g, EncodingParams()).to_json() == encode(g).to_json()
 
     def test_balance_constraint_bound_is_floor_m_half(self):
         g = fig_two_stabilizers_graph()
-        cs = add_degree_and_balance(encode_commutation(g), EncodingParams(balanced=True))
+        cs = encode(g, EncodingParams(balanced=True))
         balance = [c for c in cs.constraints if c.tag == TAG_BALANCE]
         assert len(balance) == 1
         assert balance[0].cmp == "=="
         assert balance[0].bound == 1  # floor(2/2)
         g5 = sample_support_graph(4, 5, 1.0, RngSpec(0))
-        cs5 = add_degree_and_balance(encode_commutation(g5), EncodingParams(balanced=True))
+        cs5 = encode(g5, EncodingParams(balanced=True))
         assert [c for c in cs5.constraints if c.tag == TAG_BALANCE][0].bound == 2  # floor(5/2)
 
     def test_qubit_degree_constraints_shape(self):
@@ -187,6 +188,45 @@ class TestDegreeAndBalance:
             EncodingParams(min_qubit_degree=-1)
         with pytest.raises(ValueError):
             EncodingParams(min_stab_degree=5, max_stab_degree=3)
+
+
+class TestLayout:
+    """The variable and constraint order that extract_code and stored systems rely on."""
+
+    QUBIT_TAGS = {TAG_XIND, TAG_ZIND, TAG_XDEG, TAG_ZDEG}
+    STAB_TAGS = {TAG_SDEG_MIN, TAG_SDEG_MAX}
+    FAMILIES = {
+        "qubit-degree": (EncodingParams(min_qubit_degree=2), [QUBIT_TAGS]),
+        "stab-degree": (EncodingParams(min_stab_degree=1, max_stab_degree=4), [STAB_TAGS]),
+        "balanced": (EncodingParams(balanced=True), [{TAG_BALANCE}]),
+        "all": (EncodingParams(2, 1, 4, True), [QUBIT_TAGS, STAB_TAGS, {TAG_BALANCE}]),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_params_extend_the_commutation_system(self, family):
+        params, tag_groups = self.FAMILIES[family]
+        for seed in range(3):
+            g = sample_support_graph(10, 9, 0.4, RngSpec(seed))
+            base = encode(g)
+            cs = encode(g, params)
+            assert cs.params == params
+            assert cs.variables[: base.num_vars] == base.variables
+            assert cs.constraints[: len(base.constraints)] == base.constraints
+            extra_kinds = {v.kind for v in cs.variables[base.num_vars :]}
+            assert extra_kinds == ({XIND, ZIND} if params.min_qubit_degree else set())
+            # the families follow one another in the order qubit, stabilizer, balance
+            group_of = [
+                next(i for i, tags in enumerate(tag_groups) if c.tag in tags)
+                for c in cs.constraints[len(base.constraints) :]
+            ]
+            assert group_of and group_of == sorted(group_of)
+            assert set(group_of) == set(range(len(tag_groups)))
+
+    def test_activators_in_edge_order_then_one_pauli_per_stabilizer(self):
+        g = sample_support_graph(10, 9, 0.4, RngSpec(4))
+        cs = encode(g, self.FAMILIES["all"][0])
+        head = [(v.kind, v.index) for v in cs.variables[: len(g.edges) + g.m]]
+        assert head == [(ACTIVATOR, e) for e in g.edges] + [(PAULI, (s,)) for s in range(g.m)]
 
 
 class TestSystemValidation:
@@ -228,7 +268,7 @@ class TestSystemValidation:
 class TestCensusScaling:
     def test_empty_graph_census_is_all_zero(self):
         g = SupportGraph(n=3, m=2, gamma=0.0, seed=0, edges=())
-        census = constraint_census(encode_commutation(g))
+        census = constraint_census(encode(g))
         assert census.or_count == 0 and census.xor_count == 0 and census.linear_count == 0
 
     def test_mean_counts_match_expectations_at_table_point(self):
@@ -244,7 +284,7 @@ class TestCensusScaling:
         tot_or3 = tot_pairs = tot_evenw = 0.0
         for sid in range(seeds):
             g = sample_support_graph(n, m, gamma, RngSpec(31337, sid))
-            census = constraint_census(encode_commutation(g))
+            census = constraint_census(encode(g))
             tot_or3 += census.tag_width_count(TAG_BOTH, 3)
             tot_pairs += census.tag_count(TAG_COMMUTE)
             tot_evenw += census.tag_mean_width(TAG_EVEN)

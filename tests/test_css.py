@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from stabsearch.constraints import EncodingParams, encode, encode_commutation
+from stabsearch.constraints import EncodingParams, encode
 from stabsearch.css import (
     CommutationError,
     CssCode,
@@ -17,7 +17,7 @@ from stabsearch.css import (
     steane_code,
     to_alist,
 )
-from stabsearch.gf2 import BitMatrix, rank_gf2
+from stabsearch.gf2 import BitMatrix
 from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch.rng import RngSpec
 from stabsearch.solver import (
@@ -35,10 +35,10 @@ from oracles import naive_rank
 class TestBitMatrix:
     def test_identity_rank(self):
         eye = BitMatrix.from_bits([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-        assert rank_gf2(eye) == 4
+        assert eye.rank() == 4
 
     def test_zero_rank(self):
-        assert rank_gf2(BitMatrix((0, 0, 0), 5)) == 0
+        assert BitMatrix((0, 0, 0), 5).rank() == 0
 
     def test_string_round_trip(self):
         mat = BitMatrix.from_strings(["1010", "0110"])
@@ -113,7 +113,7 @@ class TestCommutationPredicate:
 class TestExtraction:
     def test_all_inactive_gives_zero_code_full_k(self):
         g = sample_support_graph(10, 9, 0.5, RngSpec(3))
-        cs = encode_commutation(g)
+        cs = encode(g)
         a = consistent_completion(cs, {}, [s % 2 for s in range(g.m)])
         code = extract_code(g, a)
         assert code.hx.total_weight() == 0 and code.hz.total_weight() == 0
@@ -123,7 +123,7 @@ class TestExtraction:
         g = sample_support_graph(3, 2, 1.0, RngSpec(0))
         # activate exactly one shared qubit on both stabilizers, opposite types
         activators = {(0, 0): 1, (0, 1): 1}
-        cs = encode_commutation(g)
+        cs = encode(g)
         a = consistent_completion(cs, activators, [1, 0])
         with pytest.raises(CommutationError):
             extract_code(g, a)
@@ -140,7 +140,7 @@ class TestExtraction:
             n = rng.randint(4, 12)
             m = max(2, round(0.9 * n))
             g = sample_support_graph(n, m, rng.uniform(0.3, 0.9), RngSpec(seed, 1))
-            r = solve(encode_commutation(g), SolverConfig(time_budget=2, seed=seed))
+            r = solve(encode(g), SolverConfig(time_budget=2, seed=seed))
             assert r.verdict == SAT
             code = extract_code(g, r.assignment)
             assert check_commutation(code)
@@ -161,7 +161,7 @@ class TestExtraction:
             paulis.append(0)
             edges.extend((q, s + offset) for q in range(9) if (row >> q) & 1)
         g = SupportGraph(n=9, m=8, gamma=1.0, seed=0, edges=tuple(sorted(edges)))
-        cs = encode_commutation(g)
+        cs = encode(g)
         a = consistent_completion(cs, {e: 1 for e in g.edges}, paulis)
         assert check(cs, a)
         code = extract_code(g, a)
@@ -200,7 +200,7 @@ class TestSerialization:
     def test_k_never_below_n_minus_m(self):
         for seed in range(10):
             g = sample_support_graph(12, 10, 0.7, RngSpec(seed, 8))
-            r = solve(encode_commutation(g), SolverConfig(time_budget=2, seed=seed))
+            r = solve(encode(g), SolverConfig(time_budget=2, seed=seed))
             code = extract_code(g, r.assignment)
             s = stats(code)
             assert s.k >= g.n - g.m

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from stabsearch.graphs import SupportGraph, edge_count, sample_support_graph, shared_qubits
+from stabsearch.graphs import SupportGraph, sample_support_graph, shared_qubits
 from stabsearch.rng import RngSpec
 
 
@@ -18,12 +18,12 @@ def fig_two_stabilizers_graph():
 
 def test_gamma_zero_gives_empty_graph():
     g = sample_support_graph(5, 4, 0.0, RngSpec(1))
-    assert edge_count(g) == 0
+    assert len(g.edges) == 0
 
 
 def test_gamma_one_gives_complete_graph():
     g = sample_support_graph(5, 4, 1.0, RngSpec(1))
-    assert edge_count(g) == 20
+    assert len(g.edges) == 20
     assert g.edges == tuple((q, s) for q in range(5) for s in range(4))
 
 
@@ -46,7 +46,7 @@ def test_edge_count_mean_matches_binomial_law():
     n, m, gamma = 100, 90, 0.2
     sigma = math.sqrt(n * m * gamma * (1 - gamma))
     counts = [
-        edge_count(sample_support_graph(n, m, gamma, RngSpec(777, sid))) for sid in range(1000)
+        len(sample_support_graph(n, m, gamma, RngSpec(777, sid)).edges) for sid in range(1000)
     ]
     mean = sum(counts) / len(counts)
     assert abs(mean - n * m * gamma) < 3 * sigma
@@ -79,7 +79,7 @@ def test_monotone_coupling(n, m, g1, g2, seed):
 
 def test_fig_style_pair_graph_counts():
     g = fig_two_stabilizers_graph()
-    assert edge_count(g) == 6
+    assert len(g.edges) == 6
     assert shared_qubits(g, 0, 1) == [0, 1, 2]
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +143,33 @@ class TestSweep:
         assert (tmp_path / "resumed" / "pixels.csv").read_bytes() == (
             tmp_path / "full" / "pixels.csv"
         ).read_bytes()
+
+    def test_resume_after_a_pixel_write_fails_part_way(self, tmp_path, monkeypatch):
+        run_phase_sweep(tiny_config(tmp_path / "full"))
+        real_write_text = Path.write_text
+        pixel_writes = []
+
+        def crash_in_second_pixel_write(path, text, *args, **kwargs):
+            if path.name.startswith("pixel_"):
+                pixel_writes.append(path.name)
+                if len(pixel_writes) == 2:
+                    real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+                    raise OSError("killed during write")
+            return real_write_text(path, text, *args, **kwargs)
+
+        cfg = tiny_config(tmp_path / "crashed")
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", crash_in_second_pixel_write)
+            with pytest.raises(OSError):
+                run_phase_sweep(cfg)
+        assert len(pixel_writes) == 2
+        run_phase_sweep(cfg)
+        full, resumed = tmp_path / "full", tmp_path / "crashed"
+        assert (resumed / "pixels.csv").read_bytes() == (full / "pixels.csv").read_bytes()
+        names = sorted(p.name for p in (full / "codes").iterdir())
+        assert names and sorted(p.name for p in (resumed / "codes").iterdir()) == names
+        for name in names:
+            assert (resumed / "codes" / name).read_bytes() == (full / "codes" / name).read_bytes()
 
     def test_parallel_matches_serial(self, tmp_path):
         run_phase_sweep(tiny_config(tmp_path / "serial", workers=1))

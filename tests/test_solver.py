@@ -13,7 +13,6 @@ from stabsearch.constraints import (
     VarRef,
     XorClause,
     encode,
-    encode_commutation,
 )
 from stabsearch.graphs import sample_support_graph
 from stabsearch.rng import RngSpec
@@ -63,12 +62,12 @@ def random_system(rng: random.Random, nv: int) -> ConstraintSystem:
 class TestCheck:
     def test_check_accepts_consistent_all_inactive(self):
         g = sample_support_graph(8, 6, 0.5, RngSpec(4))
-        cs = encode_commutation(g)
+        cs = encode(g)
         a = consistent_completion(cs, {}, [0] * g.m)
         assert check(cs, a)
 
     def test_check_rejects_flipped_aux(self):
-        cs = encode_commutation(sample_support_graph(8, 6, 0.9, RngSpec(4)))
+        cs = encode(sample_support_graph(8, 6, 0.9, RngSpec(4)))
         a = consistent_completion(cs, {}, [0] * 6)
         both_ids = [v.id for v in cs.variables if v.kind == "both"]
         assert both_ids
@@ -77,7 +76,7 @@ class TestCheck:
         assert not check(cs, Assignment(tuple(values)))
 
     def test_check_rejects_partial_assignment(self):
-        cs = encode_commutation(sample_support_graph(4, 3, 0.5, RngSpec(0)))
+        cs = encode(sample_support_graph(4, 3, 0.5, RngSpec(0)))
         with pytest.raises(ValueError):
             check(cs, Assignment((0,) * (cs.num_vars - 1)))
         with pytest.raises(ValueError):
@@ -102,7 +101,7 @@ class TestSolveBasics:
     def test_commutation_only_is_sat(self):
         for seed in range(3):
             g = sample_support_graph(20, 18, 0.4, RngSpec(seed))
-            r = solve(encode_commutation(g), SolverConfig(time_budget=5))
+            r = solve(encode(g), SolverConfig(time_budget=5))
             assert r.verdict == SAT
 
     def test_contradictory_parities_unsat(self):
@@ -121,17 +120,12 @@ class TestSolveBasics:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(time_budget=0)
-        with pytest.raises(ValueError):
-            SolverConfig(restart_policy="bogus")
 
-    def test_restart_policies_agree_on_verdict(self):
+    def test_luby_restarts_agree_with_brute_force(self):
         rng = random.Random(3)
         for _ in range(20):
             cs = random_system(rng, 10)
-            expected = brute_force_verdict(cs)
-            for policy in ("luby", "geometric"):
-                r = solve(cs, SolverConfig(time_budget=1, restart_policy=policy))
-                assert r.verdict == expected
+            assert solve(cs, SolverConfig(time_budget=1)).verdict == brute_force_verdict(cs)
 
 
 class TestOracleAgreement:
