@@ -16,19 +16,20 @@ from .cnf import export_cnf
 from .css import CssCode
 from .graphs import SupportGraph, sample_support_graph
 from .harness import (
+    SATISFIABLE,
+    SCREEN_MIN_RATE,
     CodeRecord,
     RecordValidationError,
     SweepConfig,
+    best_codes,
     find_code,
     run_decoding_benchmark,
     run_density_study,
     run_phase_sweep,
-    sweep_pixels,
-    sweep_records,
+    satisfiable_records,
     write_decoding_csv,
     write_decoding_min_csv,
     write_density_csv,
-    SATISFIABLE,
 )
 from .rng import RngSpec
 from .solver import SolverConfig, solve
@@ -158,27 +159,28 @@ def _cmd_sweep(args) -> int:
         raise _CliError(f"sweep I/O failure: {exc}", EXIT_IO)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_VALIDATION)
-    sat = sum(1 for p in pixels if p.classification == "satisfiable")
+    sat = sum(1 for p in pixels if p.classification == SATISFIABLE)
     print(f"sweep complete: {len(pixels)} pixels ({sat} satisfiable) -> {cfg.out_dir}")
     return EXIT_OK
 
 
-def _cmd_density(args) -> int:
+def _load_satisfiable(sweep: str) -> list[CodeRecord]:
+    """The validated satisfiable-phase records of a sweep directory; never empty."""
     try:
-        pixels = sweep_pixels(args.sweep)
-        sat_pixels = {(p.n, p.gamma) for p in pixels if p.classification == SATISFIABLE}
-        records = [
-            r
-            for r in sweep_records(args.sweep)
-            if (r.provenance["n"], r.provenance["gamma"]) in sat_pixels
-        ]
-        rows = run_density_study(records)
+        records = satisfiable_records(sweep)
     except RecordValidationError as exc:
         raise _CliError(str(exc), EXIT_VALIDATION)
     except (OSError, json.JSONDecodeError) as exc:
         raise _CliError(f"cannot load sweep: {exc}", EXIT_IO)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION)
+    except (ValueError, KeyError) as exc:
+        raise _CliError(f"invalid sweep document: {exc}", EXIT_VALIDATION)
+    if not records:
+        raise _CliError(f"no code in the satisfiable phase of {sweep}", EXIT_VALIDATION)
+    return records
+
+
+def _cmd_density(args) -> int:
+    rows = run_density_study(_load_satisfiable(args.sweep))
     write_density_csv(args.out, rows)
     for r in rows:
         print(f"n={r['n']}: mean_density={r['mean_density']:.4f} "
@@ -204,7 +206,15 @@ def _load_code_or_record(path: str) -> CodeRecord:
 
 
 def _cmd_decode(args) -> int:
-    record = _load_code_or_record(args.code)
+    if args.sweep:
+        records = best_codes(_load_satisfiable(args.sweep), args.seed)
+        if not records:
+            raise _CliError(
+                f"no satisfiable-phase code of rate >= {SCREEN_MIN_RATE} in {args.sweep}",
+                EXIT_VALIDATION,
+            )
+    else:
+        records = [_load_code_or_record(args.code)]
     if args.grid:
         try:
             p_grid = [float(tok) for tok in args.grid.split(",") if tok]
@@ -214,7 +224,7 @@ def _cmd_decode(args) -> int:
         p_grid = [args.p]
     try:
         rows, minima = run_decoding_benchmark(
-            [record], p_grid, args.trials, RngSpec(args.seed), estimator=args.estimator
+            records, p_grid, args.trials, RngSpec(args.seed), estimator=args.estimator
         )
     except (RecordValidationError, ValueError) as exc:
         raise _CliError(str(exc), EXIT_VALIDATION)
@@ -223,8 +233,8 @@ def _cmd_decode(args) -> int:
     if args.min_out:
         write_decoding_min_csv(args.min_out, minima)
     for r in rows:
-        print(f"p={r['p']}: failure_rate={r['failure_rate']:.6f} +/- {r['ci95']:.6f} "
-              f"({r['trials']} trials)")
+        print(f"{r['code_id']} n={r['n']} p={r['p']}: failure_rate={r['failure_rate']:.6f} "
+              f"+/- {r['ci95']:.6f} ({r['trials']} trials)")
     return EXIT_OK
 
 
@@ -286,8 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="density.csv")
     p.set_defaults(fn=_cmd_density)
 
-    p = sub.add_parser("decode", help="erasure failure rate for a stored code")
-    p.add_argument("--code", required=True)
+    p = sub.add_parser("decode", help="erasure failure rates for a code or a sweep's best codes")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--code", help="a code or code record document")
+    source.add_argument(
+        "--sweep",
+        help="a sweep directory: decode its best satisfiable-phase codes per n, "
+        "screened on --seed",
+    )
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--grid", default=None, help="comma-separated erasure probabilities")
     p.add_argument("--trials", type=int, default=10000)

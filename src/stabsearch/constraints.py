@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, NamedTuple
 
 from .graphs import SupportGraph, shared_qubits
@@ -108,21 +108,15 @@ class EncodingParams:
             raise ValueError("max_stab_degree must be >= min_stab_degree")
 
     def to_dict(self) -> dict:
-        return {
-            "min_qubit_degree": self.min_qubit_degree,
-            "min_stab_degree": self.min_stab_degree,
-            "max_stab_degree": self.max_stab_degree,
-            "balanced": self.balanced,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EncodingParams":
-        return cls(
-            min_qubit_degree=doc.get("min_qubit_degree", 0),
-            min_stab_degree=doc.get("min_stab_degree", 0),
-            max_stab_degree=doc.get("max_stab_degree"),
-            balanced=doc.get("balanced", False),
-        )
+        """Params from a document; raises ValueError naming any unknown key."""
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown encoding params keys: {', '.join(sorted(unknown))}")
+        return cls(**doc)
 
 
 class ConstraintSystem:

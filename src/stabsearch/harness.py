@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -33,6 +33,12 @@ CSV_FORMAT_LINE = "# format_version: 1"
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
 UNKNOWN_REGION = "unknown"
+
+# best_codes: the screen that picks the codes a decoding study benchmarks
+SCREEN_P = 0.35
+SCREEN_TRIALS = 600
+SCREEN_TOP = 3
+SCREEN_MIN_RATE = 0.1
 
 
 class RecordValidationError(ValueError):
@@ -103,41 +109,29 @@ class SweepConfig:
         return max(1, round(self.ratio * n))
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "qubit_counts": list(self.qubit_counts),
-            "gamma_min": self.gamma_min,
-            "gamma_max": self.gamma_max,
-            "gamma_step": self.gamma_step,
-            "samples": self.samples,
-            "ratio": self.ratio,
-            "params": self.params.to_dict(),
-            "time_budget": self.time_budget,
-            "master_seed": self.master_seed,
-            "workers": self.workers,
-            "solved_threshold": self.solved_threshold,
-        }
+        doc = asdict(self)
+        del doc["out_dir"]
+        return {"format_version": 1, **doc}
 
     @classmethod
     def from_dict(cls, doc: dict, out_dir: str = "sweep_out") -> "SweepConfig":
-        """Config from a document; raises ValueError naming any unknown key."""
-        unknown = set(doc) - {f.name for f in fields(cls)} - {"format_version"}
+        """Config from a document; raises ValueError naming any unknown or missing key."""
+        names = {f.name for f in fields(cls)}
+        unknown = set(doc) - names - {"format_version"}
         if unknown:
             raise ValueError(f"unknown sweep config keys: {', '.join(sorted(unknown))}")
-        return cls(
+        missing = {
+            f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+        } - set(doc)
+        if missing:
+            raise ValueError(f"missing sweep config keys: {', '.join(sorted(missing))}")
+        kwargs = {k: v for k, v in doc.items() if k in names}
+        kwargs.update(
             qubit_counts=tuple(doc["qubit_counts"]),
-            gamma_min=doc["gamma_min"],
-            gamma_max=doc["gamma_max"],
-            gamma_step=doc["gamma_step"],
-            samples=doc.get("samples", 10),
-            ratio=doc.get("ratio", 0.9),
             params=EncodingParams.from_dict(doc.get("params", {})),
-            time_budget=doc.get("time_budget", 60.0),
-            master_seed=doc.get("master_seed", 0),
-            workers=doc.get("workers", 1),
-            solved_threshold=doc.get("solved_threshold", 0.9),
             out_dir=out_dir,
         )
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -378,13 +372,49 @@ def sweep_pixels(out_dir: str | Path) -> list[PixelResult]:
     return [_pixel_from_doc(d) for d in docs]
 
 
-def write_pixel_csv(path: str | Path, pixels: list[PixelResult]) -> None:
-    lines = [CSV_FORMAT_LINE, "n,m,gamma,sat,unsat,unknown,classification"]
-    for px in sorted(pixels, key=lambda p: (p.n, p.gamma)):
-        lines.append(
-            f"{px.n},{px.m},{px.gamma!r},{px.sat},{px.unsat},{px.unknown},{px.classification}"
+def satisfiable_records(out_dir: str | Path, validate: bool = True) -> list[CodeRecord]:
+    """The sweep's records whose (n, gamma) pixel is classified satisfiable."""
+    sat_pixels = {(p.n, p.gamma) for p in sweep_pixels(out_dir) if p.classification == SATISFIABLE}
+    return [
+        r
+        for r in sweep_records(out_dir, validate)
+        if (r.provenance["n"], r.provenance["gamma"]) in sat_pixels
+    ]
+
+
+def best_codes(records: list[CodeRecord], master_seed: int) -> list[CodeRecord]:
+    """Per n, ascending: the SCREEN_TOP codes of rate >= SCREEN_MIN_RATE
+    with the lowest screened failure rate at p = SCREEN_P.
+
+    Each code is screened with SCREEN_TRIALS exact-estimator trials on
+    its own stream, so the choice does not depend on the other records.
+    """
+    best = []
+    for n in sorted({r.stats.n for r in records}):
+        candidates = [r for r in records if r.stats.n == n and r.stats.rate >= SCREEN_MIN_RATE]
+        candidates.sort(
+            key=lambda r: failure_rate(
+                r.code, SCREEN_P, SCREEN_TRIALS,
+                RngSpec(master_seed, stable_hash64("screen", r.code_id)),
+            ).failure_rate
         )
-    _write_atomic(Path(path), "\n".join(lines) + "\n")
+        best.extend(candidates[:SCREEN_TOP])
+    return best
+
+
+def _write_csv(path: str | Path, header: str, rows) -> None:
+    _write_atomic(Path(path), "\n".join([CSV_FORMAT_LINE, header, *rows]) + "\n")
+
+
+def write_pixel_csv(path: str | Path, pixels: list[PixelResult]) -> None:
+    _write_csv(
+        path,
+        "n,m,gamma,sat,unsat,unknown,classification",
+        (
+            f"{px.n},{px.m},{px.gamma!r},{px.sat},{px.unsat},{px.unknown},{px.classification}"
+            for px in sorted(pixels, key=lambda p: (p.n, p.gamma))
+        ),
+    )
 
 
 def run_density_study(records: list[CodeRecord]) -> list[dict]:
@@ -413,10 +443,11 @@ def run_density_study(records: list[CodeRecord]) -> list[dict]:
 
 
 def write_density_csv(path: str | Path, rows: list[dict]) -> None:
-    lines = [CSV_FORMAT_LINE, "n,mean_density,min_sat_gamma,num_codes"]
-    for r in rows:
-        lines.append(f"{r['n']},{r['mean_density']!r},{r['min_sat_gamma']!r},{r['num_codes']}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        "n,mean_density,min_sat_gamma,num_codes",
+        (f"{r['n']},{r['mean_density']!r},{r['min_sat_gamma']!r},{r['num_codes']}" for r in rows),
+    )
 
 
 def run_decoding_benchmark(
@@ -463,17 +494,20 @@ def run_decoding_benchmark(
 
 
 def write_decoding_csv(path: str | Path, rows: list[dict]) -> None:
-    lines = [CSV_FORMAT_LINE, "code_id,n,k,p,trials,failures,failure_rate,ci95"]
-    for r in rows:
-        lines.append(
+    _write_csv(
+        path,
+        "code_id,n,k,p,trials,failures,failure_rate,ci95",
+        (
             f"{r['code_id']},{r['n']},{r['k']},{r['p']!r},{r['trials']},"
             f"{r['failures']!r},{r['failure_rate']!r},{r['ci95']!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+            for r in rows
+        ),
+    )
 
 
 def write_decoding_min_csv(path: str | Path, minima: list[dict]) -> None:
-    lines = [CSV_FORMAT_LINE, "n,p,min_failure_rate,code_id"]
-    for r in minima:
-        lines.append(f"{r['n']},{r['p']!r},{r['min_failure_rate']!r},{r['code_id']}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        "n,p,min_failure_rate,code_id",
+        (f"{r['n']},{r['p']!r},{r['min_failure_rate']!r},{r['code_id']}" for r in minima),
+    )

@@ -44,9 +44,10 @@ from stabsearch.graphs import sample_support_graph
 from stabsearch.harness import (
     SATISFIABLE,
     SweepConfig,
+    best_codes,
     find_code,
     run_phase_sweep,
-    sweep_records,
+    satisfiable_records,
 )
 from stabsearch.rng import RngSpec, stable_hash64
 from stabsearch.solver import SAT, SolverConfig, check, consistent_completion, solve
@@ -87,12 +88,7 @@ def desk_sweep():
 
 @pytest.fixture(scope="session")
 def desk_records(desk_sweep):
-    sat_pixels = {(p.n, p.gamma) for p in desk_sweep if p.classification == SATISFIABLE}
-    return [
-        r
-        for r in sweep_records(DESK_SWEEP.out_dir, validate=False)
-        if (r.provenance["n"], r.provenance["gamma"]) in sat_pixels
-    ]
+    return satisfiable_records(DESK_SWEEP.out_dir, validate=False)
 
 
 @pytest.fixture(scope="session")
@@ -341,16 +337,10 @@ def test_criterion_09_exact_erasure_anchors():
         assert abs(rep.failure_rate - truth) <= rep.ci95, f"p={p}"
 
 
-def _best_reports(records, n, p_grid, trials, screen_trials=600, top=3):
+def _best_reports(records, n, p_grid, trials):
     """Fig-5-style aggregation: screen, then benchmark the best codes."""
-    candidates = [r for r in records if r.stats.n == n and r.stats.rate >= 0.1]
-    assert candidates, f"no rate >= 1/10 codes at n={n}"
-    screened = sorted(
-        candidates,
-        key=lambda r: failure_rate(
-            r.code, 0.35, screen_trials, RngSpec(MASTER_SEED, stable_hash64("screen", r.code_id))
-        ).failure_rate,
-    )[:top]
+    screened = best_codes([r for r in records if r.stats.n == n], MASTER_SEED)
+    assert screened, f"no rate >= 1/10 codes at n={n}"
     best = {}
     for p in p_grid:
         reports = [

@@ -5,10 +5,38 @@ import pytest
 from stabsearch.cli import main
 from stabsearch.css import shor_code
 from stabsearch.graphs import SupportGraph
+from stabsearch.harness import (
+    best_codes,
+    run_decoding_benchmark,
+    satisfiable_records,
+    write_decoding_csv,
+    write_decoding_min_csv,
+)
+from stabsearch.rng import RngSpec
 
 
 def run(argv):
     return main(argv)
+
+
+def run_sweep(tmp_path, name, **overrides):
+    """Run a small sweep through the CLI; returns its output directory."""
+    cfg = {
+        "qubit_counts": [6, 8],
+        "gamma_min": 0.5,
+        "gamma_max": 0.9,
+        "gamma_step": 0.2,
+        "samples": 4,
+        "params": {"min_qubit_degree": 1},
+        "time_budget": 5.0,
+        "master_seed": 77,
+        **overrides,
+    }
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / name
+    assert run(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    return out_dir
 
 
 class TestSampleEncodeSolve:
@@ -112,14 +140,19 @@ class TestSweepAndDensity:
         assert ",2,0," in lines[2]  # unsat=2, unknown=0
 
     def test_unknown_config_key_is_validation_error(self, tmp_path, capsys):
-        cfg = {"qubit_counts": [5], "gamma_min": 0.5, "gamma_max": 0.5, "gamma_step": 0.1,
-               "sample": 10}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out_dir = tmp_path / "typo"
-        assert run(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 4
-        assert "sample" in capsys.readouterr().err
-        assert not out_dir.exists()
+        base = {"qubit_counts": [5], "gamma_min": 0.5, "gamma_max": 0.5, "gamma_step": 0.1}
+        bad = [
+            ({**base, "sample": 10}, "sample"),  # misspelt top-level key
+            ({**base, "params": {"delta_q": 3}}, "delta_q"),  # misspelt params key
+            ({k: v for k, v in base.items() if k != "gamma_min"}, "gamma_min"),  # missing key
+        ]
+        for i, (cfg, key) in enumerate(bad):
+            cfg_path = tmp_path / f"cfg{i}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out_dir = tmp_path / f"typo{i}"
+            assert run(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 4
+            assert key in capsys.readouterr().err
+            assert not out_dir.exists()
 
 
 class TestDecode:
@@ -146,6 +179,33 @@ class TestDecode:
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2, 3]")
         assert run(["decode", "--code", str(bad)]) == 4
+
+    def test_decode_sweep_matches_library(self, tmp_path):
+        sweep = run_sweep(tmp_path, "sweep")
+        out_csv, min_csv = tmp_path / "dec.csv", tmp_path / "dec_min.csv"
+        assert run(["decode", "--sweep", str(sweep), "--seed", "77", "--grid", "0.3,0.4",
+                    "--trials", "200", "--out", str(out_csv), "--min-out", str(min_csv)]) == 0
+        rows, minima = run_decoding_benchmark(
+            best_codes(satisfiable_records(sweep), 77), [0.3, 0.4], 200, RngSpec(77)
+        )
+        assert len(rows) == 2 * 3 * 2  # two n, three codes each, two p
+        write_decoding_csv(tmp_path / "lib.csv", rows)
+        write_decoding_min_csv(tmp_path / "lib_min.csv", minima)
+        assert out_csv.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert min_csv.read_bytes() == (tmp_path / "lib_min.csv").read_bytes()
+
+    def test_decode_takes_exactly_one_source(self, tmp_path):
+        code_path = tmp_path / "shor.json"
+        code_path.write_text(shor_code().to_json())
+        for argv in (["--code", str(code_path), "--sweep", str(tmp_path)], []):
+            with pytest.raises(SystemExit) as exc:
+                run(["decode", *argv])
+            assert exc.value.code == 2
+
+    def test_decode_sweep_without_satisfiable_codes(self, tmp_path, capsys):
+        sweep = run_sweep(tmp_path, "empty", gamma_min=0.0, gamma_max=0.0, gamma_step=0.1)
+        assert run(["decode", "--sweep", str(sweep)]) == 4
+        assert "satisfiable phase" in capsys.readouterr().err
 
 
 class TestExportCnf:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,26 +6,32 @@ import pytest
 
 from stabsearch.constraints import EncodingParams
 from stabsearch.css import shor_code
-from stabsearch.erasure import exact_failure_rate
+from stabsearch import harness
+from stabsearch.erasure import exact_failure_rate, failure_rate
 from stabsearch.harness import (
     SATISFIABLE,
+    SCREEN_P,
+    SCREEN_TOP,
+    SCREEN_TRIALS,
     UNKNOWN_REGION,
     UNSATISFIABLE,
     CodeRecord,
     RecordValidationError,
     SweepConfig,
+    best_codes,
     classify_pixel,
     code_content_id,
     find_code,
     run_decoding_benchmark,
     run_density_study,
     run_phase_sweep,
+    satisfiable_records,
     sweep_pixels,
     sweep_records,
     write_decoding_csv,
     write_density_csv,
 )
-from stabsearch.rng import RngSpec
+from stabsearch.rng import RngSpec, stable_hash64
 from stabsearch.solver import SAT, SolverConfig
 
 
@@ -40,6 +47,14 @@ def tiny_config(out_dir, workers=1, master_seed=77):
         master_seed=master_seed,
         workers=workers,
         out_dir=str(out_dir),
+    )
+
+
+def screen_config(out_dir):
+    """More than SCREEN_TOP satisfiable-phase codes per n, and one record
+    from a pixel outside the satisfiable phase."""
+    return dataclasses.replace(
+        tiny_config(out_dir), gamma_min=0.5, gamma_max=0.9, gamma_step=0.2, samples=4
     )
 
 
@@ -219,6 +234,45 @@ class TestSweep:
         pixels = run_phase_sweep(cfg)
         reloaded = sweep_pixels(tmp_path / "s2")
         assert reloaded == sorted(pixels, key=lambda p: (p.n, p.gamma))
+
+
+class TestBestCodes:
+    def test_satisfiable_records_follow_pixel_classification(self, tmp_path):
+        run_phase_sweep(screen_config(tmp_path))
+        sat_pixels = {
+            (p.n, p.gamma) for p in sweep_pixels(tmp_path) if p.classification == SATISFIABLE
+        }
+        kept = satisfiable_records(tmp_path)
+        kept_ids = {r.code_id for r in kept}
+        dropped = [r for r in sweep_records(tmp_path) if r.code_id not in kept_ids]
+        assert kept and dropped
+        assert all((r.provenance["n"], r.provenance["gamma"]) in sat_pixels for r in kept)
+        assert all((r.provenance["n"], r.provenance["gamma"]) not in sat_pixels for r in dropped)
+
+    def test_best_codes_are_the_screened_best_per_n(self, tmp_path, monkeypatch):
+        run_phase_sweep(screen_config(tmp_path))
+        records = satisfiable_records(tmp_path)
+
+        def screen(r):
+            rng = RngSpec(77, stable_hash64("screen", r.code_id))
+            return failure_rate(r.code, SCREEN_P, SCREEN_TRIALS, rng).failure_rate
+
+        assert any(r.stats.rate < 0.4 for r in records)
+        for min_rate in (0.1, 0.4):  # the second one screens some codes out
+            monkeypatch.setattr(harness, "SCREEN_MIN_RATE", min_rate)
+            best = best_codes(records, 77)
+            ns = [r.stats.n for r in best]
+            assert ns == sorted(ns) and set(ns) == {6, 8}
+            for n in set(ns):
+                chosen = [r for r in best if r.stats.n == n]
+                chosen_ids = {r.code_id for r in chosen}
+                candidates = [r for r in records if r.stats.n == n and r.stats.rate >= min_rate]
+                assert len(chosen) == min(SCREEN_TOP, len(candidates))
+                assert chosen_ids <= {r.code_id for r in candidates}
+                scores = [screen(r) for r in chosen]
+                assert scores == sorted(scores)
+                rest = [screen(r) for r in candidates if r.code_id not in chosen_ids]
+                assert all(s >= scores[-1] for s in rest)
 
 
 class TestDensityStudy:
