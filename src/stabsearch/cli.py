@@ -1,7 +1,12 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 usage errors (argparse), 3 I/O failures,
-4 validation failures (malformed or inconsistent inputs).
+Exit codes: 0 success, 2 usage errors (argparse), 3 a file could not be
+read or written (OSError), 4 a document or argument is malformed or
+inconsistent (ValueError, KeyError, TypeError): JSON syntax errors,
+documents that are not JSON objects and out-of-range values such as
+``--budget 0`` are all 4.  ``main`` is the only place that maps errors
+to exit codes; any other exception is a program fault and propagates
+with its traceback.
 """
 
 from __future__ import annotations
@@ -9,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .constraints import ConstraintSystem, EncodingParams, constraint_census, encode
@@ -19,7 +25,6 @@ from .harness import (
     SATISFIABLE,
     SCREEN_MIN_RATE,
     CodeRecord,
-    RecordValidationError,
     SweepConfig,
     best_codes,
     find_code,
@@ -39,36 +44,13 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", EXIT_IO)
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise _CliError(f"cannot write {path}: {exc}", EXIT_IO)
-
-
 def _params_from_args(args) -> EncodingParams:
-    try:
-        return EncodingParams(
-            min_qubit_degree=args.delta_q,
-            min_stab_degree=args.delta_s,
-            max_stab_degree=args.delta_s_max,
-            balanced=args.balance,
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION)
+    return EncodingParams(
+        min_qubit_degree=args.delta_q,
+        min_stab_degree=args.delta_s,
+        max_stab_degree=args.delta_s_max,
+        balanced=args.balance,
+    )
 
 
 def _add_param_args(p: argparse.ArgumentParser):
@@ -79,23 +61,16 @@ def _add_param_args(p: argparse.ArgumentParser):
 
 
 def _cmd_sample(args) -> int:
-    try:
-        g = sample_support_graph(args.n, args.m, args.gamma, RngSpec(args.seed, args.stream))
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION)
-    _write_text(args.out, g.to_json() + "\n")
+    g = sample_support_graph(args.n, args.m, args.gamma, RngSpec(args.seed, args.stream))
+    Path(args.out).write_text(g.to_json() + "\n")
     print(f"sampled graph n={g.n} m={g.m} gamma={g.gamma} edges={len(g.edges)} -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_encode(args) -> int:
     params = _params_from_args(args)
-    try:
-        g = SupportGraph.from_json(_read_text(args.graph))
-        cs = encode(g, params)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise _CliError(f"invalid graph document: {exc}", EXIT_VALIDATION)
-    _write_text(args.out, cs.to_json() + "\n")
+    cs = encode(SupportGraph.from_json(Path(args.graph).read_text()), params)
+    Path(args.out).write_text(cs.to_json() + "\n")
     census = constraint_census(cs)
     print(
         f"encoded {cs.num_vars} variables, {len(cs.constraints)} constraints "
@@ -104,21 +79,14 @@ def _cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def _load_system(path: str) -> ConstraintSystem:
-    try:
-        return ConstraintSystem.from_json(_read_text(path))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise _CliError(f"invalid system document: {exc}", EXIT_VALIDATION)
-
-
 def _cmd_solve(args) -> int:
-    cs = _load_system(args.system)
+    cs = ConstraintSystem.from_json(Path(args.system).read_text())
     result = solve(cs, SolverConfig(time_budget=args.budget, seed=args.solver_seed))
     doc = result.to_json_dict()
     if result.assignment is not None:
         doc["assignment"] = list(result.assignment.values)
     if args.out:
-        _write_text(args.out, json.dumps(doc, sort_keys=True) + "\n")
+        Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
     print(f"verdict: {result.verdict} ({result.stats.conflicts} conflicts, "
           f"{result.stats.propagations} propagations)")
     return EXIT_OK
@@ -126,21 +94,18 @@ def _cmd_solve(args) -> int:
 
 def _cmd_find_code(args) -> int:
     params = _params_from_args(args)
-    try:
-        result, record = find_code(
-            args.n,
-            args.m,
-            args.gamma,
-            params,
-            RngSpec(args.seed, args.stream),
-            SolverConfig(time_budget=args.budget, seed=args.seed & 0x7FFFFFFF),
-        )
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION)
+    result, record = find_code(
+        args.n,
+        args.m,
+        args.gamma,
+        params,
+        RngSpec(args.seed, args.stream),
+        SolverConfig(time_budget=args.budget, seed=args.seed & 0x7FFFFFFF),
+    )
     if record is None:
         print(f"verdict: {result.verdict}, no code found")
         return EXIT_OK
-    _write_text(args.out, record.to_json() + "\n")
+    Path(args.out).write_text(record.to_json() + "\n")
     s = record.stats
     print(f"found code {record.code_id}: n={s.n} k={s.k} rate={s.rate:.4f} "
           f"density={s.density:.4f} mean_stab_degree={s.mean_stab_degree:.2f} -> {args.out}")
@@ -148,17 +113,10 @@ def _cmd_find_code(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        doc = json.loads(_read_text(args.config))
-        cfg = SweepConfig.from_dict(doc, out_dir=args.out or doc.get("out_dir", "sweep_out"))
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise _CliError(f"invalid sweep config: {exc}", EXIT_VALIDATION)
-    try:
-        pixels = run_phase_sweep(cfg)
-    except OSError as exc:
-        raise _CliError(f"sweep I/O failure: {exc}", EXIT_IO)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION)
+    cfg = SweepConfig.from_dict(json.loads(Path(args.config).read_text()))
+    if args.out:
+        cfg = replace(cfg, out_dir=args.out)
+    pixels = run_phase_sweep(cfg)
     sat = sum(1 for p in pixels if p.classification == SATISFIABLE)
     print(f"sweep complete: {len(pixels)} pixels ({sat} satisfiable) -> {cfg.out_dir}")
     return EXIT_OK
@@ -166,16 +124,9 @@ def _cmd_sweep(args) -> int:
 
 def _load_satisfiable(sweep: str) -> list[CodeRecord]:
     """The validated satisfiable-phase records of a sweep directory; never empty."""
-    try:
-        records = satisfiable_records(sweep)
-    except RecordValidationError as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(f"cannot load sweep: {exc}", EXIT_IO)
-    except (ValueError, KeyError) as exc:
-        raise _CliError(f"invalid sweep document: {exc}", EXIT_VALIDATION)
+    records = satisfiable_records(sweep)
     if not records:
-        raise _CliError(f"no code in the satisfiable phase of {sweep}", EXIT_VALIDATION)
+        raise ValueError(f"no code in the satisfiable phase of {sweep}")
     return records
 
 
@@ -189,45 +140,29 @@ def _cmd_density(args) -> int:
 
 
 def _load_code_or_record(path: str) -> CodeRecord:
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _CliError(f"invalid JSON in {path}: {exc}", EXIT_VALIDATION)
-    try:
-        if isinstance(doc, dict) and "code" in doc:
-            record = CodeRecord.from_json(text)
-            record.validate()
-            return record
-        code = CssCode.from_json(text)
-        return CodeRecord.build(code, provenance={"params": {}, "source": path})
-    except (RecordValidationError, ValueError, KeyError, TypeError) as exc:
-        raise _CliError(f"invalid code document: {exc}", EXIT_VALIDATION)
+    text = Path(path).read_text()
+    doc = json.loads(text)
+    if isinstance(doc, dict) and "code" in doc:
+        record = CodeRecord.from_json(text)
+        record.validate()
+        return record
+    code = CssCode.from_json(text)
+    return CodeRecord.build(code, provenance={"params": {}, "source": path})
 
 
 def _cmd_decode(args) -> int:
+    p_grid = [float(tok) for tok in args.grid.split(",") if tok] if args.grid else [args.p]
     if args.sweep:
         records = best_codes(_load_satisfiable(args.sweep), args.seed)
         if not records:
-            raise _CliError(
-                f"no satisfiable-phase code of rate >= {SCREEN_MIN_RATE} in {args.sweep}",
-                EXIT_VALIDATION,
+            raise ValueError(
+                f"no satisfiable-phase code of rate >= {SCREEN_MIN_RATE} in {args.sweep}"
             )
     else:
         records = [_load_code_or_record(args.code)]
-    if args.grid:
-        try:
-            p_grid = [float(tok) for tok in args.grid.split(",") if tok]
-        except ValueError as exc:
-            raise _CliError(f"invalid p grid: {exc}", EXIT_VALIDATION)
-    else:
-        p_grid = [args.p]
-    try:
-        rows, minima = run_decoding_benchmark(
-            records, p_grid, args.trials, RngSpec(args.seed), estimator=args.estimator
-        )
-    except (RecordValidationError, ValueError) as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION)
+    rows, minima = run_decoding_benchmark(
+        records, p_grid, args.trials, RngSpec(args.seed), estimator=args.estimator
+    )
     if args.out:
         write_decoding_csv(args.out, rows)
     if args.min_out:
@@ -239,9 +174,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_export_cnf(args) -> int:
-    cs = _load_system(args.system)
-    export = export_cnf(cs)
-    _write_text(args.out, export.text)
+    export = export_cnf(ConstraintSystem.from_json(Path(args.system).read_text()))
+    Path(args.out).write_text(export.text)
     print(f"exported {export.num_vars} variables, {export.num_clauses} clauses -> {args.out}")
     return EXIT_OK
 
@@ -326,9 +260,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _CliError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_IO
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (ValueError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

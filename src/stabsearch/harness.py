@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -114,8 +114,11 @@ class SweepConfig:
         return {"format_version": 1, **doc}
 
     @classmethod
-    def from_dict(cls, doc: dict, out_dir: str = "sweep_out") -> "SweepConfig":
-        """Config from a document; raises ValueError naming any unknown or missing key."""
+    def from_dict(cls, doc: dict) -> "SweepConfig":
+        """Config from a JSON object; raises ValueError for any other document
+        and names any unknown or missing key."""
+        if not isinstance(doc, dict):
+            raise ValueError("a sweep config must be a JSON object")
         names = {f.name for f in fields(cls)}
         unknown = set(doc) - names - {"format_version"}
         if unknown:
@@ -129,7 +132,6 @@ class SweepConfig:
         kwargs.update(
             qubit_counts=tuple(doc["qubit_counts"]),
             params=EncodingParams.from_dict(doc.get("params", {})),
-            out_dir=out_dir,
         )
         return cls(**kwargs)
 
@@ -230,7 +232,7 @@ def find_code(
     return result, record
 
 
-def _run_sample(task: tuple) -> dict:
+def _run_sample(task: tuple) -> tuple[str, CodeRecord | None]:
     """One (pixel, sample) unit of sweep work; module-level for pickling."""
     n, m, gamma, sample_idx, master_seed, params_doc, time_budget = task
     params = EncodingParams.from_dict(params_doc)
@@ -240,12 +242,7 @@ def _run_sample(task: tuple) -> dict:
         seed=stable_hash64("solver", n, gamma, sample_idx, master_seed) & 0x7FFFFFFF,
     )
     result, record = find_code(n, m, gamma, params, rng, solver_cfg)
-    return {
-        "sample": sample_idx,
-        "verdict": result.verdict,
-        "solver": result.stats.to_dict(include_wall_time=False),
-        "record": json.loads(record.to_json()) if record else None,
-    }
+    return result.verdict, record
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -287,12 +284,12 @@ def run_phase_sweep(cfg: SweepConfig, task_limit: int | None = None) -> list[Pix
     (out / "codes").mkdir(parents=True, exist_ok=True)
 
     config_path = out / "config.json"
-    snapshot = json.dumps(cfg.to_dict(), sort_keys=True)
     if config_path.exists():
-        if config_path.read_text().strip() != snapshot:
+        stored = SweepConfig.from_dict(json.loads(config_path.read_text()))
+        if replace(stored, out_dir=cfg.out_dir) != cfg:
             raise ValueError(f"output directory {out} holds a sweep with a different config")
     else:
-        _write_atomic(config_path, snapshot)
+        _write_atomic(config_path, json.dumps(cfg.to_dict(), sort_keys=True))
 
     gammas = cfg.gammas()
     pixels: list[PixelResult] = []
@@ -316,19 +313,18 @@ def run_phase_sweep(cfg: SweepConfig, task_limit: int | None = None) -> list[Pix
                     outcomes = pool.map(_run_sample, tasks)
                 else:
                     outcomes = [_run_sample(t) for t in tasks]
-                outcomes.sort(key=lambda o: o["sample"])
-                sat = sum(1 for o in outcomes if o["verdict"] == "sat")
-                unsat = sum(1 for o in outcomes if o["verdict"] == "unsat")
+                verdicts = [verdict for verdict, _ in outcomes]
+                sat = verdicts.count("sat")
+                unsat = verdicts.count("unsat")
                 unknown = cfg.samples - sat - unsat
                 classification = classify_pixel(sat, unsat, unknown, cfg.solved_threshold)
                 record_ids = []
-                for o in outcomes:
-                    if o["record"] is not None:
-                        rec_doc = o["record"]
-                        record_ids.append(rec_doc["code_id"])
-                        rec_path = out / "codes" / f"{rec_doc['code_id']}.json"
+                for _, record in outcomes:
+                    if record is not None:
+                        record_ids.append(record.code_id)
+                        rec_path = out / "codes" / f"{record.code_id}.json"
                         if not rec_path.exists():
-                            _write_atomic(rec_path, json.dumps(rec_doc, sort_keys=True))
+                            _write_atomic(rec_path, record.to_json())
                 doc = {
                     "format_version": PIXEL_FORMAT_VERSION,
                     "n": n,
@@ -338,7 +334,7 @@ def run_phase_sweep(cfg: SweepConfig, task_limit: int | None = None) -> list[Pix
                     "unsat": unsat,
                     "unknown": unknown,
                     "classification": classification,
-                    "verdicts": [o["verdict"] for o in outcomes],
+                    "verdicts": verdicts,
                     "records": record_ids,
                 }
                 _write_atomic(path, json.dumps(doc, sort_keys=True))

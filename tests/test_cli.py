@@ -1,10 +1,13 @@
 import json
+import shutil
 
 import pytest
 
+from stabsearch import cli, harness
 from stabsearch.cli import main
+from stabsearch.constraints import encode
 from stabsearch.css import shor_code
-from stabsearch.graphs import SupportGraph
+from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch.harness import (
     best_codes,
     run_decoding_benchmark,
@@ -37,6 +40,90 @@ def run_sweep(tmp_path, name, **overrides):
     out_dir = tmp_path / name
     assert run(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
     return out_dir
+
+
+@pytest.fixture(scope="module")
+def small_sweep(tmp_path_factory):
+    """A small sweep with satisfiable-phase codes, shared read-only by the tests."""
+    return run_sweep(tmp_path_factory.mktemp("shared"), "sweep")
+
+
+def write_system(path):
+    path.write_text(encode(sample_support_graph(5, 4, 0.7, RngSpec(2))).to_json())
+    return str(path)
+
+
+def write_shor(path):
+    path.write_text(shor_code().to_json())
+    return str(path)
+
+
+def write_not_an_object(path):
+    path.write_text("[1, 2]")
+    return str(path)
+
+
+def truncated_sweep(tmp_path, sweep):
+    copy = tmp_path / "truncated"
+    shutil.copytree(sweep, copy)
+    record = sorted((copy / "codes").glob("*.json"))[0]
+    record.write_text(record.read_text()[:40])
+    return str(copy)
+
+
+# (name, argv builder, exit code); each builder gets tmp_path and the shared sweep
+BAD_INPUTS = [
+    ("solve-budget-0",
+     lambda t, s: ["solve", "--system", write_system(t / "s.json"), "--budget", "0"], 4),
+    ("decode-out-missing-dir",
+     lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10",
+                   "--out", str(t / "absent" / "d.csv")], 3),
+    ("decode-min-out-missing-dir",
+     lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10",
+                   "--min-out", str(t / "absent" / "m.csv")], 3),
+    ("density-out-missing-dir",
+     lambda t, s: ["density", "--sweep", str(s), "--out", str(t / "absent" / "d.csv")], 3),
+    ("solve-system-not-object",
+     lambda t, s: ["solve", "--system", write_not_an_object(t / "x.json")], 4),
+    ("export-cnf-system-not-object",
+     lambda t, s: ["export-cnf", "--system", write_not_an_object(t / "x.json"),
+                   "--out", str(t / "x.cnf")], 4),
+    ("encode-graph-not-object",
+     lambda t, s: ["encode", "--graph", write_not_an_object(t / "x.json"),
+                   "--out", str(t / "s.json")], 4),
+    ("sweep-config-not-object",
+     lambda t, s: ["sweep", "--config", write_not_an_object(t / "x.json")], 4),
+    ("density-truncated-record",
+     lambda t, s: ["density", "--sweep", truncated_sweep(t, s), "--out", str(t / "d.csv")], 4),
+]
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "build,code", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+    )
+    def test_bad_input_exit_code(self, build, code, small_sweep, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = build(tmp_path, small_sweep)
+        capsys.readouterr()
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    def test_program_fault_propagates(self, tmp_path, monkeypatch):
+        def broken_solve(cs, cfg):
+            raise RuntimeError("model fails its re-check")
+
+        monkeypatch.setattr(cli, "solve", broken_solve)
+        with pytest.raises(RuntimeError, match="re-check"):
+            run(["solve", "--system", write_system(tmp_path / "s.json")])
+
+    def test_missing_key_names_the_key(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 4, "m": 3, "gamma": 0.5, "seed": 0}))
+        assert run(["encode", "--graph", str(graph), "--out", str(tmp_path / "s.json")]) == 4
+        assert capsys.readouterr().err == "error: missing key 'edges'\n"
 
 
 class TestSampleEncodeSolve:
@@ -139,6 +226,50 @@ class TestSweepAndDensity:
         assert lines[2].endswith("unsatisfiable")
         assert ",2,0," in lines[2]  # unsat=2, unknown=0
 
+    def test_resume_accepts_equal_config_written_differently(self, tmp_path, monkeypatch):
+        # "time_budget": 2 and 2.0 describe one sweep; resuming one from the other must work
+        real = harness._run_sample
+        calls = []
+
+        def interrupted(task):
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            calls.append(task)
+            return real(task)
+
+        monkeypatch.setattr(harness, "_run_sample", interrupted)
+        cfg = {
+            "qubit_counts": [6, 8],
+            "gamma_min": 0.5,
+            "gamma_max": 0.9,
+            "gamma_step": 0.2,
+            "samples": 4,
+            "params": {"min_qubit_degree": 1},
+            "master_seed": 77,
+        }
+        first, resumed = tmp_path / "int.json", tmp_path / "float.json"
+        first.write_text(json.dumps({**cfg, "time_budget": 2}))
+        resumed.write_text(json.dumps({**cfg, "time_budget": 2.0}))
+        out_dir = tmp_path / "resumed"
+        with pytest.raises(KeyboardInterrupt):
+            run(["sweep", "--config", str(first), "--out", str(out_dir)])
+        assert not (out_dir / "pixels.csv").exists()
+        monkeypatch.setattr(harness, "_run_sample", real)
+        assert run(["sweep", "--config", str(resumed), "--out", str(out_dir)]) == 0
+
+        whole = run_sweep(tmp_path, "whole", time_budget=2.0)
+        files = sorted(
+            p.relative_to(whole) for p in whole.rglob("*")
+            if p.is_file() and p.name != "config.json"
+        )
+        assert any((whole / "codes").glob("*.json"))
+        for rel in files:
+            assert (out_dir / rel).read_bytes() == (whole / rel).read_bytes(), rel
+        assert sorted(
+            p.relative_to(out_dir) for p in out_dir.rglob("*")
+            if p.is_file() and p.name != "config.json"
+        ) == files
+
     def test_unknown_config_key_is_validation_error(self, tmp_path, capsys):
         base = {"qubit_counts": [5], "gamma_min": 0.5, "gamma_max": 0.5, "gamma_step": 0.1}
         bad = [
@@ -201,6 +332,14 @@ class TestDecode:
             with pytest.raises(SystemExit) as exc:
                 run(["decode", *argv])
             assert exc.value.code == 2
+
+    def test_decode_sweep_checks_grid_before_screening(self, small_sweep, monkeypatch, capsys):
+        def no_screen(records, master_seed):
+            pytest.fail("the codes were screened before --grid was parsed")
+
+        monkeypatch.setattr(cli, "best_codes", no_screen)
+        assert run(["decode", "--sweep", str(small_sweep), "--grid", "0.3,x"]) == 4
+        assert "'x'" in capsys.readouterr().err
 
     def test_decode_sweep_without_satisfiable_codes(self, tmp_path, capsys):
         sweep = run_sweep(tmp_path, "empty", gamma_min=0.0, gamma_max=0.0, gamma_step=0.1)
