@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 usage errors (argparse), 3 a file could not be
 read or written (OSError), 4 a document or argument is malformed or
 inconsistent (ValueError, KeyError, TypeError): JSON syntax errors,
-documents that are not JSON objects and out-of-range values such as
-``--budget 0`` are all 4.  ``main`` is the only place that maps errors
+out-of-range values such as ``--budget 0`` and documents that break the
+rules of ``documents.read_document`` (the message names the document
+kind and the key) are all 4.  ``main`` is the only place that maps errors
 to exit codes; any other exception is a program fault and propagates
 with its traceback.
 """
@@ -82,7 +83,7 @@ def _cmd_encode(args) -> int:
 def _cmd_solve(args) -> int:
     cs = ConstraintSystem.from_json(Path(args.system).read_text())
     result = solve(cs, SolverConfig(time_budget=args.budget, seed=args.solver_seed))
-    doc = result.to_json_dict()
+    doc = {"verdict": result.verdict, "stats": result.stats.to_dict()}
     if result.assignment is not None:
         doc["assignment"] = list(result.assignment.values)
     if args.out:
@@ -140,13 +141,12 @@ def _cmd_density(args) -> int:
 
 
 def _load_code_or_record(path: str) -> CodeRecord:
-    text = Path(path).read_text()
-    doc = json.loads(text)
+    doc = json.loads(Path(path).read_text())
     if isinstance(doc, dict) and "code" in doc:
-        record = CodeRecord.from_json(text)
+        record = CodeRecord.from_json(doc)
         record.validate()
         return record
-    code = CssCode.from_json(text)
+    code = CssCode.from_json(doc)
     return CodeRecord.build(code, provenance={"params": {}, "source": path})
 
 

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple
 
+from .documents import fields_shape, read_document
 from .graphs import SupportGraph, shared_qubits
 
 SYSTEM_FORMAT_VERSION = 1
@@ -112,11 +113,8 @@ class EncodingParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EncodingParams":
-        """Params from a document; raises ValueError naming any unknown key."""
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown encoding params keys: {', '.join(sorted(unknown))}")
-        return cls(**doc)
+        """Params from a JSON object, checked by documents.read_document."""
+        return cls(**read_document("encoding params", doc, *fields_shape(cls)))
 
 
 class ConstraintSystem:
@@ -177,21 +175,25 @@ class ConstraintSystem:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ConstraintSystem":
-        doc = json.loads(text)
-        graph = SupportGraph.from_json(json.dumps(doc["graph"]))
+    def from_json(cls, source: str | dict) -> "ConstraintSystem":
+        shape = dict(graph=(dict,), params=(dict,), variables=(list,), constraints=(list,))
+        doc = read_document("constraint system", source, shape, version=SYSTEM_FORMAT_VERSION)
         variables = [
             VarRef(i, kind, tuple(index)) for i, (kind, index) in enumerate(doc["variables"])
         ]
         constraints: list[Constraint] = []
         for c in doc["constraints"]:
-            if c["type"] == "or":
+            ctype = c["type"]
+            if ctype == "or":
                 constraints.append(OrClause(tuple((v, bool(pos)) for v, pos in c["lits"]), c["tag"]))
-            elif c["type"] == "xor":
+            elif ctype == "xor":
                 constraints.append(XorClause(tuple(c["vars"]), c["parity"], c["tag"]))
-            else:
+            elif ctype == "linear":
                 constraints.append(Linear(tuple(c["vars"]), c["cmp"], c["bound"], c["tag"]))
-        return cls(graph, variables, constraints, EncodingParams.from_dict(doc["params"]))
+            else:
+                raise ValueError(f"constraint system: unknown constraint 'type' {ctype!r}")
+        params = EncodingParams.from_dict(doc["params"])
+        return cls(SupportGraph.from_json(doc["graph"]), variables, constraints, params)
 
 
 def intersecting_pairs(g: SupportGraph) -> list[tuple[int, int, tuple[int, ...]]]:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .constraints import EncodingParams
+from .documents import fields_shape, read_document
 from .gf2 import BitMatrix
 from .graphs import SupportGraph
 from .solver import Assignment
@@ -44,8 +45,9 @@ class CssCode:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "CssCode":
-        doc = json.loads(text)
+    def from_json(cls, source: str | dict) -> "CssCode":
+        shape = {"n": (int,), "hx": (list,), "hz": (list,)}  # matrices as bitstring rows
+        doc = read_document("CSS code", source, shape, version=CODE_FORMAT_VERSION)
         n = doc["n"]
         return cls(
             n=n,
@@ -99,18 +101,21 @@ class CodeStats:
     stab_degree_hist: dict
     mean_stab_degree: float
 
+    _HISTOGRAMS = ("qubit_degree_hist", "stab_degree_hist")
+
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m_x": self.m_x,
-            "m_z": self.m_z,
-            "k": self.k,
-            "rate": self.rate,
-            "density": self.density,
-            "qubit_degree_hist": {str(d): c for d, c in sorted(self.qubit_degree_hist.items())},
-            "stab_degree_hist": {str(d): c for d, c in sorted(self.stab_degree_hist.items())},
-            "mean_stab_degree": self.mean_stab_degree,
-        }
+        # JSON keys are strings, so sort_keys orders "10" before "3" in every record
+        doc = asdict(self)
+        for key in self._HISTOGRAMS:
+            doc[key] = {str(d): c for d, c in doc[key].items()}
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "CodeStats":
+        doc = read_document("code stats", doc, *fields_shape(cls))
+        for key in cls._HISTOGRAMS:
+            doc[key] = {int(d): c for d, c in doc[key].items()}
+        return cls(**doc)
 
 
 def stats(c: CssCode) -> CodeStats:

@@ -14,8 +14,9 @@ edges(gamma') exactly, not just in distribution.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from .documents import fields_shape, read_document
 from .rng import CounterStream, RngSpec
 
 GRAPH_FORMAT_VERSION = 1
@@ -64,26 +65,13 @@ class SupportGraph:
         return self._stab_adj[s]
 
     def to_json(self) -> str:
-        doc = {
-            "format_version": GRAPH_FORMAT_VERSION,
-            "n": self.n,
-            "m": self.m,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "edges": [[q, s] for q, s in self.edges],
-        }
-        return json.dumps(doc, sort_keys=True)
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return json.dumps({"format_version": GRAPH_FORMAT_VERSION, **doc}, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "SupportGraph":
-        doc = json.loads(text)
-        return cls(
-            n=doc["n"],
-            m=doc["m"],
-            gamma=doc["gamma"],
-            seed=doc["seed"],
-            edges=tuple((q, s) for q, s in doc["edges"]),
-        )
+    def from_json(cls, source: str | dict) -> "SupportGraph":
+        doc = read_document("support graph", source, *fields_shape(cls), GRAPH_FORMAT_VERSION)
+        return cls(**{**doc, "edges": tuple((q, s) for q, s in doc["edges"])})
 
 
 def sample_support_graph(n: int, m: int, gamma: float, rng: RngSpec) -> SupportGraph:

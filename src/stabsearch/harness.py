@@ -14,13 +14,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import Pool
 from pathlib import Path
 
 from .constraints import EncodingParams, encode
 from .css import CssCode, CodeStats, check_commutation, extract_code
 from .css import satisfies_degree_bounds, stats as code_stats
+from .documents import fields_shape, read_document
 from .erasure import failure_rate
 from .graphs import sample_support_graph
 from .rng import RngSpec, stable_hash64
@@ -115,25 +116,11 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
-        """Config from a JSON object; raises ValueError for any other document
-        and names any unknown or missing key."""
-        if not isinstance(doc, dict):
-            raise ValueError("a sweep config must be a JSON object")
-        names = {f.name for f in fields(cls)}
-        unknown = set(doc) - names - {"format_version"}
-        if unknown:
-            raise ValueError(f"unknown sweep config keys: {', '.join(sorted(unknown))}")
-        missing = {
-            f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
-        } - set(doc)
-        if missing:
-            raise ValueError(f"missing sweep config keys: {', '.join(sorted(missing))}")
-        kwargs = {k: v for k, v in doc.items() if k in names}
-        kwargs.update(
-            qubit_counts=tuple(doc["qubit_counts"]),
-            params=EncodingParams.from_dict(doc.get("params", {})),
-        )
-        return cls(**kwargs)
+        """Config from a JSON object, checked by documents.read_document."""
+        doc = read_document("sweep config", doc, *fields_shape(cls))
+        doc["qubit_counts"] = tuple(doc["qubit_counts"])
+        doc["params"] = EncodingParams.from_dict(doc.get("params", {}))
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -165,21 +152,9 @@ class CodeRecord:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "CodeRecord":
-        doc = json.loads(text)
-        code = CssCode.from_json(json.dumps(doc["code"]))
-        sdoc = doc["stats"]
-        stats_ = CodeStats(
-            n=sdoc["n"],
-            m_x=sdoc["m_x"],
-            m_z=sdoc["m_z"],
-            k=sdoc["k"],
-            rate=sdoc["rate"],
-            density=sdoc["density"],
-            qubit_degree_hist={int(k): v for k, v in sdoc["qubit_degree_hist"].items()},
-            stab_degree_hist={int(k): v for k, v in sdoc["stab_degree_hist"].items()},
-            mean_stab_degree=sdoc["mean_stab_degree"],
-        )
+    def from_json(cls, source: str | dict) -> "CodeRecord":
+        doc = read_document("code record", source, *fields_shape(cls), RECORD_FORMAT_VERSION)
+        code, stats_ = CssCode.from_json(doc["code"]), CodeStats.from_dict(doc["stats"])
         return cls(doc["code_id"], code, stats_, doc["provenance"])
 
     def validate(self) -> None:
@@ -234,8 +209,7 @@ def find_code(
 
 def _run_sample(task: tuple) -> tuple[str, CodeRecord | None]:
     """One (pixel, sample) unit of sweep work; module-level for pickling."""
-    n, m, gamma, sample_idx, master_seed, params_doc, time_budget = task
-    params = EncodingParams.from_dict(params_doc)
+    n, m, gamma, sample_idx, master_seed, params, time_budget = task
     rng = RngSpec(master_seed, stable_hash64(n, gamma, sample_idx))
     solver_cfg = SolverConfig(
         time_budget=time_budget,
@@ -260,24 +234,20 @@ def _pixel_path(out: Path, n: int, gamma_index: int) -> Path:
     return out / "pixels" / f"pixel_n{n}_g{gamma_index:03d}.json"
 
 
-def _pixel_from_doc(doc: dict) -> PixelResult:
-    return PixelResult(
-        n=doc["n"],
-        m=doc["m"],
-        gamma=doc["gamma"],
-        sat=doc["sat"],
-        unsat=doc["unsat"],
-        unknown=doc["unknown"],
-        classification=doc["classification"],
-    )
+def _read_pixel(path: Path) -> PixelResult:
+    """A pixel file: the PixelResult fields plus its verdicts and record ids."""
+    shape = {**fields_shape(PixelResult)[0], "verdicts": (list,), "records": (list,)}
+    doc = read_document("pixel", path.read_text(), shape, version=PIXEL_FORMAT_VERSION)
+    del doc["verdicts"], doc["records"]
+    return PixelResult(**doc)
 
 
-def run_phase_sweep(cfg: SweepConfig, task_limit: int | None = None) -> list[PixelResult]:
+def run_phase_sweep(cfg: SweepConfig) -> list[PixelResult]:
     """Run (or resume) a sweep; returns pixel results in grid order.
 
-    task_limit caps the number of pixels computed in this call, which
-    emulates an interruption; a later call resumes from the pixel files.
-    The final CSV is only written once every pixel is complete.
+    A later call on the same config resumes from the pixel files of an
+    interrupted one.  The final CSV is only written once every pixel is
+    complete.
     """
     out = Path(cfg.out_dir)
     (out / "pixels").mkdir(parents=True, exist_ok=True)
@@ -293,7 +263,6 @@ def run_phase_sweep(cfg: SweepConfig, task_limit: int | None = None) -> list[Pix
 
     gammas = cfg.gammas()
     pixels: list[PixelResult] = []
-    computed = 0
     pool = Pool(cfg.workers) if cfg.workers > 1 else None
     try:
         for n in cfg.qubit_counts:
@@ -301,12 +270,10 @@ def run_phase_sweep(cfg: SweepConfig, task_limit: int | None = None) -> list[Pix
             for gi, gamma in enumerate(gammas):
                 path = _pixel_path(out, n, gi)
                 if path.exists():
-                    pixels.append(_pixel_from_doc(json.loads(path.read_text())))
+                    pixels.append(_read_pixel(path))
                     continue
-                if task_limit is not None and computed >= task_limit:
-                    return pixels
                 tasks = [
-                    (n, m, gamma, si, cfg.master_seed, cfg.params.to_dict(), cfg.time_budget)
+                    (n, m, gamma, si, cfg.master_seed, cfg.params, cfg.time_budget)
                     for si in range(cfg.samples)
                 ]
                 if pool is not None:
@@ -325,21 +292,11 @@ def run_phase_sweep(cfg: SweepConfig, task_limit: int | None = None) -> list[Pix
                         rec_path = out / "codes" / f"{record.code_id}.json"
                         if not rec_path.exists():
                             _write_atomic(rec_path, record.to_json())
-                doc = {
-                    "format_version": PIXEL_FORMAT_VERSION,
-                    "n": n,
-                    "m": m,
-                    "gamma": gamma,
-                    "sat": sat,
-                    "unsat": unsat,
-                    "unknown": unknown,
-                    "classification": classification,
-                    "verdicts": verdicts,
-                    "records": record_ids,
-                }
+                pixel = PixelResult(n, m, gamma, sat, unsat, unknown, classification)
+                doc = {"format_version": PIXEL_FORMAT_VERSION, **asdict(pixel)}
+                doc.update(verdicts=verdicts, records=record_ids)
                 _write_atomic(path, json.dumps(doc, sort_keys=True))
-                pixels.append(_pixel_from_doc(doc))
-                computed += 1
+                pixels.append(pixel)
     finally:
         if pool is not None:
             pool.close()
@@ -362,10 +319,8 @@ def sweep_records(out_dir: str | Path, validate: bool = True) -> list[CodeRecord
 
 
 def sweep_pixels(out_dir: str | Path) -> list[PixelResult]:
-    out = Path(out_dir)
-    docs = [json.loads(p.read_text()) for p in sorted((out / "pixels").glob("pixel_*.json"))]
-    docs.sort(key=lambda d: (d["n"], d["gamma"]))
-    return [_pixel_from_doc(d) for d in docs]
+    pixels = [_read_pixel(p) for p in sorted((Path(out_dir) / "pixels").glob("pixel_*.json"))]
+    return sorted(pixels, key=lambda p: (p.n, p.gamma))
 
 
 def satisfiable_records(out_dir: str | Path, validate: bool = True) -> list[CodeRecord]:

@@ -13,8 +13,8 @@ Branching is activity-driven with phase saving and seeded random
 tie-breaking; restarts follow a Luby schedule.  The budget is counted
 in deterministic work units (propagations) derived from the configured
 time budget, so a given (system, config) pair always reproduces the
-same verdict and, when satisfiable, the same assignment.  A generous
-wall-clock ceiling exists purely as a safety valve.
+same verdict and, when satisfiable, the same assignment, on any machine
+and at any speed.
 
 Before searching, the solver probes cheap structured candidates (the
 all-inactive coloring, and a greedy degree-respecting coloring when
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from heapq import heappop, heappush
 
 from .constraints import (
@@ -52,7 +52,6 @@ UNKNOWN = "unknown"
 # many propagations.  Chosen so verdicts are machine-independent while
 # staying in the ballpark of wall seconds on commodity hardware.
 PROPS_PER_SECOND = 150_000
-WALL_CLOCK_SAFETY_FACTOR = 10.0
 
 # Satisfiable instances show heavy-tailed solve times: a branching seed
 # either walks almost straight to a model or digs in.  The budget is
@@ -93,15 +92,9 @@ class SolverStats:
     wall_time_s: float = 0.0
 
     def to_dict(self, include_wall_time: bool = True) -> dict:
-        doc = {
-            "decisions": self.decisions,
-            "conflicts": self.conflicts,
-            "propagations": self.propagations,
-            "restarts": self.restarts,
-            "learned": self.learned,
-        }
-        if include_wall_time:
-            doc["wall_time_s"] = self.wall_time_s
+        doc = asdict(self)
+        if not include_wall_time:
+            del doc["wall_time_s"]
         return doc
 
 
@@ -110,9 +103,6 @@ class SolveResult:
     verdict: str
     assignment: Assignment | None
     stats: SolverStats
-
-    def to_json_dict(self, include_wall_time: bool = True) -> dict:
-        return {"verdict": self.verdict, "stats": self.stats.to_dict(include_wall_time)}
 
 
 @dataclass(frozen=True)
@@ -698,7 +688,7 @@ class _Engine:
 
     # ----- main loop ------------------------------------------------------
 
-    def search(self, prop_budget: int, wall_deadline: float) -> str:
+    def search(self, prop_budget: int) -> str:
         if not self.ok:
             return UNSAT
         restart_num = 0
@@ -718,8 +708,6 @@ class _Engine:
                     return UNSAT
                 self.var_inc *= _VAR_ACT_DECAY
                 self.cla_inc *= _CLA_ACT_DECAY
-                if self.stats.conflicts % 4096 == 0 and time.monotonic() > wall_deadline:
-                    return UNKNOWN
                 continue
 
             if self.stats.propagations > prop_budget:
@@ -766,7 +754,6 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
             warm_phases = greedy.values
 
     total_budget = int(cfg.time_budget * PROPS_PER_SECOND)
-    deadline = t0 + max(1.0, cfg.time_budget) * WALL_CLOCK_SAFETY_FACTOR
     slice_budget = max(_MIN_SLICE, int(total_budget * _FIRST_SLICE_FRACTION))
     remaining = total_budget
     agg = SolverStats()
@@ -779,7 +766,7 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
         if warm_phases is not None:
             for v, b in enumerate(warm_phases):
                 engine.phase[v] = b
-        verdict = engine.search(work, deadline)
+        verdict = engine.search(work)
         agg.decisions += engine.stats.decisions
         agg.conflicts += engine.stats.conflicts
         agg.propagations += engine.stats.propagations
@@ -793,8 +780,6 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
         remaining -= max(engine.stats.propagations, _MIN_SLICE // 8)
         slice_budget *= 2
         attempt += 1
-        if time.monotonic() > deadline:
-            break
     agg.wall_time_s = time.monotonic() - t0
 
     if verdict == SAT:

@@ -59,6 +59,7 @@ from oracles import (
     satisfying_set,
 )
 from test_constraints import semantic_commutes
+from test_harness import run_interrupted
 from test_solver import random_system
 
 CACHE = Path(__file__).parent / ".acceptance_cache"
@@ -374,7 +375,7 @@ def test_criterion_10_capacity_approach(desk_records):
     )
 
 
-def test_criterion_11_determinism_and_resumability(tmp_path):
+def test_criterion_11_determinism_and_resumability(tmp_path, monkeypatch):
     """Byte-identical outputs across reruns, and across interrupt/resume."""
     def config(out):
         return SweepConfig(
@@ -395,8 +396,8 @@ def test_criterion_11_determinism_and_resumability(tmp_path):
     csv_a = (tmp_path / "a" / "pixels.csv").read_bytes()
     assert csv_a == (tmp_path / "b" / "pixels.csv").read_bytes()
 
-    partial = run_phase_sweep(config(tmp_path / "c"), task_limit=3)
-    assert len(partial) == 3
+    run_interrupted(config(tmp_path / "c"), monkeypatch, 3 * 3)  # 3 samples per pixel
+    assert len(list((tmp_path / "c" / "pixels").glob("*.json"))) == 3
     run_phase_sweep(config(tmp_path / "c"))
     assert csv_a == (tmp_path / "c" / "pixels.csv").read_bytes()
 

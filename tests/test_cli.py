@@ -48,8 +48,19 @@ def small_sweep(tmp_path_factory):
     return run_sweep(tmp_path_factory.mktemp("shared"), "sweep")
 
 
+GRAPH = sample_support_graph(5, 4, 0.7, RngSpec(2))
+
+
 def write_system(path):
-    path.write_text(encode(sample_support_graph(5, 4, 0.7, RngSpec(2))).to_json())
+    path.write_text(encode(GRAPH).to_json())
+    return str(path)
+
+
+def write_edited(path, text, edit):
+    """Write the JSON document text to path after edit(doc) has changed it in place."""
+    doc = json.loads(text)
+    edit(doc)
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -63,46 +74,80 @@ def write_not_an_object(path):
     return str(path)
 
 
-def truncated_sweep(tmp_path, sweep):
-    copy = tmp_path / "truncated"
+def sweep_copy(tmp_path, sweep, pattern, edit_text):
+    """A copy of the sweep whose first file matching pattern has edit_text applied."""
+    copy = tmp_path / "edited"
     shutil.copytree(sweep, copy)
-    record = sorted((copy / "codes").glob("*.json"))[0]
-    record.write_text(record.read_text()[:40])
+    path = sorted(copy.glob(pattern))[0]
+    path.write_text(edit_text(path.read_text()))
     return str(copy)
 
 
-# (name, argv builder, exit code); each builder gets tmp_path and the shared sweep
+# (name, argv builder, exit code, words of the error line); each builder
+# gets tmp_path and the shared sweep
 BAD_INPUTS = [
     ("solve-budget-0",
-     lambda t, s: ["solve", "--system", write_system(t / "s.json"), "--budget", "0"], 4),
+     lambda t, s: ["solve", "--system", write_system(t / "s.json"), "--budget", "0"], 4,
+     ["time_budget"]),
     ("decode-out-missing-dir",
      lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10",
-                   "--out", str(t / "absent" / "d.csv")], 3),
+                   "--out", str(t / "absent" / "d.csv")], 3, ["d.csv"]),
     ("decode-min-out-missing-dir",
      lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10",
-                   "--min-out", str(t / "absent" / "m.csv")], 3),
+                   "--min-out", str(t / "absent" / "m.csv")], 3, ["m.csv"]),
     ("density-out-missing-dir",
-     lambda t, s: ["density", "--sweep", str(s), "--out", str(t / "absent" / "d.csv")], 3),
+     lambda t, s: ["density", "--sweep", str(s), "--out", str(t / "absent" / "d.csv")], 3,
+     ["d.csv"]),
     ("solve-system-not-object",
-     lambda t, s: ["solve", "--system", write_not_an_object(t / "x.json")], 4),
+     lambda t, s: ["solve", "--system", write_not_an_object(t / "x.json")], 4,
+     ["constraint system", "JSON object"]),
     ("export-cnf-system-not-object",
      lambda t, s: ["export-cnf", "--system", write_not_an_object(t / "x.json"),
-                   "--out", str(t / "x.cnf")], 4),
+                   "--out", str(t / "x.cnf")], 4, ["constraint system", "JSON object"]),
     ("encode-graph-not-object",
      lambda t, s: ["encode", "--graph", write_not_an_object(t / "x.json"),
-                   "--out", str(t / "s.json")], 4),
+                   "--out", str(t / "s.json")], 4, ["support graph", "JSON object"]),
     ("sweep-config-not-object",
-     lambda t, s: ["sweep", "--config", write_not_an_object(t / "x.json")], 4),
+     lambda t, s: ["sweep", "--config", write_not_an_object(t / "x.json")], 4,
+     ["sweep config", "JSON object"]),
     ("density-truncated-record",
-     lambda t, s: ["density", "--sweep", truncated_sweep(t, s), "--out", str(t / "d.csv")], 4),
+     lambda t, s: ["density", "--sweep", sweep_copy(t, s, "codes/*.json", lambda x: x[:40]),
+                   "--out", str(t / "d.csv")], 4, ["code record"]),
+    ("decode-record-code-not-object",
+     lambda t, s: ["decode", "--code", write_edited(t / "c.json", "{}", lambda d: d.update(code=5))],
+     4, ["code record", "'code'"]),
+    ("encode-edges-not-array",
+     lambda t, s: ["encode", "--graph",
+                   write_edited(t / "g.json", GRAPH.to_json(), lambda d: d.update(edges=5)),
+                   "--out", str(t / "s.json")], 4, ["support graph", "'edges'"]),
+    ("encode-graph-version-2",
+     lambda t, s: ["encode", "--graph",
+                   write_edited(t / "g.json", GRAPH.to_json(), lambda d: d.update(format_version=2)),
+                   "--out", str(t / "s.json")], 4, ["support graph", "format_version"]),
+    ("decode-code-unknown-key",
+     lambda t, s: ["decode", "--code",
+                   write_edited(t / "c.json", shor_code().to_json(), lambda d: d.update(extra=1))],
+     4, ["CSS code", "'extra'"]),
+    ("solve-constraint-type-xr",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][0].update(type="xr"))],
+     4, ["constraint system", "'type'", "'xr'"]),
+    ("sweep-resume-pixel-missing-sat",
+     lambda t, s: ["sweep", "--config", str(s.parent / "sweep.json"), "--out",
+                   sweep_copy(t, s, "pixels/*.json",
+                              lambda x: json.dumps({k: v for k, v in json.loads(x).items()
+                                                    if k != "sat"}))],
+     4, ["pixel", "'sat'"]),
 ]
 
 
 class TestErrorBoundary:
     @pytest.mark.parametrize(
-        "build,code", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+        "build,code,words", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
     )
-    def test_bad_input_exit_code(self, build, code, small_sweep, tmp_path, monkeypatch, capsys):
+    def test_bad_input_exit_code(self, build, code, words, small_sweep, tmp_path, monkeypatch,
+                                 capsys):
         monkeypatch.chdir(tmp_path)
         argv = build(tmp_path, small_sweep)
         capsys.readouterr()
@@ -110,6 +155,7 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        assert all(word in err for word in words), err
 
     def test_program_fault_propagates(self, tmp_path, monkeypatch):
         def broken_solve(cs, cfg):
@@ -123,7 +169,7 @@ class TestErrorBoundary:
         graph = tmp_path / "g.json"
         graph.write_text(json.dumps({"n": 4, "m": 3, "gamma": 0.5, "seed": 0}))
         assert run(["encode", "--graph", str(graph), "--out", str(tmp_path / "s.json")]) == 4
-        assert capsys.readouterr().err == "error: missing key 'edges'\n"
+        assert capsys.readouterr().err == "error: support graph: missing key 'edges'\n"
 
 
 class TestSampleEncodeSolve:

@@ -50,6 +50,24 @@ def tiny_config(out_dir, workers=1, master_seed=77):
     )
 
 
+def run_interrupted(cfg, monkeypatch, samples):
+    """Run the sweep until the sample after the first `samples` raises
+    KeyboardInterrupt, as an interrupted run would."""
+    real = harness._run_sample
+    done = []
+
+    def interrupted(task):
+        if len(done) == samples:
+            raise KeyboardInterrupt
+        done.append(task)
+        return real(task)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_run_sample", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_phase_sweep(cfg)
+
+
 def screen_config(out_dir):
     """More than SCREEN_TOP satisfiable-phase codes per n, and one record
     from a pixel outside the satisfiable phase."""
@@ -147,12 +165,12 @@ class TestSweep:
                 tmp_path / "b" / "codes" / name
             ).read_bytes()
 
-    def test_interrupt_and_resume_matches_uninterrupted(self, tmp_path):
+    def test_interrupt_and_resume_matches_uninterrupted(self, tmp_path, monkeypatch):
         cfg_full = tiny_config(tmp_path / "full")
         run_phase_sweep(cfg_full)
         cfg_int = tiny_config(tmp_path / "resumed")
-        partial = run_phase_sweep(cfg_int, task_limit=3)
-        assert len(partial) == 3
+        run_interrupted(cfg_int, monkeypatch, 3 * cfg_int.samples)  # in the fourth pixel
+        assert len(list((tmp_path / "resumed" / "pixels").glob("*.json"))) == 3
         assert not (tmp_path / "resumed" / "pixels.csv").exists()
         run_phase_sweep(cfg_int)
         assert (tmp_path / "resumed" / "pixels.csv").read_bytes() == (
@@ -193,9 +211,9 @@ class TestSweep:
             tmp_path / "par" / "pixels.csv"
         ).read_bytes()
 
-    def test_config_mismatch_detected(self, tmp_path):
+    def test_config_mismatch_detected(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path / "x")
-        run_phase_sweep(cfg, task_limit=1)
+        run_interrupted(cfg, monkeypatch, cfg.samples)
         other = tiny_config(tmp_path / "x", master_seed=78)
         with pytest.raises(ValueError):
             run_phase_sweep(other)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -15,9 +17,11 @@ from stabsearch.constraints import (
     encode,
 )
 from stabsearch.graphs import sample_support_graph
+from stabsearch import solver
 from stabsearch.rng import RngSpec
 from stabsearch.solver import (
     SAT,
+    UNKNOWN,
     UNSAT,
     Assignment,
     SolverConfig,
@@ -201,3 +205,19 @@ class TestDeterminism:
         r1, r2 = solve(cs, cfg), solve(cs, cfg)
         assert r1.verdict == r2.verdict == SAT
         assert r1.assignment.values == r2.assignment.values
+
+    def test_verdict_does_not_depend_on_wall_clock(self, monkeypatch):
+        g = sample_support_graph(20, 18, 0.5, RngSpec(11, 3))
+        cs = encode(g, EncodingParams(min_qubit_degree=3))
+        cfg = SolverConfig(time_budget=2.0, seed=1)
+        steady = solve(cs, cfg)
+        # decided, and only after the first budget slice ran out
+        assert steady.verdict != UNKNOWN and steady.stats.propagations > solver._MIN_SLICE
+        clock = itertools.count(step=1e6)  # each clock reading 10^6 s after the last
+        monkeypatch.setattr(solver.time, "monotonic", lambda: next(clock))
+        slow = solve(cs, cfg)
+        assert slow.verdict == steady.verdict
+        assert slow.assignment == steady.assignment
+        assert dataclasses.replace(slow.stats, wall_time_s=0.0) == dataclasses.replace(
+            steady.stats, wall_time_s=0.0
+        )
