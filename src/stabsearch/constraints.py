@@ -139,19 +139,22 @@ class ConstraintSystem:
         for i, v in enumerate(self.variables):
             if v.id != i:
                 raise ValueError("variable ids must be dense and in order")
-        for c in self.constraints:
-            ids = [lit[0] for lit in c.lits] if isinstance(c, OrClause) else list(c.vars)
-            for vid in ids:
-                if not (0 <= vid < len(self.variables)):
-                    raise ValueError(f"constraint references unknown variable {vid}")
-            if isinstance(c, (OrClause, XorClause)) and not ids:
-                raise ValueError("OR/XOR constraints must be non-empty")
-            if len(set(ids)) != len(ids):
-                raise ValueError("constraint variable lists must be duplicate-free")
-            if isinstance(c, XorClause) and c.parity not in (0, 1):
-                raise ValueError("XOR parity must be 0 or 1")
-            if isinstance(c, Linear) and c.cmp not in (">=", "<=", "=="):
-                raise ValueError(f"unknown comparator {c.cmp!r}")
+        try:
+            for i, c in enumerate(self.constraints):
+                ids = [lit[0] for lit in c.lits] if isinstance(c, OrClause) else list(c.vars)
+                for vid in ids:
+                    if not (0 <= vid < len(self.variables)):
+                        raise ValueError(f"constraint references unknown variable {vid}")
+                if isinstance(c, (OrClause, XorClause)) and not ids:
+                    raise ValueError("OR/XOR constraints must be non-empty")
+                if len(set(ids)) != len(ids):
+                    raise ValueError("constraint variable lists must be duplicate-free")
+                if isinstance(c, XorClause) and c.parity not in (0, 1):
+                    raise ValueError("XOR parity must be 0 or 1")
+                if isinstance(c, Linear) and c.cmp not in (">=", "<=", "=="):
+                    raise ValueError(f"unknown comparator {c.cmp!r}")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"constraint system: constraints[{i}]: {exc}") from None
 
     @property
     def num_vars(self) -> int:
@@ -178,20 +181,26 @@ class ConstraintSystem:
     def from_json(cls, source: str | dict) -> "ConstraintSystem":
         shape = dict(graph=(dict,), params=(dict,), variables=(list,), constraints=(list,))
         doc = read_document("constraint system", source, shape, version=SYSTEM_FORMAT_VERSION)
-        variables = [
-            VarRef(i, kind, tuple(index)) for i, (kind, index) in enumerate(doc["variables"])
-        ]
+        variables: list[VarRef] = []
         constraints: list[Constraint] = []
-        for c in doc["constraints"]:
-            ctype = c["type"]
-            if ctype == "or":
-                constraints.append(OrClause(tuple((v, bool(pos)) for v, pos in c["lits"]), c["tag"]))
-            elif ctype == "xor":
-                constraints.append(XorClause(tuple(c["vars"]), c["parity"], c["tag"]))
-            elif ctype == "linear":
-                constraints.append(Linear(tuple(c["vars"]), c["cmp"], c["bound"], c["tag"]))
-            else:
-                raise ValueError(f"constraint system: unknown constraint 'type' {ctype!r}")
+        try:  # on failure, the entry at fault is the first one not yet built
+            for kind, index in doc["variables"]:
+                variables.append(VarRef(len(variables), kind, tuple(index)))
+            for c in doc["constraints"]:
+                ctype = c["type"]
+                if ctype == "or":
+                    constraints.append(OrClause(tuple((v, bool(pos)) for v, pos in c["lits"]), c["tag"]))
+                elif ctype == "xor":
+                    constraints.append(XorClause(tuple(c["vars"]), c["parity"], c["tag"]))
+                elif ctype == "linear":
+                    constraints.append(Linear(tuple(c["vars"]), c["cmp"], c["bound"], c["tag"]))
+                else:
+                    raise ValueError(f"unknown 'type' {ctype!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            where = (f"constraints[{len(constraints)}]" if len(variables) == len(doc["variables"])
+                     else f"variables[{len(variables)}]")
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"constraint system: {where}: {what}") from None
         params = EncodingParams.from_dict(doc["params"])
         return cls(SupportGraph.from_json(doc["graph"]), variables, constraints, params)
 

@@ -49,6 +49,11 @@ class CssCode:
         shape = {"n": (int,), "hx": (list,), "hz": (list,)}  # matrices as bitstring rows
         doc = read_document("CSS code", source, shape, version=CODE_FORMAT_VERSION)
         n = doc["n"]
+        for key in ("hx", "hz"):
+            for i, row in enumerate(doc[key]):
+                if type(row) is not str or len(row) != n or row.strip("01"):
+                    raise ValueError(f"CSS code: {key}[{i}] must be a string of n={n} "
+                                     f"characters 0 or 1, got {row!r}")
         return cls(
             n=n,
             hx=BitMatrix.from_strings(doc["hx"], cols=n),
@@ -114,7 +119,10 @@ class CodeStats:
     def from_dict(cls, doc: dict) -> "CodeStats":
         doc = read_document("code stats", doc, *fields_shape(cls))
         for key in cls._HISTOGRAMS:
-            doc[key] = {int(d): c for d, c in doc[key].items()}
+            try:
+                doc[key] = {int(d): c for d, c in doc[key].items()}
+            except ValueError as exc:
+                raise ValueError(f"code stats: key {key!r}: {exc}") from None
         return cls(**doc)
 
 

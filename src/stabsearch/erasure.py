@@ -7,14 +7,16 @@ one representative per syndrome class, so it succeeds with probability
 Pauli operators that commute with every generator, modulo stabilizers
 supported inside the region.
 
-For CSS codes the count splits into X and Z sectors, each computable
-from four GF(2) ranks of column-restricted check matrices:
-
-    g_X = [|e| - rank(hz on e)] - [rank(hx) - rank(hx off e)]
-
-and symmetrically for g_Z.  This closed form is validated against a
-brute-force class enumeration in the test suite; the enumeration is the
-authority, the ranks are the fast path.
+For CSS codes the count splits into X and Z sectors.  The reference,
+``logical_class_log2``, takes four GF(2) ranks of column-restricted check
+matrices, g_X = [|e| - rank(hz on e)] - [rank(hx) - rank(hx off e)] and
+symmetrically for g_Z; the test suite checks it against a brute-force
+class enumeration.  The decoding loops need two eliminations per erasure
+instead.  With row bases Bx, Bz and logical representatives Lx (ker hz
+modulo rowspace hx) and Lz (ker hx modulo rowspace hz), rowspace(hx) =
+ker [Bz; Lz] gives g_X(e) = rank([Bz; Lz] on e) - rank(Bz on e), and
+likewise g_Z from Bx and Lx.  The cleaning lemma (Bravyi & Terhal 2009),
+g_X(e) + g_Z(not e) = k, lets both run on the smaller side of e.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .css import CssCode
+from .css import CommutationError, CssCode, check_commutation
 from .gf2 import rank_int_rows, rank_masked
 from .rng import CounterStream, RngSpec
 
@@ -69,16 +71,77 @@ def sample_erasure(n: int, p: float, rng: RngSpec, base_index: int = 0) -> Erasu
         raise ValueError("n must be positive")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    stream = CounterStream(rng)
-    mask = 0
-    if p >= 1.0:
-        mask = (1 << n) - 1
-    elif p > 0.0:
-        unit = stream.unit
-        for q in range(n):
-            if unit(base_index + q) < p:
-                mask |= 1 << q
-    return ErasurePattern(n=n, mask=mask)
+    return ErasurePattern(n=n, mask=CounterStream(rng).bernoulli_mask(base_index, n, p))
+
+
+def _independent(rows: list[int], pivots: dict[int, int]) -> list[int]:
+    """The rows that add a pivot, inserted in order into the pivot table."""
+    out = []
+    for row in rows:
+        cur = row
+        while cur:
+            b = cur.bit_length() - 1
+            if b not in pivots:
+                pivots[b] = cur
+                out.append(row)
+                break
+            cur ^= pivots[b]
+    return out
+
+
+def _kernel(rows: list[int], n: int) -> list[int]:
+    """A basis of the vectors with even overlap against every row."""
+    piv: dict[int, int] = {}  # pivot column -> row, zero in every other pivot column
+    for row in rows:
+        for c, r in piv.items():
+            if row >> c & 1:
+                row ^= r
+        if row:
+            b = row.bit_length() - 1
+            piv = {c: r ^ row if r >> b & 1 else r for c, r in piv.items()} | {b: row}
+    return [1 << f | sum(1 << c for c, r in piv.items() if r >> f & 1) for f in range(n) if f not in piv]
+
+
+def _gain(basis: list[int], logicals: list[int], s: int, size: int) -> int:
+    """rank([basis; logicals] on s) - rank(basis on s) in one elimination,
+    stopping once the pivots span the |s| = size columns."""
+    pivots = [0] * s.bit_length()  # leading bit -> row, 0 while free
+    rank = 0
+    for rows in (basis, logicals):
+        start = rank
+        for row in rows:
+            cur = row & s
+            while cur:
+                b = cur.bit_length() - 1
+                piv = pivots[b]
+                if piv:
+                    cur ^= piv
+                else:
+                    pivots[b] = cur
+                    rank += 1
+                    if rank == size:
+                        return 0 if rows is basis else size - start
+                    break
+    return rank - start
+
+
+def _class_counter(c: CssCode):
+    """Per-code set-up: returns g(mask, weight), equal to logical_class_log2."""
+    if not check_commutation(c):
+        raise CommutationError("check matrices do not commute")
+    n, full = c.n, (1 << c.n) - 1
+    hx, hz = list(c.hx.rows), list(c.hz.rows)
+    bx, bz = _independent(hx, px := {}), _independent(hz, pz := {})
+    lx, lz = _independent(_kernel(hz, n), px), _independent(_kernel(hx, n), pz)
+    two_k = len(lx) + len(lz)
+
+    def class_log2(mask: int, w: int) -> int:
+        if 2 * w <= n:
+            return _gain(bz, lz, mask, w) + _gain(bx, lx, mask, w)
+        comp = full ^ mask
+        return two_k - _gain(bx, lx, comp, n - w) - _gain(bz, lz, comp, n - w)
+
+    return class_log2
 
 
 def _class_log2(hx_rows, hz_rows, rank_x, rank_z, mask, comp, weight) -> int:
@@ -181,29 +244,18 @@ def failure_rate(
     if estimator not in ("exact", "bernoulli"):
         raise ValueError(f"unknown estimator {estimator!r}")
     n = c.n
-    full = (1 << n) - 1
-    hx_rows = list(c.hx.rows)
-    hz_rows = list(c.hz.rows)
-    rank_x = rank_int_rows(hx_rows)
-    rank_z = rank_int_rows(hz_rows)
+    class_log2 = _class_counter(c)
     stream = CounterStream(rng)
-    unit = stream.unit
+    draw, unit = stream.bernoulli_mask, stream.unit
 
     fail_sum = 0.0
     sum_sq = 0.0
     stride = n + 1
     for t in range(trials):
         base = t * stride
-        mask = 0
-        if p >= 1.0:
-            mask = full
-        elif p > 0.0:
-            for q in range(n):
-                if unit(base + q) < p:
-                    mask |= 1 << q
+        mask = draw(base, n, p)
         if mask:
-            g = _class_log2(hx_rows, hz_rows, rank_x, rank_z, mask, full ^ mask, mask.bit_count())
-            p_fail = 1.0 - 2.0 ** (-g)
+            p_fail = 1.0 - 2.0 ** (-class_log2(mask, mask.bit_count()))
         else:
             p_fail = 0.0
         if estimator == "exact":
@@ -225,11 +277,7 @@ def exact_failure_rate(c: CssCode, p: float) -> float:
     if c.n > 22:
         raise ValueError("exact enumeration is limited to n <= 22")
     n = c.n
-    full = (1 << n) - 1
-    hx_rows = list(c.hx.rows)
-    hz_rows = list(c.hz.rows)
-    rank_x = rank_int_rows(hx_rows)
-    rank_z = rank_int_rows(hz_rows)
+    class_log2 = _class_counter(c)
     total = 0.0
     for mask in range(1 << n):
         w = mask.bit_count()
@@ -237,8 +285,7 @@ def exact_failure_rate(c: CssCode, p: float) -> float:
         if prob == 0.0:
             continue
         if mask:
-            g = _class_log2(hx_rows, hz_rows, rank_x, rank_z, mask, full ^ mask, w)
-            total += prob * (1.0 - 2.0 ** (-g))
+            total += prob * (1.0 - 2.0 ** (-class_log2(mask, w)))
     return total
 
 

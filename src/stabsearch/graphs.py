@@ -71,7 +71,11 @@ class SupportGraph:
     @classmethod
     def from_json(cls, source: str | dict) -> "SupportGraph":
         doc = read_document("support graph", source, *fields_shape(cls), GRAPH_FORMAT_VERSION)
-        return cls(**{**doc, "edges": tuple((q, s) for q, s in doc["edges"])})
+        for i, edge in enumerate(doc["edges"]):
+            if type(edge) is not list or len(edge) != 2 or any(type(v) is not int for v in edge):
+                raise ValueError(f"support graph: edges[{i}] must be a [qubit, stabilizer] "
+                                 f"pair of integers, got {edge!r}")
+        return cls(**{**doc, "edges": tuple(map(tuple, doc["edges"]))})
 
 
 def sample_support_graph(n: int, m: int, gamma: float, rng: RngSpec) -> SupportGraph:
@@ -84,17 +88,11 @@ def sample_support_graph(n: int, m: int, gamma: float, rng: RngSpec) -> SupportG
         raise ValueError("n and m must be positive")
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    stream = CounterStream(rng)
+    draw = CounterStream(rng).bernoulli_mask
     edges = []
-    if gamma >= 1.0:
-        edges = [(q, s) for q in range(n) for s in range(m)]
-    elif gamma > 0.0:
-        unit = stream.unit
-        for q in range(n):
-            base = q * m
-            for s in range(m):
-                if unit(base + s) < gamma:
-                    edges.append((q, s))
+    for q in range(n):
+        row = draw(q * m, m, gamma)
+        edges.extend((q, s) for s in range(m) if row >> s & 1)
     return SupportGraph(n=n, m=m, gamma=gamma, seed=rng.key(), edges=tuple(edges))
 
 

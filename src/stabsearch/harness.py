@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from multiprocessing import Pool
 from pathlib import Path
@@ -115,8 +116,8 @@ class SweepConfig:
         return {"format_version": 1, **doc}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SweepConfig":
-        """Config from a JSON object, checked by documents.read_document."""
+    def from_dict(cls, doc: str | dict) -> "SweepConfig":
+        """Config from a JSON object or its text, checked by documents.read_document."""
         doc = read_document("sweep config", doc, *fields_shape(cls))
         doc["qubit_counts"] = tuple(doc["qubit_counts"])
         doc["params"] = EncodingParams.from_dict(doc.get("params", {}))
@@ -234,10 +235,22 @@ def _pixel_path(out: Path, n: int, gamma_index: int) -> Path:
     return out / "pixels" / f"pixel_n{n}_g{gamma_index:03d}.json"
 
 
+@contextmanager
+def _in_file(path: Path):
+    """Prefix the message of an error raised while reading path with the
+    path; the exception keeps its class."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _read_pixel(path: Path) -> PixelResult:
     """A pixel file: the PixelResult fields plus its verdicts and record ids."""
     shape = {**fields_shape(PixelResult)[0], "verdicts": (list,), "records": (list,)}
-    doc = read_document("pixel", path.read_text(), shape, version=PIXEL_FORMAT_VERSION)
+    with _in_file(path):
+        doc = read_document("pixel", path.read_text(), shape, version=PIXEL_FORMAT_VERSION)
     del doc["verdicts"], doc["records"]
     return PixelResult(**doc)
 
@@ -255,7 +268,8 @@ def run_phase_sweep(cfg: SweepConfig) -> list[PixelResult]:
 
     config_path = out / "config.json"
     if config_path.exists():
-        stored = SweepConfig.from_dict(json.loads(config_path.read_text()))
+        with _in_file(config_path):
+            stored = SweepConfig.from_dict(config_path.read_text())
         if replace(stored, out_dir=cfg.out_dir) != cfg:
             raise ValueError(f"output directory {out} holds a sweep with a different config")
     else:
@@ -311,9 +325,10 @@ def sweep_records(out_dir: str | Path, validate: bool = True) -> list[CodeRecord
     out = Path(out_dir)
     records = []
     for path in sorted((out / "codes").glob("*.json")):
-        rec = CodeRecord.from_json(path.read_text())
-        if validate:
-            rec.validate()
+        with _in_file(path):
+            rec = CodeRecord.from_json(path.read_text())
+            if validate:
+                rec.validate()
         records.append(rec)
     return records
 

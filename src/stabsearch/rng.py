@@ -16,6 +16,7 @@ counter.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -90,3 +91,22 @@ class CounterStream:
     def unit(self, index: int) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.u64(index) >> 11) * _INV53
+
+    def bernoulli_mask(self, base: int, count: int, p: float) -> int:
+        """Bit j set iff unit(base + j) < p, for j < count, with u64 inlined.
+
+        unit(i) < p is exactly u64(i) < ceil(p * 2^53) << 11: unit(i) is
+        an integer times 2^-53, and p * 2^53 is exact in floating point.
+        """
+        below = math.ceil(p * (1 << 53)) << 11
+        mask = 0
+        if below:
+            x = self.key + (base + 1) * _GOLDEN
+            for j in range(count):
+                z = x & _MASK64
+                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                if z ^ (z >> 31) < below:
+                    mask |= 1 << j
+                x += _GOLDEN
+        return mask

@@ -1,7 +1,13 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from stabsearch.constraints import EncodingParams
+from stabsearch.harness import find_code
+from stabsearch.rng import RngSpec
+from stabsearch.solver import SolverConfig
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -15,6 +21,26 @@ settings.register_profile(
 settings.load_profile("suite")
 
 _acceptance_outcomes: dict[str, str] = {}
+
+
+@pytest.fixture(scope="session")
+def small_discovered_codes():
+    """Five codes with n <= 20 found by the standard pipeline."""
+    records = []
+    attempt = 0
+    while len(records) < 5 and attempt < 40:
+        n = 16 + (attempt % 5)
+        m = round(0.9 * n)
+        _, rec = find_code(
+            n, m, 0.8, EncodingParams(min_qubit_degree=3),
+            RngSpec(20240808, 9_000 + attempt),  # the acceptance suite's master seed
+            SolverConfig(time_budget=20, seed=attempt),
+        )
+        if rec is not None:
+            records.append(rec)
+        attempt += 1
+    assert len(records) == 5, "pipeline failed to discover five small codes"
+    return records
 
 
 def pytest_runtest_logreport(report):

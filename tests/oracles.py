@@ -8,13 +8,19 @@ evaluation code with the package's solver or rank-based fast paths:
   2^V assignments packs into one big int);
 - naive dense Gaussian elimination for matrix rank;
 - explicit enumeration of region Paulis and stabilizer subsets for
-  erasure class counting.
+  erasure class counting;
+- the erasure trial loop in its original form: one stream draw per
+  qubit and four dense ranks per trial.
 """
 
 from __future__ import annotations
 
+import math
+
 from stabsearch.constraints import ConstraintSystem, OrClause, XorClause
 from stabsearch.css import CssCode
+from stabsearch.erasure import Z95, DecodingReport
+from stabsearch.rng import CounterStream, RngSpec
 
 
 def _column(v: int, num_vars: int) -> int:
@@ -156,3 +162,43 @@ def brute_force_class_log2(code: CssCode, mask: int) -> int:
     g = total.bit_length() - 1
     assert 1 << g == total, "class count must be a power of two"
     return g
+
+
+def _masked_rank(rows: list[int], mask: int, n: int) -> int:
+    return naive_rank([[(r >> q) & 1 for q in range(n) if (mask >> q) & 1] for r in rows])
+
+
+def reference_failure_rate(code: CssCode, p: float, trials: int, rng: RngSpec,
+                           estimator: str) -> DecodingReport:
+    """The decoding report by the original trial loop.
+
+    Trial t draws qubit q from stream counter t*(n+1) + q as unit < p,
+    the bernoulli coin from counter t*(n+1) + n, and takes g from four
+    dense ranks: g_X = [|e| - rank(hz on e)] - [rank(hx) - rank(hx off e)],
+    g_Z symmetric.
+    """
+    n, full = code.n, (1 << code.n) - 1
+    hx, hz = list(code.hx.rows), list(code.hz.rows)
+    unit = CounterStream(rng).unit
+    fail_sum = sum_sq = 0.0
+    for t in range(trials):
+        base = t * (n + 1)
+        mask = sum(1 << q for q in range(n) if unit(base + q) < p)
+        p_fail = 0.0
+        if mask:
+            w, comp = mask.bit_count(), full ^ mask
+            gx = (w - _masked_rank(hz, mask, n)) - (_masked_rank(hx, full, n) - _masked_rank(hx, comp, n))
+            gz = (w - _masked_rank(hx, mask, n)) - (_masked_rank(hz, full, n) - _masked_rank(hz, comp, n))
+            p_fail = 1.0 - 2.0 ** (-(gx + gz))
+        if estimator == "exact":
+            fail_sum += p_fail
+            sum_sq += p_fail * p_fail
+        else:
+            failed = 1.0 if unit(base + n) < p_fail else 0.0
+            fail_sum += failed
+            sum_sq += failed
+    mean = fail_sum / trials
+    half = 0.0
+    if trials > 1:
+        half = Z95 * math.sqrt(max(0.0, (sum_sq - trials * mean * mean) / (trials - 1)) / trials)
+    return DecodingReport(p, trials, fail_sum, mean, half, estimator, sum_sq)

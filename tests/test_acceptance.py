@@ -45,7 +45,6 @@ from stabsearch.harness import (
     SATISFIABLE,
     SweepConfig,
     best_codes,
-    find_code,
     run_phase_sweep,
     satisfiable_records,
 )
@@ -90,26 +89,6 @@ def desk_sweep():
 @pytest.fixture(scope="session")
 def desk_records(desk_sweep):
     return satisfiable_records(DESK_SWEEP.out_dir, validate=False)
-
-
-@pytest.fixture(scope="session")
-def small_discovered_codes():
-    """Five codes with n <= 20 found by the standard pipeline."""
-    records = []
-    attempt = 0
-    while len(records) < 5 and attempt < 40:
-        n = 16 + (attempt % 5)
-        m = round(0.9 * n)
-        _, rec = find_code(
-            n, m, 0.8, EncodingParams(min_qubit_degree=3),
-            RngSpec(MASTER_SEED, 9_000 + attempt),
-            SolverConfig(time_budget=20, seed=attempt),
-        )
-        if rec is not None:
-            records.append(rec)
-        attempt += 1
-    assert len(records) == 5, "pipeline failed to discover five small codes"
-    return records
 
 
 def test_criterion_01_encoder_soundness():

@@ -5,7 +5,7 @@ import pytest
 
 from stabsearch import cli, harness
 from stabsearch.cli import main
-from stabsearch.constraints import encode
+from stabsearch.constraints import XorClause, encode
 from stabsearch.css import shor_code
 from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch.harness import (
@@ -83,8 +83,22 @@ def sweep_copy(tmp_path, sweep, pattern, edit_text):
     return str(copy)
 
 
+def sweep_record(sweep):
+    """The text of the shared sweep's first code record."""
+    return sorted((sweep / "codes").glob("*.json"))[0].read_text()
+
+
+def first_name(pattern):
+    """A word for BAD_INPUTS: the name of the shared sweep's first file matching pattern."""
+    return lambda sweep: sorted(sweep.glob(pattern))[0].name
+
+
+NON_COMMUTING = '{"hx": ["110"], "hz": ["100"], "n": 3}'
+LAST_CONSTRAINT = len(encode(GRAPH).constraints) - 1
+FIRST_XOR = next(i for i, c in enumerate(encode(GRAPH).constraints) if isinstance(c, XorClause))
+
 # (name, argv builder, exit code, words of the error line); each builder
-# gets tmp_path and the shared sweep
+# gets tmp_path and the shared sweep, and a callable word gets the sweep
 BAD_INPUTS = [
     ("solve-budget-0",
      lambda t, s: ["solve", "--system", write_system(t / "s.json"), "--budget", "0"], 4,
@@ -112,7 +126,7 @@ BAD_INPUTS = [
      ["sweep config", "JSON object"]),
     ("density-truncated-record",
      lambda t, s: ["density", "--sweep", sweep_copy(t, s, "codes/*.json", lambda x: x[:40]),
-                   "--out", str(t / "d.csv")], 4, ["code record"]),
+                   "--out", str(t / "d.csv")], 4, ["code record", first_name("codes/*.json")]),
     ("decode-record-code-not-object",
      lambda t, s: ["decode", "--code", write_edited(t / "c.json", "{}", lambda d: d.update(code=5))],
      4, ["code record", "'code'"]),
@@ -138,7 +152,47 @@ BAD_INPUTS = [
                    sweep_copy(t, s, "pixels/*.json",
                               lambda x: json.dumps({k: v for k, v in json.loads(x).items()
                                                     if k != "sat"}))],
-     4, ["pixel", "'sat'"]),
+     4, ["pixel", "'sat'", "pixel_n6_g000.json"]),
+    ("sweep-resume-config-truncated",
+     lambda t, s: ["sweep", "--config", str(s.parent / "sweep.json"), "--out",
+                   sweep_copy(t, s, "config.json", lambda x: x[:20])],
+     4, ["sweep config", "config.json"]),
+    ("encode-edge-one-end",
+     lambda t, s: ["encode", "--graph",
+                   write_edited(t / "g.json", GRAPH.to_json(), lambda d: d.update(edges=[[0]])),
+                   "--out", str(t / "s.json")], 4, ["support graph", "edges[0]"]),
+    ("encode-edge-not-integers",
+     lambda t, s: ["encode", "--graph",
+                   write_edited(t / "g.json", GRAPH.to_json(), lambda d: d.update(edges=[["a", 1]])),
+                   "--out", str(t / "s.json")], 4, ["support graph", "edges[0]"]),
+    ("decode-code-row-not-bits",
+     lambda t, s: ["decode", "--code",
+                   write_edited(t / "c.json", shor_code().to_json(),
+                                lambda d: d["hz"].__setitem__(1, "01x000000"))],
+     4, ["CSS code", "hz[1]"]),
+    ("solve-constraint-missing-tag",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][-1].pop("tag"))],
+     4, ["constraint system", f"constraints[{LAST_CONSTRAINT}]", "missing key 'tag'"]),
+    ("solve-xor-parity-7",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][FIRST_XOR].update(parity=7))],
+     4, ["constraint system", f"constraints[{FIRST_XOR}]", "parity"]),
+    ("solve-variable-one-field",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["variables"].__setitem__(2, ["act"]))],
+     4, ["constraint system", "variables[2]"]),
+    ("decode-record-degree-not-integer",
+     lambda t, s: ["decode", "--code",
+                   write_edited(t / "r.json", sweep_record(s),
+                                lambda d: d["stats"]["qubit_degree_hist"].update(x=1))],
+     4, ["code stats", "'qubit_degree_hist'", "'x'"]),
+    ("decode-code-not-commuting",
+     lambda t, s: ["decode", "--code", write_edited(t / "c.json", NON_COMMUTING, lambda d: None)],
+     4, ["commut"]),
 ]
 
 
@@ -155,6 +209,7 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        words = [w(small_sweep) if callable(w) else w for w in words]
         assert all(word in err for word in words), err
 
     def test_program_fault_propagates(self, tmp_path, monkeypatch):

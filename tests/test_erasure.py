@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from stabsearch.css import shor_code, stats, steane_code
+from stabsearch.css import CommutationError, CssCode, shor_code, stats, steane_code
 from stabsearch.erasure import (
     ErasurePattern,
+    _class_counter,
     erasure_capacity_limit,
     exact_failure_rate,
     failure_rate,
@@ -15,9 +16,26 @@ from stabsearch.erasure import (
     sample_erasure,
     success_probability,
 )
+from stabsearch.gf2 import BitMatrix
 from stabsearch.rng import RngSpec
 
-from oracles import brute_force_class_log2
+from oracles import brute_force_class_log2, reference_failure_rate
+
+
+def css(n, hx, hz):
+    return CssCode(n, BitMatrix.from_strings(hx, cols=n), BitMatrix.from_strings(hz, cols=n))
+
+
+# hand-built corner cases of the per-code set-up
+EDGE_CODES = {
+    "n1-no-checks": css(1, [], []),  # k = 1 on one qubit
+    "n1-k0": css(1, ["1"], []),
+    "k0-full-rank": css(2, ["11"], ["11"]),
+    "repetition-empty-hx": css(3, [], ["110", "011"]),
+    "empty-hz": css(4, ["1100", "0011"], []),
+    "steane-redundant-rows": css(7, ["1010101", "0110011", "0001111", "1010101", "1100110", "0000000"],
+                                 ["1010101", "0110011", "0001111", "0111100"]),
+}
 
 
 class TestPatterns:
@@ -40,6 +58,16 @@ class TestPatterns:
             sample_erasure(5, -0.2, RngSpec(0))
         with pytest.raises(ValueError):
             sample_erasure(5, 1.2, RngSpec(0))
+
+    @pytest.mark.parametrize("args,hex_mask", [
+        ((9, 0.3, RngSpec(1), 0), "147"),
+        ((40, 0.45, RngSpec(20240808, 7), 123), "d0b14893e5"),
+        ((64, 0.1, RngSpec(5, 2), 1000), "4000004100610000"),
+        ((100, 0.5, RngSpec(0), 0), "9e53e91176133cefb8c850576"),
+        ((13, 0.999, RngSpec(3), 5), "1fff"),
+    ])
+    def test_pinned_patterns(self, args, hex_mask):
+        assert sample_erasure(*args).to_hex() == hex_mask.zfill((args[0] + 3) // 4)
 
     def test_hex_round_trip(self):
         e = ErasurePattern(n=12, mask=0b101100001111)
@@ -104,6 +132,29 @@ class TestLogicalClasses:
             assert g >= prev
             prev = g
 
+    @pytest.mark.parametrize("code", [shor_code(), steane_code(), *EDGE_CODES.values()],
+                             ids=["shor", "steane", *EDGE_CODES])
+    def test_kernel_equals_reference_on_every_mask(self, code):
+        g = _class_counter(code)
+        for mask in range(1 << code.n):
+            want = logical_class_log2(code, ErasurePattern(code.n, mask))
+            assert g(mask, mask.bit_count()) == want, f"pattern {mask:0{code.n}b}"
+
+    def test_kernel_edge_codes_match_oracle(self):
+        for name, code in EDGE_CODES.items():
+            g = _class_counter(code)
+            for mask in range(1 << code.n):
+                assert g(mask, mask.bit_count()) == brute_force_class_log2(code, mask), name
+
+    def test_kernel_equals_reference_on_discovered_codes(self, small_discovered_codes):
+        rng = random.Random(17)
+        for rec in small_discovered_codes:
+            n, g = rec.code.n, _class_counter(rec.code)
+            for _ in range(300):
+                p = rng.random()
+                mask = sum(1 << q for q in range(n) if rng.random() < p)
+                assert g(mask, mask.bit_count()) == logical_class_log2(rec.code, ErasurePattern(n, mask))
+
     def test_g_bounded_by_two_k(self):
         code = shor_code()
         k = stats(code).k
@@ -158,6 +209,22 @@ class TestFailureRate:
         a = failure_rate(shor_code(), 0.37, 500, RngSpec(8, 3), estimator="bernoulli")
         b = failure_rate(shor_code(), 0.37, 500, RngSpec(8, 3), estimator="bernoulli")
         assert a == b
+
+    @pytest.mark.parametrize("estimator", ["exact", "bernoulli"])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_report_equals_original_trial_loop(self, p, estimator):
+        codes = [shor_code(), steane_code(), *EDGE_CODES.values()]
+        for i, code in enumerate(codes):
+            rng = RngSpec(41, i)
+            want = reference_failure_rate(code, p, 200, rng, estimator)
+            assert failure_rate(code, p, 200, rng, estimator) == want
+
+    def test_non_commuting_code_raises(self):
+        code = css(3, ["110"], ["100"])
+        with pytest.raises(CommutationError):
+            failure_rate(code, 0.5, 10, RngSpec(0))
+        with pytest.raises(CommutationError):
+            exact_failure_rate(code, 0.5)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -54,3 +54,18 @@ def test_substream_derivation():
     assert base.substream("a", 1) == base.substream("a", 1)
     assert base.substream("a", 1) != base.substream("a", 2)
     assert base.substream("a", 1).master_seed == 9
+
+
+def test_bernoulli_mask_is_unit_below_p():
+    s = CounterStream(RngSpec(31, 4))
+    for p in (0.0, 1e-300, 0.3, 0.5, 1 - 2**-53, 1.0):
+        assert s.bernoulli_mask(100, 70, p) == sum(1 << j for j in range(70) if s.unit(100 + j) < p)
+
+
+def test_bernoulli_mask_threshold_is_exact():
+    """p equal to a draw leaves its bit clear; the next float above sets it."""
+    s = CounterStream(RngSpec(7, 1))
+    for i in range(200):
+        u = s.unit(i)
+        assert s.bernoulli_mask(i, 1, u) == 0
+        assert s.bernoulli_mask(i, 1, math.nextafter(u, 1.0)) == 1
