@@ -15,8 +15,7 @@ class enumeration.  The decoding loops need two eliminations per erasure
 instead.  With row bases Bx, Bz and logical representatives Lx (ker hz
 modulo rowspace hx) and Lz (ker hx modulo rowspace hz), rowspace(hx) =
 ker [Bz; Lz] gives g_X(e) = rank([Bz; Lz] on e) - rank(Bz on e), and
-likewise g_Z from Bx and Lx.  The cleaning lemma (Bravyi & Terhal 2009),
-g_X(e) + g_Z(not e) = k, lets both run on the smaller side of e.
+likewise g_Z from Bx and Lx.
 """
 
 from __future__ import annotations
@@ -129,17 +128,12 @@ def _class_counter(c: CssCode):
     """Per-code set-up: returns g(mask, weight), equal to logical_class_log2."""
     if not check_commutation(c):
         raise CommutationError("check matrices do not commute")
-    n, full = c.n, (1 << c.n) - 1
     hx, hz = list(c.hx.rows), list(c.hz.rows)
     bx, bz = _independent(hx, px := {}), _independent(hz, pz := {})
-    lx, lz = _independent(_kernel(hz, n), px), _independent(_kernel(hx, n), pz)
-    two_k = len(lx) + len(lz)
+    lx, lz = _independent(_kernel(hz, c.n), px), _independent(_kernel(hx, c.n), pz)
 
     def class_log2(mask: int, w: int) -> int:
-        if 2 * w <= n:
-            return _gain(bz, lz, mask, w) + _gain(bx, lx, mask, w)
-        comp = full ^ mask
-        return two_k - _gain(bx, lx, comp, n - w) - _gain(bz, lz, comp, n - w)
+        return _gain(bz, lz, mask, w) + _gain(bx, lx, mask, w)
 
     return class_log2
 

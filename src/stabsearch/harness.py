@@ -238,11 +238,16 @@ def _pixel_path(out: Path, n: int, gamma_index: int) -> Path:
 @contextmanager
 def _in_file(path: Path):
     """Prefix the message of an error raised while reading path with the
-    path; the exception keeps its class."""
+    path.  The exception keeps its class unless that class formats its
+    message from its own fields (UnicodeDecodeError), which becomes a
+    ValueError."""
     try:
         yield
     except (ValueError, TypeError) as exc:
-        exc.args = (f"{path}: {exc}",)
+        message = f"{path}: {exc}"
+        exc.args = (message,)
+        if str(exc) != message:
+            raise ValueError(message) from exc
         raise
 
 

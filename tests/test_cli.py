@@ -75,11 +75,16 @@ def write_not_an_object(path):
 
 
 def sweep_copy(tmp_path, sweep, pattern, edit_text):
-    """A copy of the sweep whose first file matching pattern has edit_text applied."""
+    """A copy of the sweep whose first file matching pattern has edit_text
+    applied; an edit that returns bytes is written as they are."""
     copy = tmp_path / "edited"
     shutil.copytree(sweep, copy)
     path = sorted(copy.glob(pattern))[0]
-    path.write_text(edit_text(path.read_text()))
+    edited = edit_text(path.read_text())
+    if isinstance(edited, bytes):
+        path.write_bytes(edited)
+    else:
+        path.write_text(edited)
     return str(copy)
 
 
@@ -127,6 +132,10 @@ BAD_INPUTS = [
     ("density-truncated-record",
      lambda t, s: ["density", "--sweep", sweep_copy(t, s, "codes/*.json", lambda x: x[:40]),
                    "--out", str(t / "d.csv")], 4, ["code record", first_name("codes/*.json")]),
+    ("density-record-not-utf8",
+     lambda t, s: ["density", "--sweep",
+                   sweep_copy(t, s, "codes/*.json", lambda x: b"\xff" + x.encode()),
+                   "--out", str(t / "d.csv")], 4, ["utf-8", first_name("codes/*.json")]),
     ("decode-record-code-not-object",
      lambda t, s: ["decode", "--code", write_edited(t / "c.json", "{}", lambda d: d.update(code=5))],
      4, ["code record", "'code'"]),
