@@ -160,9 +160,7 @@ def _cmd_decode(args) -> int:
             )
     else:
         records = [_load_code_or_record(args.code)]
-    rows, minima = run_decoding_benchmark(
-        records, p_grid, args.trials, RngSpec(args.seed), estimator=args.estimator
-    )
+    rows, minima = run_decoding_benchmark(records, p_grid, args.trials, RngSpec(args.seed))
     if args.out:
         write_decoding_csv(args.out, rows)
     if args.min_out:
@@ -242,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="comma-separated erasure probabilities")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--estimator", choices=["exact", "bernoulli"], default="exact")
     p.add_argument("--out", default=None)
     p.add_argument("--min-out", default=None)
     p.set_defaults(fn=_cmd_decode)

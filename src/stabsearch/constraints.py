@@ -44,6 +44,7 @@ EVEN = "even"
 BOTH = "both"
 XIND = "x"
 ZIND = "z"
+_KINDS = (ACTIVATOR, PAULI, SAME, EVEN, BOTH, XIND, ZIND)
 
 
 class VarRef(NamedTuple):
@@ -136,6 +137,7 @@ class ConstraintSystem:
         self.variables = tuple(variables)
         self.constraints = tuple(constraints)
         self.params = params or EncodingParams()
+        nv = len(self.variables)
         for i, v in enumerate(self.variables):
             if v.id != i:
                 raise ValueError("variable ids must be dense and in order")
@@ -143,8 +145,8 @@ class ConstraintSystem:
             for i, c in enumerate(self.constraints):
                 ids = [lit[0] for lit in c.lits] if isinstance(c, OrClause) else list(c.vars)
                 for vid in ids:
-                    if not (0 <= vid < len(self.variables)):
-                        raise ValueError(f"constraint references unknown variable {vid}")
+                    if type(vid) is not int or not 0 <= vid < nv:
+                        raise ValueError(f"variable id {vid!r} is not an integer in [0, {nv})")
                 if isinstance(c, (OrClause, XorClause)) and not ids:
                     raise ValueError("OR/XOR constraints must be non-empty")
                 if len(set(ids)) != len(ids):
@@ -185,17 +187,24 @@ class ConstraintSystem:
         constraints: list[Constraint] = []
         try:  # on failure, the entry at fault is the first one not yet built
             for kind, index in doc["variables"]:
+                if kind not in _KINDS:
+                    raise ValueError(f"unknown kind {kind!r}")
+                if type(index) is not list or not all(type(i) is int for i in index):
+                    raise ValueError(f"index {index!r} is not a list of integers")
                 variables.append(VarRef(len(variables), kind, tuple(index)))
             for c in doc["constraints"]:
                 ctype = c["type"]
                 if ctype == "or":
-                    constraints.append(OrClause(tuple((v, bool(pos)) for v, pos in c["lits"]), c["tag"]))
+                    con = OrClause(tuple((v, bool(pos)) for v, pos in c["lits"]), c["tag"])
                 elif ctype == "xor":
-                    constraints.append(XorClause(tuple(c["vars"]), c["parity"], c["tag"]))
+                    con = XorClause(tuple(c["vars"]), c["parity"], c["tag"])
                 elif ctype == "linear":
-                    constraints.append(Linear(tuple(c["vars"]), c["cmp"], c["bound"], c["tag"]))
+                    con = Linear(tuple(c["vars"]), c["cmp"], c["bound"], c["tag"])
                 else:
                     raise ValueError(f"unknown 'type' {ctype!r}")
+                if len(c) != len(con) + 1:  # the keys are 'type' and the fields of con
+                    raise ValueError(f"unknown key {min(c.keys() - {'type', *con._fields})!r}")
+                constraints.append(con)
         except (KeyError, TypeError, ValueError) as exc:
             where = (f"constraints[{len(constraints)}]" if len(variables) == len(doc["variables"])
                      else f"variables[{len(variables)}]")

@@ -138,28 +138,15 @@ def _class_counter(c: CssCode):
     return class_log2
 
 
-def _class_log2(hx_rows, hz_rows, rank_x, rank_z, mask, comp, weight) -> int:
-    gx = (weight - rank_masked(hz_rows, mask)) - (rank_x - rank_masked(hx_rows, comp))
-    gz = (weight - rank_masked(hx_rows, mask)) - (rank_z - rank_masked(hz_rows, comp))
-    return gx + gz
-
-
 def logical_class_log2(c: CssCode, e: ErasurePattern) -> int:
     """log2 of the number of logical classes supported on the erasure."""
     if e.n != c.n:
         raise ValueError("pattern length does not match the code")
-    full = (1 << c.n) - 1
-    hx_rows = list(c.hx.rows)
-    hz_rows = list(c.hz.rows)
-    g = _class_log2(
-        hx_rows,
-        hz_rows,
-        rank_int_rows(hx_rows),
-        rank_int_rows(hz_rows),
-        e.mask,
-        full ^ e.mask,
-        e.weight,
-    )
+    hx, hz = list(c.hx.rows), list(c.hz.rows)
+    mask, comp = e.mask, ((1 << c.n) - 1) ^ e.mask
+    gx = (e.weight - rank_masked(hz, mask)) - (rank_int_rows(hx) - rank_masked(hx, comp))
+    gz = (e.weight - rank_masked(hx, mask)) - (rank_int_rows(hz) - rank_masked(hz, comp))
+    g = gx + gz
     if g < 0:
         raise AssertionError("negative class dimension, commutation must be violated")
     return g

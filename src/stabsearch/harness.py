@@ -325,15 +325,14 @@ def run_phase_sweep(cfg: SweepConfig) -> list[PixelResult]:
     return pixels
 
 
-def sweep_records(out_dir: str | Path, validate: bool = True) -> list[CodeRecord]:
-    """Load every CodeRecord a sweep produced, sorted by id."""
+def sweep_records(out_dir: str | Path) -> list[CodeRecord]:
+    """Load and re-validate every CodeRecord a sweep produced, sorted by id."""
     out = Path(out_dir)
     records = []
     for path in sorted((out / "codes").glob("*.json")):
         with _in_file(path):
             rec = CodeRecord.from_json(path.read_text())
-            if validate:
-                rec.validate()
+            rec.validate()
         records.append(rec)
     return records
 
@@ -343,12 +342,12 @@ def sweep_pixels(out_dir: str | Path) -> list[PixelResult]:
     return sorted(pixels, key=lambda p: (p.n, p.gamma))
 
 
-def satisfiable_records(out_dir: str | Path, validate: bool = True) -> list[CodeRecord]:
+def satisfiable_records(out_dir: str | Path) -> list[CodeRecord]:
     """The sweep's records whose (n, gamma) pixel is classified satisfiable."""
     sat_pixels = {(p.n, p.gamma) for p in sweep_pixels(out_dir) if p.classification == SATISFIABLE}
     return [
         r
-        for r in sweep_records(out_dir, validate)
+        for r in sweep_records(out_dir)
         if (r.provenance["n"], r.provenance["gamma"]) in sat_pixels
     ]
 
@@ -426,9 +425,8 @@ def run_decoding_benchmark(
     p_grid: list[float],
     trials: int,
     rng: RngSpec,
-    estimator: str = "exact",
 ) -> tuple[list[dict], list[dict]]:
-    """Failure reports per (code, p), plus the per-(n, p) minima.
+    """Exact-estimator failure reports per (code, p), plus the per-(n, p) minima.
 
     Records must pass validation (commutation in particular) before
     being benchmarked.
@@ -437,9 +435,7 @@ def run_decoding_benchmark(
     for rec in sorted(records, key=lambda r: (r.stats.n, r.code_id)):
         rec.validate()
         for p in p_grid:
-            rep = failure_rate(
-                rec.code, p, trials, rng.substream("decode", rec.code_id, p), estimator
-            )
+            rep = failure_rate(rec.code, p, trials, rng.substream("decode", rec.code_id, p))
             rows.append(
                 {
                     "code_id": rec.code_id,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 
 from .constraints import (
@@ -243,10 +243,15 @@ def _luby(x: int) -> int:
 
 
 class _Engine:
-    """One CDCL search over a compiled constraint system."""
+    """One CDCL search over a compiled constraint system.
 
-    def __init__(self, cs: ConstraintSystem, cfg: SolverConfig):
-        self.cs = cs
+    seed drives random branching, phases (None: all zero) are the initial
+    saved phases, and the search counts its work into stats, which the
+    slices of one solve share.
+    """
+
+    def __init__(self, cs: ConstraintSystem, seed: int, phases: tuple[int, ...] | None,
+                 stats: SolverStats):
         nv = cs.num_vars
         self.nvars = nv
         self.values = [-1] * nv
@@ -262,23 +267,23 @@ class _Engine:
         self.cla_inc = 1.0
         self.var_act = [0.0] * nv
         self.var_inc = 1.0
-        self.phase = bytearray(nv)
+        self.phase = bytearray(phases or nv)
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(nv)]
-        self.rng = random.Random(cfg.seed)
-        self.stats = SolverStats()
+        self.rng = random.Random(seed)
+        self.stats = stats
         self.ok = True
 
-        self.xrows: list[list] = []  # [vars, parity, w0, w1]
+        # XOR rows [vars, parity, w0, w1], listed under their two watched variables
         self.xwatches: list[list] = [[] for _ in range(nv)]
-        self.lins: list[list] = []  # [vars, bound, atleast, n_true, n_unassigned]
+        # cardinality rows [vars, bound, atleast, n_true, n_unassigned], under every variable
         self.locc: list[list] = [[] for _ in range(nv)]
 
-        self._load()
+        self._load(cs)
 
     # ----- loading ---------------------------------------------------
 
-    def _load(self):
-        for c in self.cs.constraints:
+    def _load(self, cs: ConstraintSystem):
+        for c in cs.constraints:
             if not self.ok:
                 return
             if isinstance(c, OrClause):
@@ -304,50 +309,24 @@ class _Engine:
                 self.ok = False
             return
         row = [vs, parity, 0, 1]
-        self.xrows.append(row)
         self.xwatches[vs[0]].append(row)
         self.xwatches[vs[1]].append(row)
 
     def _add_linear(self, c: Linear):
-        specs = []
-        if c.cmp in (">=", "=="):
-            specs.append((c.bound, True))
-        if c.cmp in ("<=", "=="):
-            specs.append((c.bound, False))
-        for bound, atleast in specs:
-            vars_ = list(c.vars)
-            w = len(vars_)
-            if atleast and bound <= 0:
+        vars_ = list(c.vars)
+        values = self.values
+        for atleast in (True, False):
+            if c.cmp == ("<=" if atleast else ">="):
                 continue
-            if not atleast and bound >= w:
-                continue
-            if atleast and bound > w:
-                self.ok = False
-                return
-            if not atleast and bound < 0:
-                self.ok = False
-                return
-            entry = [vars_, bound, atleast, 0, w]
-            for v in vars_:
-                if self.values[v] >= 0:
-                    entry[4] -= 1
-                    if self.values[v] == 1:
-                        entry[3] += 1
-            self.lins.append(entry)
+            if (c.bound <= 0) if atleast else (c.bound >= len(vars_)):
+                continue  # holds under every assignment
+            n_true = sum(values[v] == 1 for v in vars_)
+            entry = [vars_, c.bound, atleast, n_true, sum(values[v] < 0 for v in vars_)]
             for v in vars_:
                 self.locc[v].append(entry)
-            trig = self._lin_trigger(entry)
-            if trig == "conflict":
+            if self._fire(entry) is not None:
                 self.ok = False
                 return
-            if trig is not None:
-                want = 0 if trig == "force-true" else 1
-                for u in vars_:
-                    if self.values[u] < 0:
-                        implied = 2 * u + want
-                        if not self._enqueue(implied, self._lin_reason(entry, implied)):
-                            self.ok = False
-                            return
 
     # ----- assignment plumbing ---------------------------------------
 
@@ -371,9 +350,6 @@ class _Engine:
             for entry in self.locc[v]:
                 entry[4] -= 1
         return True
-
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
 
     def _backtrack(self, target_level: int):
         if target_level >= len(self.trail_lim):
@@ -403,35 +379,35 @@ class _Engine:
 
     # ----- propagation ------------------------------------------------
 
-    @staticmethod
-    def _lin_trigger(entry):
-        _, bound, atleast, n_true, n_un = entry
+    def _fire(self, entry) -> list[int] | None:
+        """Enqueue what a cardinality row forces; returns a conflict reason or None.
+
+        A forced literal's reason is itself followed by the row's false
+        literals (at-least rows) or true literals (at-most rows), which
+        forcing leaves unchanged.
+        """
+        vars_, bound, atleast, n_true, n_un = entry
         if atleast:
             need = bound - n_true
-            if need <= 0:
+            if need <= 0 or need < n_un:
                 return None
+            values = self.values
+            reason = [2 * v for v in vars_ if values[v] == 0]
             if need > n_un:
-                return "conflict"
-            if need == n_un:
-                return "force-true"
-            return None
-        if n_true > bound:
-            return "conflict"
-        if n_true == bound and n_un > 0:
-            return "force-false"
-        return None
-
-    def _lin_reason(self, entry, implied_lit: int | None) -> list[int]:
-        vars_, _, atleast, _, _ = entry
-        values = self.values
-        if atleast:
-            lits = [2 * v for v in vars_ if values[v] == 0]
+                return reason
         else:
-            lits = [2 * v + 1 for v in vars_ if values[v] == 1]
-        if implied_lit is not None:
-            iv = implied_lit >> 1
-            lits = [implied_lit] + [l for l in lits if (l >> 1) != iv]
-        return lits
+            if n_true < bound or (n_true == bound and not n_un):
+                return None
+            values = self.values
+            reason = [2 * v + 1 for v in vars_ if values[v] == 1]
+            if n_true > bound:
+                return reason
+        want = 0 if atleast else 1
+        for u in vars_:
+            if values[u] < 0:
+                implied = 2 * u + want
+                self._enqueue(implied, [implied] + reason)
+        return None
 
     def _propagate(self):
         """Exhaust the queue; returns a conflict clause (lits) or None."""
@@ -487,13 +463,9 @@ class _Engine:
                     j += 1
                     vars_, parity, w0, w1 = row
                     if vars_[w0] == v:
-                        slot = 2
-                        other = vars_[w1]
-                    elif vars_[w1] == v:
-                        slot = 3
-                        other = vars_[w0]
+                        slot, other = 2, vars_[w1]
                     else:
-                        continue  # stale entry from an earlier watch move
+                        slot, other = 3, vars_[w0]
                     moved = False
                     for k in range(len(vars_)):
                         u = vars_[k]
@@ -519,18 +491,11 @@ class _Engine:
                         return [2 * u + values[u] for u in vars_]
                 self.xwatches[v] = kept
 
-            # cardinality triggers (counters were updated at enqueue time)
+            # cardinality rows (counters were updated at enqueue time)
             for entry in self.locc[v]:
-                trig = self._lin_trigger(entry)
-                if trig is None:
-                    continue
-                if trig == "conflict":
-                    return self._lin_reason(entry, None)
-                want = 0 if trig == "force-true" else 1
-                for u in entry[0]:
-                    if values[u] < 0:
-                        implied = 2 * u + want
-                        self._enqueue(implied, self._lin_reason(entry, implied))
+                conflict = self._fire(entry)
+                if conflict is not None:
+                    return conflict
         return None
 
     # ----- conflict analysis -------------------------------------------
@@ -544,8 +509,6 @@ class _Engine:
             self.var_inc *= scale
             act = self.var_act[v] + self.var_inc
         self.var_act[v] = act
-        if self.values[v] < 0:
-            heappush(self.heap, (-act, v))
 
     def _bump_clause(self, clause: list[int]):
         key = id(clause)
@@ -566,7 +529,7 @@ class _Engine:
         level = self.level
         seen = bytearray(self.nvars)
         learnt: list[int] = [0]  # slot 0 receives the asserting literal
-        cur_level = self._decision_level()
+        cur_level = len(self.trail_lim)
         counter = 0
         idx = len(self.trail) - 1
         reason_lits = conflict
@@ -676,19 +639,17 @@ class _Engine:
                     return v
                 v = (v + 1) % self.nvars
             return -1
-        heap = self.heap
+        heap = self.heap  # _backtrack pushes every variable it unassigns
         while heap:
             _, v = heappop(heap)
-            if values[v] < 0:
-                return v
-        for v in range(self.nvars):
             if values[v] < 0:
                 return v
         return -1
 
     # ----- main loop ------------------------------------------------------
 
-    def search(self, prop_budget: int) -> str:
+    def search(self, limit: int) -> str:
+        """Search until a verdict, or UNKNOWN once stats.propagations passes limit."""
         if not self.ok:
             return UNSAT
         restart_num = 0
@@ -700,7 +661,7 @@ class _Engine:
             if conflict is not None:
                 self.stats.conflicts += 1
                 conflict_countdown -= 1
-                if self._decision_level() == 0:
+                if not self.trail_lim:
                     return UNSAT
                 learnt, bt_level = self._analyze(conflict)
                 self._backtrack(bt_level)
@@ -710,7 +671,7 @@ class _Engine:
                 self.cla_inc *= _CLA_ACT_DECAY
                 continue
 
-            if self.stats.propagations > prop_budget:
+            if self.stats.propagations > limit:
                 return UNKNOWN
             if conflict_countdown <= 0:
                 self.stats.restarts += 1
@@ -742,51 +703,38 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     """
     cfg = cfg or SolverConfig()
     t0 = time.monotonic()
+    stats = SolverStats()
 
     warm_phases = None
     if cfg.probe_candidates:
         model, greedy = _probe_candidates(cs)
         if model is not None:
-            stats = SolverStats()
             stats.wall_time_s = time.monotonic() - t0
             return SolveResult(SAT, model, stats)
         if greedy is not None:
             warm_phases = greedy.values
 
-    total_budget = int(cfg.time_budget * PROPS_PER_SECOND)
-    slice_budget = max(_MIN_SLICE, int(total_budget * _FIRST_SLICE_FRACTION))
-    remaining = total_budget
-    agg = SolverStats()
-    attempt = 0
+    # Slice k gets seed cfg.seed + k and twice the work of slice k - 1,
+    # cut at the budget.  Its limit is taken before the engine loads, so
+    # level-0 units enqueued at load count towards it.
+    budget = int(cfg.time_budget * PROPS_PER_SECOND)
+    work = max(_MIN_SLICE, int(budget * _FIRST_SLICE_FRACTION))
+    seed = cfg.seed
     verdict = UNKNOWN
-    model = None
-    while remaining > 0:
-        work = min(remaining, slice_budget)
-        engine = _Engine(cs, replace(cfg, seed=cfg.seed + attempt))
-        if warm_phases is not None:
-            for v, b in enumerate(warm_phases):
-                engine.phase[v] = b
-        verdict = engine.search(work)
-        agg.decisions += engine.stats.decisions
-        agg.conflicts += engine.stats.conflicts
-        agg.propagations += engine.stats.propagations
-        agg.restarts += engine.stats.restarts
-        agg.learned += engine.stats.learned
-        if verdict == SAT:
-            model = engine.assignment()
-            break
-        if verdict == UNSAT:
-            break
-        remaining -= max(engine.stats.propagations, _MIN_SLICE // 8)
-        slice_budget *= 2
-        attempt += 1
-    agg.wall_time_s = time.monotonic() - t0
+    while verdict == UNKNOWN and stats.propagations < budget:
+        limit = min(stats.propagations + work, budget)
+        engine = _Engine(cs, seed, warm_phases, stats)
+        verdict = engine.search(limit)
+        work *= 2
+        seed += 1
+    stats.wall_time_s = time.monotonic() - t0
 
-    if verdict == SAT:
-        if not check(cs, model):
-            raise RuntimeError("internal error: solver produced an invalid model")
-        return SolveResult(SAT, model, agg)
-    return SolveResult(verdict, None, agg)
+    if verdict != SAT:
+        return SolveResult(verdict, None, stats)
+    model = engine.assignment()
+    if not check(cs, model):
+        raise RuntimeError("internal error: solver produced an invalid model")
+    return SolveResult(SAT, model, stats)
 
 
 def _probe_candidates(cs: ConstraintSystem) -> tuple[Assignment | None, Assignment | None]:

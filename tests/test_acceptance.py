@@ -88,7 +88,7 @@ def desk_sweep():
 
 @pytest.fixture(scope="session")
 def desk_records(desk_sweep):
-    return satisfiable_records(DESK_SWEEP.out_dir, validate=False)
+    return satisfiable_records(DESK_SWEEP.out_dir)
 
 
 def test_criterion_01_encoder_soundness():

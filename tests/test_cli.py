@@ -194,6 +194,39 @@ BAD_INPUTS = [
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["variables"].__setitem__(2, ["act"]))],
      4, ["constraint system", "variables[2]"]),
+    ("export-cnf-xor-var-not-integer",
+     lambda t, s: ["export-cnf", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][FIRST_XOR]["vars"].__setitem__(0, 20.5)),
+                   "--out", str(t / "x.cnf")],
+     4, ["constraint system", f"constraints[{FIRST_XOR}]", "20.5", "integer"]),
+    ("solve-xor-var-not-integer",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][FIRST_XOR]["vars"].__setitem__(0, 20.5))],
+     4, ["constraint system", f"constraints[{FIRST_XOR}]", "20.5", "integer"]),
+    ("solve-xor-var-boolean",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][FIRST_XOR]["vars"].__setitem__(0, True))],
+     4, ["constraint system", f"constraints[{FIRST_XOR}]", "True", "integer"]),
+    ("export-cnf-xor-extra-key",
+     lambda t, s: ["export-cnf", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][FIRST_XOR].update(lits=[[0, 1]])),
+                   "--out", str(t / "x.cnf")],
+     4, ["constraint system", f"constraints[{FIRST_XOR}]", "unknown key 'lits'"]),
+    ("solve-variable-kind-unknown",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["variables"][2].__setitem__(0, "zzz"))],
+     4, ["constraint system", "variables[2]", "'zzz'"]),
+    ("export-cnf-variable-index-not-integers",
+     lambda t, s: ["export-cnf", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["variables"][3].__setitem__(1, ["q", 0.5])),
+                   "--out", str(t / "x.cnf")],
+     4, ["constraint system", "variables[3]", "integers"]),
     ("decode-record-degree-not-integer",
      lambda t, s: ["decode", "--code",
                    write_edited(t / "r.json", sweep_record(s),
@@ -220,6 +253,7 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         words = [w(small_sweep) if callable(w) else w for w in words]
         assert all(word in err for word in words), err
+        assert not (tmp_path / "x.cnf").exists()  # a failed export writes no file
 
     def test_program_fault_propagates(self, tmp_path, monkeypatch):
         def broken_solve(cs, cfg):

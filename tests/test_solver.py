@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -17,7 +18,7 @@ from stabsearch.constraints import (
     encode,
 )
 from stabsearch.graphs import sample_support_graph
-from stabsearch import solver
+from stabsearch import harness, solver
 from stabsearch.rng import RngSpec
 from stabsearch.solver import (
     SAT,
@@ -221,3 +222,87 @@ class TestDeterminism:
         assert dataclasses.replace(slow.stats, wall_time_s=0.0) == dataclasses.replace(
             steady.stats, wall_time_s=0.0
         )
+
+
+# (verdict, decisions, conflicts, propagations, restarts, learned, model hash)
+PINNED_BAND = [
+    ("unsat", 0, 0, 6, 0, 0, None),
+    ("unsat", 0, 1, 12, 0, 0, None),
+    ("sat", 1358, 627, 125196, 2, 627, "a67c09a3451bbcae"),
+    ("sat", 678, 232, 39540, 1, 232, "6a3c28439a2e8d88"),
+    ("unsat", 0, 0, 6, 0, 0, None),
+    ("unsat", 0, 1, 12, 0, 0, None),
+    ("unknown", 1590, 859, 150192, 4, 859, None),
+    ("unknown", 1699, 760, 150665, 4, 760, None),
+]
+PINNED_RANDOM = [
+    ("sat", 2, 0, 7, 0, 0, "3d5b3e09988c1358"), ("unsat", 0, 1, 9, 0, 0, None),
+    ("unsat", 3, 4, 14, 0, 1, None), ("unsat", 0, 0, 12, 0, 0, None),
+    ("sat", 3, 0, 4, 0, 0, "b40711a88c703975"), ("unsat", 0, 1, 8, 0, 0, None),
+    ("unsat", 0, 0, 2, 0, 0, None), ("unsat", 0, 1, 10, 0, 0, None),
+    ("unsat", 0, 1, 11, 0, 0, None), ("unsat", 0, 1, 10, 0, 0, None),
+    ("unsat", 0, 0, 4, 0, 0, None), ("sat", 4, 0, 6, 0, 0, "588611f65741c171"),
+    ("sat", 2, 0, 4, 0, 0, "d5e2d2ac07b741be"), ("unsat", 0, 1, 5, 0, 0, None),
+    ("sat", 21, 16, 56, 0, 16, "9261c41a5e259f45"), ("sat", 6, 0, 10, 0, 0, "e5b8b6811897fc48"),
+    ("unsat", 0, 0, 1, 0, 0, None), ("sat", 8, 0, 13, 0, 0, "eb1c3168a6374ad1"),
+    ("sat", 1, 0, 5, 0, 0, "15f2f1a4339f5f2a"), ("unsat", 0, 0, 7, 0, 0, None),
+    ("sat", 0, 0, 0, 0, 0, "df3f619804a92fdb"), ("unsat", 0, 1, 12, 0, 0, None),
+    ("sat", 5, 1, 14, 0, 1, "f2785cf850f5f4f0"), ("unsat", 0, 1, 10, 0, 0, None),
+    ("unsat", 0, 0, 6, 0, 0, None), ("unsat", 0, 1, 4, 0, 0, None),
+    ("sat", 6, 1, 12, 0, 0, "69934aa2cfc5bfff"), ("sat", 2, 1, 11, 0, 1, "b66d6696898837d1"),
+    ("sat", 5, 0, 7, 0, 0, "ac82e3cd5011c942"), ("unsat", 0, 0, 6, 0, 0, None),
+    ("sat", 2, 1, 10, 0, 1, "b60a5715460ff315"), ("sat", 2, 0, 5, 0, 0, "8e0c5acc0a2f5318"),
+    ("unsat", 0, 0, 3, 0, 0, None), ("sat", 6, 2, 23, 0, 2, "f721c253e8992313"),
+    ("unsat", 0, 0, 6, 0, 0, None), ("unsat", 0, 0, 1, 0, 0, None),
+    ("unsat", 0, 1, 2, 0, 0, None), ("sat", 10, 0, 14, 0, 0, "428bcbc1a5b54803"),
+    ("sat", 8, 0, 10, 0, 0, "ce07fb094c5e4478"), ("sat", 0, 0, 7, 0, 0, "ac82e3cd5011c942"),
+    ("sat", 3, 0, 12, 0, 0, "1ff0293aaa002d58"), ("unsat", 0, 0, 1, 0, 0, None),
+    ("unsat", 0, 1, 11, 0, 0, None), ("unsat", 0, 0, 1, 0, 0, None),
+    ("sat", 2, 0, 8, 0, 0, "6e6e1f1d04424746"), ("unsat", 0, 1, 11, 0, 0, None),
+    ("unsat", 0, 1, 11, 0, 0, None), ("sat", 2, 0, 9, 0, 0, "8e8cf23feec69e47"),
+    ("unsat", 0, 0, 3, 0, 0, None), ("sat", 4, 1, 25, 0, 0, "93992577186b34ff"),
+]
+
+
+def work_row(result) -> tuple:
+    s = result.stats
+    model = result.assignment
+    digest = None if model is None else hashlib.sha256(bytes(model.values)).hexdigest()[:16]
+    return (result.verdict, s.decisions, s.conflicts, s.propagations, s.restarts, s.learned, digest)
+
+
+class TestPinnedWork:
+    """Every solve below spends exactly the pinned work and finds the pinned model.
+
+    The work unit (propagations) prices every budgeted verdict.  A change
+    that moves these numbers is a deliberate change of the search or of
+    what a work unit counts (ROADMAP item 1), and CHANGES.md must record
+    it together with the new values.
+    """
+
+    def test_band_grid_and_random_systems(self, monkeypatch, tmp_path):
+        # the band_sweep benchmark's small grid (n=20, delta_q=3, budget 1.0), then the
+        # same grid with stabilizer-degree bounds and balance, swept serially
+        results = []
+
+        def recording_solve(cs, cfg):
+            results.append(solve(cs, cfg))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "solve", recording_solve)
+        for i, params in enumerate([
+            EncodingParams(min_qubit_degree=3),
+            EncodingParams(min_qubit_degree=3, min_stab_degree=4, max_stab_degree=8, balanced=True),
+        ]):
+            harness.run_phase_sweep(harness.SweepConfig(
+                (20,), 0.3, 0.6, 0.1, samples=1, params=params, time_budget=1.0,
+                master_seed=20240808, out_dir=str(tmp_path / str(i)),
+            ))
+        assert [work_row(r) for r in results] == PINNED_BAND
+
+        rng = random.Random(8)
+        got = []
+        for trial in range(len(PINNED_RANDOM)):
+            cs = random_system(rng, rng.randint(4, 16))
+            got.append(work_row(solve(cs, SolverConfig(time_budget=1.0, seed=trial))))
+        assert got == PINNED_RANDOM
