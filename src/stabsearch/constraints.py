@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
+from operator import contains
 from typing import Iterable, NamedTuple
 
 from .documents import fields_shape, read_document
@@ -44,7 +45,8 @@ EVEN = "even"
 BOTH = "both"
 XIND = "x"
 ZIND = "z"
-_KINDS = (ACTIVATOR, PAULI, SAME, EVEN, BOTH, XIND, ZIND)
+# What each position of a kind's index counts: q a qubit, s a stabilizer
+_INDEX_ROLES = {ACTIVATOR: "qs", PAULI: "s", SAME: "ss", EVEN: "ss", BOTH: "qss", XIND: "qs", ZIND: "qs"}
 
 
 class VarRef(NamedTuple):
@@ -153,8 +155,11 @@ class ConstraintSystem:
                     raise ValueError("constraint variable lists must be duplicate-free")
                 if isinstance(c, XorClause) and c.parity not in (0, 1):
                     raise ValueError("XOR parity must be 0 or 1")
-                if isinstance(c, Linear) and c.cmp not in (">=", "<=", "=="):
-                    raise ValueError(f"unknown comparator {c.cmp!r}")
+                if isinstance(c, Linear):
+                    if c.cmp not in (">=", "<=", "=="):
+                        raise ValueError(f"unknown comparator {c.cmp!r}")
+                    if type(c.bound) is not int:
+                        raise ValueError(f"bound {c.bound!r} is not an integer")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"constraint system: constraints[{i}]: {exc}") from None
 
@@ -183,14 +188,21 @@ class ConstraintSystem:
     def from_json(cls, source: str | dict) -> "ConstraintSystem":
         shape = dict(graph=(dict,), params=(dict,), variables=(list,), constraints=(list,))
         doc = read_document("constraint system", source, shape, version=SYSTEM_FORMAT_VERSION)
+        graph = SupportGraph.from_json(doc["graph"])
+        ranges = {kind: [range(graph.n if r == "q" else graph.m) for r in roles]
+                  for kind, roles in _INDEX_ROLES.items()}
         variables: list[VarRef] = []
         constraints: list[Constraint] = []
         try:  # on failure, the entry at fault is the first one not yet built
             for kind, index in doc["variables"]:
-                if kind not in _KINDS:
+                if type(kind) is not str or kind not in _INDEX_ROLES:
                     raise ValueError(f"unknown kind {kind!r}")
                 if type(index) is not list or not all(type(i) is int for i in index):
                     raise ValueError(f"index {index!r} is not a list of integers")
+                fits = ranges[kind]
+                if len(index) != len(fits) or not all(map(contains, fits, index)):
+                    raise ValueError(f"index {index!r} does not fit kind {kind!r} "
+                                     f"on {graph.n} qubits and {graph.m} stabilizers")
                 variables.append(VarRef(len(variables), kind, tuple(index)))
             for c in doc["constraints"]:
                 ctype = c["type"]
@@ -211,7 +223,7 @@ class ConstraintSystem:
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"constraint system: {where}: {what}") from None
         params = EncodingParams.from_dict(doc["params"])
-        return cls(SupportGraph.from_json(doc["graph"]), variables, constraints, params)
+        return cls(graph, variables, constraints, params)
 
 
 def intersecting_pairs(g: SupportGraph) -> list[tuple[int, int, tuple[int, ...]]]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .constraints import (
     ACTIVATOR,
@@ -248,6 +248,20 @@ class _Engine:
     seed drives random branching, phases (None: all zero) are the initial
     saved phases, and the search counts its work into stats, which the
     slices of one solve share.
+
+    Two invariants keep the hot path lean without changing the search:
+
+    - heap_top[v] is the key of v's newest heap entry, or None once that
+      entry is popped.  _backtrack pushes v only when its key changed,
+      so every unassigned v has the live entry (-var_act[v], v): only
+      assigned variables are bumped, and a rescale scales the keys and
+      heap_top with the activities.
+    - An OR implication's reason is its clause.  An XOR implication's is
+      (0, row_vars) and a cardinality implication's is (1, lits), with
+      lits the row's false literals at firing time, shared by every
+      literal that firing forces.  _reason_of builds the clause only when
+      analysis reads it; each of its literals precedes v on the trail,
+      so it keeps its value while v stays assigned.
     """
 
     def __init__(self, cs: ConstraintSystem, seed: int, phases: tuple[int, ...] | None,
@@ -269,6 +283,7 @@ class _Engine:
         self.var_inc = 1.0
         self.phase = bytearray(phases or nv)
         self.heap: list[tuple[float, int]] = [(0.0, v) for v in range(nv)]
+        self.heap_top: list[float | None] = [0.0] * nv
         self.rng = random.Random(seed)
         self.stats = stats
         self.ok = True
@@ -359,6 +374,7 @@ class _Engine:
         limit = self.trail_lim[target_level]
         var_act = self.var_act
         heap = self.heap
+        heap_top = self.heap_top
         for i in range(len(trail) - 1, limit - 1, -1):
             v = trail[i] >> 1
             old = values[v]
@@ -372,7 +388,10 @@ class _Engine:
             else:
                 for entry in self.locc[v]:
                     entry[4] += 1
-            heappush(heap, (-var_act[v], v))
+            key = -var_act[v]
+            if heap_top[v] != key:
+                heap_top[v] = key
+                heappush(heap, (key, v))
         del trail[limit:]
         del self.trail_lim[target_level:]
         self.qhead = len(trail)
@@ -382,9 +401,9 @@ class _Engine:
     def _fire(self, entry) -> list[int] | None:
         """Enqueue what a cardinality row forces; returns a conflict reason or None.
 
-        A forced literal's reason is itself followed by the row's false
-        literals (at-least rows) or true literals (at-most rows), which
-        forcing leaves unchanged.
+        The row's false literals (its false variables in an at-least row,
+        the negations of its true variables in an at-most row) are the
+        conflict, or the shared reason (1, lits) of every literal it forces.
         """
         vars_, bound, atleast, n_true, n_un = entry
         if atleast:
@@ -403,10 +422,10 @@ class _Engine:
             if n_true > bound:
                 return reason
         want = 0 if atleast else 1
+        reason = (1, reason)
         for u in vars_:
             if values[u] < 0:
-                implied = 2 * u + want
-                self._enqueue(implied, [implied] + reason)
+                self._enqueue(2 * u + want, reason)
         return None
 
     def _propagate(self):
@@ -482,9 +501,7 @@ class _Engine:
                         if u != other:
                             acc ^= values[u]
                     if values[other] < 0:
-                        implied = 2 * other + (acc ^ 1)
-                        reason = [implied] + [2 * u + values[u] for u in vars_ if u != other]
-                        self._enqueue(implied, reason)
+                        self._enqueue(2 * other + (acc ^ 1), (0, vars_))
                     elif values[other] != acc:
                         kept.extend(xl[j:])
                         self.xwatches[v] = kept
@@ -500,12 +517,28 @@ class _Engine:
 
     # ----- conflict analysis -------------------------------------------
 
+    def _reason_of(self, v: int) -> list[int] | None:
+        """v's reason as a clause: its true literal first, then false literals."""
+        r = self.reason[v]
+        if type(r) is not tuple:
+            return r
+        kind, lits = r
+        implied = 2 * v + (self.values[v] ^ 1)
+        if kind:  # cardinality: the row's false literals at firing time
+            return [implied] + lits
+        values = self.values  # XOR: every other row variable, assigned before v
+        return [implied] + [2 * u + values[u] for u in lits if u != v]
+
     def _bump_var(self, v: int):
         act = self.var_act[v] + self.var_inc
         if act > 1e100:
             scale = 1e-100
             for i in range(self.nvars):
                 self.var_act[i] *= scale
+                if self.heap_top[i] is not None:
+                    self.heap_top[i] *= scale
+            self.heap[:] = [(key * scale, u) for key, u in self.heap]
+            heapify(self.heap)
             self.var_inc *= scale
             act = self.var_act[v] + self.var_inc
         self.var_act[v] = act
@@ -553,9 +586,8 @@ class _Engine:
             counter -= 1
             if counter == 0:
                 break
-            r = self.reason[p >> 1]
-            self._bump_clause(r)
-            reason_lits = r
+            self._bump_clause(self.reason[p >> 1])
+            reason_lits = self._reason_of(p >> 1)
             start = 1
         learnt[0] = p ^ 1
 
@@ -566,7 +598,7 @@ class _Engine:
                 seen[q >> 1] = 1
             kept = [learnt[0]]
             for q in learnt[1:]:
-                r = self.reason[q >> 1]
+                r = self._reason_of(q >> 1)
                 if r is None:
                     kept.append(q)
                     continue
@@ -639,9 +671,12 @@ class _Engine:
                     return v
                 v = (v + 1) % self.nvars
             return -1
-        heap = self.heap  # _backtrack pushes every variable it unassigns
+        heap = self.heap
+        heap_top = self.heap_top
         while heap:
-            _, v = heappop(heap)
+            key, v = heappop(heap)
+            if heap_top[v] == key:
+                heap_top[v] = None
             if values[v] < 0:
                 return v
         return -1

@@ -5,7 +5,7 @@ import pytest
 
 from stabsearch import cli, harness
 from stabsearch.cli import main
-from stabsearch.constraints import XorClause, encode
+from stabsearch.constraints import PAULI, EncodingParams, Linear, XorClause, encode
 from stabsearch.css import shor_code
 from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch.harness import (
@@ -101,6 +101,10 @@ def first_name(pattern):
 NON_COMMUTING = '{"hx": ["110"], "hz": ["100"], "n": 3}'
 LAST_CONSTRAINT = len(encode(GRAPH).constraints) - 1
 FIRST_XOR = next(i for i, c in enumerate(encode(GRAPH).constraints) if isinstance(c, XorClause))
+DEGREE_CS = encode(GRAPH, EncodingParams(min_qubit_degree=1))
+DEGREE_SYSTEM = DEGREE_CS.to_json()
+FIRST_PAULI = next(v.id for v in DEGREE_CS.variables if v.kind == PAULI)
+FIRST_LINEAR = next(i for i, c in enumerate(DEGREE_CS.constraints) if isinstance(c, Linear))
 
 # (name, argv builder, exit code, words of the error line); each builder
 # gets tmp_path and the shared sweep, and a callable word gets the sweep
@@ -227,6 +231,39 @@ BAD_INPUTS = [
                                 lambda d: d["variables"][3].__setitem__(1, ["q", 0.5])),
                    "--out", str(t / "x.cnf")],
      4, ["constraint system", "variables[3]", "integers"]),
+    ("solve-pauli-index-past-graph",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", DEGREE_SYSTEM,
+                                lambda d: d["variables"][FIRST_PAULI].__setitem__(1, [99]))],
+     4, ["constraint system", f"variables[{FIRST_PAULI}]", "[99]", "'p'", "4 stabilizers"]),
+    ("export-cnf-pauli-index-past-graph",
+     lambda t, s: ["export-cnf", "--system",
+                   write_edited(t / "s.json", DEGREE_SYSTEM,
+                                lambda d: d["variables"][FIRST_PAULI].__setitem__(1, [99])),
+                   "--out", str(t / "x.cnf")],
+     4, ["constraint system", f"variables[{FIRST_PAULI}]", "[99]", "'p'"]),
+    ("solve-pauli-index-empty",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", DEGREE_SYSTEM,
+                                lambda d: d["variables"][FIRST_PAULI].__setitem__(1, []))],
+     4, ["constraint system", f"variables[{FIRST_PAULI}]", "[]", "'p'"]),
+    ("export-cnf-activator-qubit-past-graph",
+     lambda t, s: ["export-cnf", "--system",
+                   write_edited(t / "s.json", DEGREE_SYSTEM,
+                                lambda d: d["variables"][0].__setitem__(1, [5, 0])),
+                   "--out", str(t / "x.cnf")],
+     4, ["constraint system", "variables[0]", "[5, 0]", "5 qubits"]),
+    ("solve-linear-bound-not-integer",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", DEGREE_SYSTEM,
+                                lambda d: d["constraints"][FIRST_LINEAR].update(bound=1.5))],
+     4, ["constraint system", f"constraints[{FIRST_LINEAR}]", "1.5", "integer"]),
+    ("export-cnf-linear-bound-boolean",
+     lambda t, s: ["export-cnf", "--system",
+                   write_edited(t / "s.json", DEGREE_SYSTEM,
+                                lambda d: d["constraints"][FIRST_LINEAR].update(bound=True)),
+                   "--out", str(t / "x.cnf")],
+     4, ["constraint system", f"constraints[{FIRST_LINEAR}]", "True", "integer"]),
     ("decode-record-degree-not-integer",
      lambda t, s: ["decode", "--code",
                    write_edited(t / "r.json", sweep_record(s),

@@ -19,7 +19,7 @@ from stabsearch.constraints import (
 )
 from stabsearch.graphs import sample_support_graph
 from stabsearch import harness, solver
-from stabsearch.rng import RngSpec
+from stabsearch.rng import RngSpec, stable_hash64
 from stabsearch.solver import (
     SAT,
     UNKNOWN,
@@ -306,3 +306,101 @@ class TestPinnedWork:
             cs = random_system(rng, rng.randint(4, 16))
             got.append(work_row(solve(cs, SolverConfig(time_budget=1.0, seed=trial))))
         assert got == PINNED_RANDOM
+
+
+def band_system() -> ConstraintSystem:
+    """The band_sweep small grid's gamma=0.5 system (n=20, m=18, delta_q=3)."""
+    g = sample_support_graph(20, 18, 0.5, RngSpec(20240808, stable_hash64(20, 0.5, 0)))
+    return encode(g, EncodingParams(min_qubit_degree=3))
+
+
+def check_heap_entries(engine):
+    """Every unassigned variable has the heap entry (-var_act[v], v)."""
+    entries = set(engine.heap)
+    for v in range(engine.nvars):
+        if engine.values[v] < 0:
+            assert (-engine.var_act[v], v) in entries
+
+
+def check_reasons(engine):
+    """Each implied variable's reason is its true literal, then false literals set before it."""
+    position = {lit >> 1: i for i, lit in enumerate(engine.trail)}
+    for i, lit in enumerate(engine.trail):
+        r = engine._reason_of(lit >> 1)
+        if r is None:
+            continue
+        assert r[0] == lit
+        for q in r[1:]:
+            assert engine.values[q >> 1] == q & 1
+            assert position[q >> 1] < i
+
+
+def hook_engine(monkeypatch, method, before):
+    """Call before(engine) ahead of every call of _Engine.method; returns the call log."""
+    original = getattr(solver._Engine, method)
+    calls = []
+
+    def hooked(engine, *args):
+        before(engine)
+        calls.append(method)
+        return original(engine, *args)
+
+    monkeypatch.setattr(solver._Engine, method, hooked)
+    return calls
+
+
+class TestEngineInvariants:
+    """The heap and reason invariants of _Engine's docstring hold inside real searches."""
+
+    @staticmethod
+    def solve_all():
+        rng = random.Random(5)
+        for trial in range(60):
+            cs = random_system(rng, rng.randint(4, 16))
+            solve(cs, SolverConfig(time_budget=1.0, seed=trial, probe_candidates=False))
+        result = solve(band_system(), SolverConfig(time_budget=1.0, seed=1))
+        assert result.verdict == UNKNOWN and result.stats.restarts > 1
+
+    def test_unassigned_variables_have_current_heap_entries(self, monkeypatch):
+        calls = hook_engine(monkeypatch, "_pick_branch_var", check_heap_entries)
+        self.solve_all()
+        assert len(calls) > 1500
+
+    def test_reasons_are_true_literal_then_earlier_false_literals(self, monkeypatch):
+        calls = hook_engine(monkeypatch, "_analyze", check_reasons)
+        self.solve_all()
+        assert len(calls) > 800
+
+
+class TestActivityRescale:
+    """Scaling every activity by 1e-100 scales the heap keys with them."""
+
+    def test_next_pick_has_highest_current_activity(self, monkeypatch):
+        monkeypatch.setattr(solver, "_RANDOM_BRANCH_FREQ", 0.0)
+        engine = solver._Engine(raw_system(4, []), 0, None, solver.SolverStats())
+
+        def bump_at_level_one(v, inc):
+            engine.trail_lim.append(len(engine.trail))
+            engine._enqueue(2 * v, None)
+            engine.var_inc = inc
+            engine._bump_var(v)
+            engine._backtrack(0)
+
+        bump_at_level_one(0, 1e99)  # pushed with key -1e99
+        bump_at_level_one(1, 2e100)  # rescales: var 0 drops to 0.1, var 1 ends at 2
+        assert engine.var_act[0] < engine.var_act[1] < 1e99
+        assert engine._pick_branch_var() == 1
+
+    def test_heap_entries_stay_current_across_rescales(self, monkeypatch):
+        original_init = solver._Engine.__init__
+        engines = []
+
+        def init_near_rescale(engine, *args):
+            original_init(engine, *args)
+            engine.var_inc = 1e97  # passes 1e100 after at most a few hundred conflicts
+            engines.append(engine)
+
+        monkeypatch.setattr(solver._Engine, "__init__", init_near_rescale)
+        hook_engine(monkeypatch, "_pick_branch_var", check_heap_entries)
+        solve(band_system(), SolverConfig(time_budget=1.0, seed=1))
+        assert sum(e.var_inc < 1e97 for e in engines) >= 2  # var_inc only falls in a rescale
