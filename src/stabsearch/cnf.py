@@ -12,10 +12,16 @@ original variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable
 
-from .constraints import ConstraintSystem, OrClause, XorClause
+from .constraints import ConstraintSystem, OrClause, XorClause, gc_paused
 from .solver import Assignment
+
+# (width, parity) -> the sign patterns a width <= 3 parity forbids, one clause each
+_PARITY_SIGNS = {(w, p): [tuple(-1 if bits >> i & 1 else 1 for i in range(w))
+                          for bits in range(1 << w) if bits.bit_count() & 1 != p]
+                 for w in range(4) for p in (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -59,25 +65,20 @@ class _CnfBuilder:
         self.emit(-t)
 
     def parity_direct(self, dvars: list[int], parity: int):
-        """Truth-table expansion of XOR(dvars) = parity; width <= 3 intended."""
-        w = len(dvars)
-        for bits in range(1 << w):
-            if bin(bits).count("1") & 1 == parity:
-                continue  # satisfying pattern, nothing to forbid
-            self.emit(*(-dvars[i] if (bits >> i) & 1 else dvars[i] for i in range(w)))
+        """Truth-table expansion of XOR(dvars) = parity, width <= 3."""
+        self.clauses.extend([tuple(map(mul, signs, dvars))
+                             for signs in _PARITY_SIGNS[len(dvars), parity]])
 
     def parity(self, dvars: list[int], parity: int):
         if len(dvars) <= 3:
             self.parity_direct(dvars, parity)
             return
-        rest = list(dvars)
-        acc = rest.pop(0)
-        while len(rest) > 1:
-            nxt = rest.pop(0)
+        acc = dvars[0]
+        for nxt in dvars[1:-1]:
             t = self.fresh()
             self.parity_direct([acc, nxt, t], 0)  # t = acc xor nxt
             acc = t
-        self.parity_direct([acc, rest[0]], parity)
+        self.parity_direct([acc, dvars[-1]], parity)
 
     def at_most(self, lits: list[int], k: int):
         """Sequential-counter at-most-k over DIMACS literals."""
@@ -122,6 +123,7 @@ class _CnfBuilder:
         self.at_most([-l for l in lits], w - b)
 
 
+@gc_paused
 def export_cnf(cs: ConstraintSystem) -> CnfExport:
     """Render a constraint system as DIMACS CNF with a variable side-table."""
     n_orig = cs.num_vars
@@ -130,7 +132,7 @@ def export_cnf(cs: ConstraintSystem) -> CnfExport:
 
     for c in cs.constraints:
         if isinstance(c, OrClause):
-            b.emit(*((v + 1) if pos else -(v + 1) for v, pos in c.lits))
+            b.clauses.append(tuple([v + 1 if pos else -v - 1 for v, pos in c.lits]))
         elif isinstance(c, XorClause):
             b.parity([v + 1 for v in c.vars], c.parity)
         else:
@@ -144,7 +146,7 @@ def export_cnf(cs: ConstraintSystem) -> CnfExport:
     lines = ["c stabsearch constraint system export"]
     lines.extend(f"c map {orig} {dim}" for orig, dim in var_map.items())
     lines.append(f"p cnf {num_vars} {len(b.clauses)}")
-    lines.extend(" ".join(str(l) for l in clause) + " 0" for clause in b.clauses)
+    lines.extend([" ".join(map(str, clause)) + " 0" for clause in b.clauses])
     return CnfExport(
         text="\n".join(lines) + "\n",
         var_map=var_map,

@@ -26,6 +26,8 @@ expands them only on export.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -120,6 +122,24 @@ class EncodingParams:
         return cls(**read_document("encoding params", doc, *fields_shape(cls)))
 
 
+def gc_paused(fn):
+    """fn with the cyclic collector paused while it runs (the builders create no
+    reference cycles).  If this call disabled it, one young pass over what fn
+    left alive runs here, not at the caller's next allocation, and the
+    collector is re-enabled."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.collect(0)
+                gc.enable()
+    return paused
+
+
 class ConstraintSystem:
     """Immutable bundle of a graph, a variable table and constraints.
 
@@ -153,8 +173,10 @@ class ConstraintSystem:
                     raise ValueError("OR/XOR constraints must be non-empty")
                 if len(set(ids)) != len(ids):
                     raise ValueError("constraint variable lists must be duplicate-free")
-                if isinstance(c, XorClause) and c.parity not in (0, 1):
-                    raise ValueError("XOR parity must be 0 or 1")
+                if isinstance(c, XorClause) and (type(c.parity) is not int or c.parity not in (0, 1)):
+                    raise ValueError(f"XOR parity {c.parity!r} is not 0 or 1")
+                if type(c.tag) is not str:
+                    raise ValueError(f"tag {c.tag!r} is not a string")
                 if isinstance(c, Linear):
                     if c.cmp not in (">=", "<=", "=="):
                         raise ValueError(f"unknown comparator {c.cmp!r}")
@@ -167,24 +189,33 @@ class ConstraintSystem:
     def num_vars(self) -> int:
         return len(self.variables)
 
+    @gc_paused
     def to_json(self) -> str:
-        def cdoc(c: Constraint) -> dict:
+        """json.dumps(document, sort_keys=True), with each constraint written directly."""
+        tags: dict[str, str] = {}
+        out = []
+        for c in self.constraints:
+            tag = tags.get(c.tag) or tags.setdefault(c.tag, json.dumps(c.tag))
             if isinstance(c, OrClause):
-                return {"type": "or", "lits": [[v, int(pos)] for v, pos in c.lits], "tag": c.tag}
-            if isinstance(c, XorClause):
-                return {"type": "xor", "vars": list(c.vars), "parity": c.parity, "tag": c.tag}
-            return {"type": "linear", "vars": list(c.vars), "cmp": c.cmp, "bound": c.bound, "tag": c.tag}
-
-        doc = {
-            "format_version": SYSTEM_FORMAT_VERSION,
-            "graph": json.loads(self.graph.to_json()),
-            "params": self.params.to_dict(),
-            "variables": [[v.kind, list(v.index)] for v in self.variables],
-            "constraints": [cdoc(c) for c in self.constraints],
-        }
-        return json.dumps(doc, sort_keys=True)
+                lits = ", ".join(["[%d, %d]" % lit for lit in c.lits])
+                out.append('{"lits": [%s], "tag": %s, "type": "or"}' % (lits, tag))
+            elif isinstance(c, XorClause):
+                out.append('{"parity": %d, "tag": %s, "type": "xor", "vars": [%s]}'
+                           % (c.parity, tag, ", ".join(map(str, c.vars))))
+            else:
+                out.append('{"bound": %d, "cmp": "%s", "tag": %s, "type": "linear", "vars": [%s]}'
+                           % (c.bound, c.cmp, tag, ", ".join(map(str, c.vars))))
+        tail = '], "format_version": %d, "graph": %s, "params": %s, "variables": %s}' % (
+            SYSTEM_FORMAT_VERSION, self.graph.to_json(), json.dumps(self.params.to_dict(), sort_keys=True),
+            json.dumps([[v.kind, list(v.index)] for v in self.variables]))
+        if not out:
+            return '{"constraints": [' + tail
+        out[0] = '{"constraints": [' + out[0]  # the end pieces carry head and tail: one join
+        out[-1] += tail
+        return ", ".join(out)
 
     @classmethod
+    @gc_paused
     def from_json(cls, source: str | dict) -> "ConstraintSystem":
         shape = dict(graph=(dict,), params=(dict,), variables=(list,), constraints=(list,))
         doc = read_document("constraint system", source, shape, version=SYSTEM_FORMAT_VERSION)
@@ -207,7 +238,9 @@ class ConstraintSystem:
             for c in doc["constraints"]:
                 ctype = c["type"]
                 if ctype == "or":
-                    con = OrClause(tuple((v, bool(pos)) for v, pos in c["lits"]), c["tag"])
+                    con = OrClause(tuple((v, pos == 1) for v, pos in c["lits"]), c["tag"])
+                    if bad := [pos for _, pos in c["lits"] if type(pos) is not int or pos not in (0, 1)]:
+                        raise ValueError(f"literal sign {bad[0]!r} is not 0 or 1")
                 elif ctype == "xor":
                     con = XorClause(tuple(c["vars"]), c["parity"], c["tag"])
                 elif ctype == "linear":
@@ -247,6 +280,7 @@ def _and_definition(target: int, in1: int, in2: int, tag: str, pos2: bool = True
     ]
 
 
+@gc_paused
 def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintSystem:
     """Build the constraint system for a support graph in one pass.
 

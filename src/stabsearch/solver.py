@@ -42,6 +42,7 @@ from .constraints import (
     Linear,
     OrClause,
     XorClause,
+    gc_paused,
 )
 
 SAT = "sat"
@@ -729,6 +730,7 @@ class _Engine:
         return Assignment(tuple(self.values))
 
 
+@gc_paused
 def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     """Decide a constraint system: sat with a model, unsat, or unknown.
 
@@ -777,11 +779,13 @@ def _probe_candidates(cs: ConstraintSystem) -> tuple[Assignment | None, Assignme
 
     Returns (model, greedy): the first probe that satisfies cs, if any,
     and the completed greedy degree candidate, if one was built, which
-    the search takes as its initial phases.
+    the search takes as its initial phases.  A positive minimum degree
+    rules out the all-inactive probe.
     """
-    zero = consistent_completion(cs, {}, [0] * cs.graph.m)
-    if check(cs, zero):
-        return zero, None
+    if not (cs.params.min_qubit_degree or cs.params.min_stab_degree):
+        zero = consistent_completion(cs, {}, [0] * cs.graph.m)
+        if check(cs, zero):
+            return zero, None
     candidate = _greedy_degree_candidate(cs)
     if candidate is None:
         return None, None

@@ -10,11 +10,15 @@ evaluation code with the package's solver or rank-based fast paths:
 - explicit enumeration of region Paulis and stabilizer subsets for
   erasure class counting;
 - the erasure trial loop in its original form: one stream draw per
-  qubit and four dense ranks per trial.
+  qubit and four dense ranks per trial;
+- the system document and the DIMACS text in their original form: a
+  dict per constraint through json.dumps, and a clause per forbidden
+  parity pattern found by enumeration.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 from stabsearch.constraints import ConstraintSystem, OrClause, XorClause
@@ -202,3 +206,105 @@ def reference_failure_rate(code: CssCode, p: float, trials: int, rng: RngSpec,
     if trials > 1:
         half = Z95 * math.sqrt(max(0.0, (sum_sq - trials * mean * mean) / (trials - 1)) / trials)
     return DecodingReport(p, trials, fail_sum, mean, half, estimator, sum_sq)
+
+
+def reference_system_json(cs: ConstraintSystem) -> str:
+    """The v1 system document as json.dumps of one dict per constraint."""
+    def cdoc(c) -> dict:
+        if isinstance(c, OrClause):
+            return {"type": "or", "lits": [[v, int(pos)] for v, pos in c.lits], "tag": c.tag}
+        if isinstance(c, XorClause):
+            return {"type": "xor", "vars": list(c.vars), "parity": c.parity, "tag": c.tag}
+        return {"type": "linear", "vars": list(c.vars), "cmp": c.cmp, "bound": c.bound, "tag": c.tag}
+
+    doc = {
+        "format_version": 1,
+        "graph": json.loads(cs.graph.to_json()),
+        "params": cs.params.to_dict(),
+        "variables": [[v.kind, list(v.index)] for v in cs.variables],
+        "constraints": [cdoc(c) for c in cs.constraints],
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def reference_dimacs(cs: ConstraintSystem) -> str:
+    """The DIMACS text of cnf.export_cnf, one clause at a time.
+
+    Parities of width <= 3 forbid each odd/even pattern found by counting
+    bits, wider ones chain through fresh auxiliaries; cardinalities are
+    sequential counters over auxiliaries numbered after the variables.
+    """
+    clauses: list[tuple[int, ...]] = []
+    top = [cs.num_vars]
+
+    def fresh() -> int:
+        top[0] += 1
+        return top[0]
+
+    def parity_direct(ds, parity):
+        for bits in range(1 << len(ds)):
+            if bin(bits).count("1") % 2 != parity:
+                clauses.append(tuple(-d if (bits >> i) & 1 else d for i, d in enumerate(ds)))
+
+    def parity_chain(ds, parity):
+        if len(ds) <= 3:
+            return parity_direct(ds, parity)
+        acc = ds[0]
+        for d in ds[1:-1]:
+            t = fresh()
+            parity_direct([acc, d, t], 0)
+            acc = t
+        parity_direct([acc, ds[-1]], parity)
+
+    def at_most(lits, k):
+        w = len(lits)
+        if k >= w:
+            return
+        if k < 0:
+            t = fresh()
+            clauses.extend([(t,), (-t,)])
+            return
+        if k == 0:
+            clauses.extend((-l,) for l in lits)
+            return
+        s = [[0] * (k + 1) for _ in range(w - 1)]
+        for i in range(w - 1):
+            for j in range(1, min(i + 1, k) + 1):
+                s[i][j] = fresh()
+        clauses.append((-lits[0], s[0][1]))
+        for i in range(1, w - 1):
+            clauses.append((-lits[i], s[i][1]))
+            clauses.append((-s[i - 1][1], s[i][1]))
+            for j in range(2, min(i + 1, k) + 1):
+                clauses.append((-lits[i], -s[i - 1][j - 1], s[i][j]))
+                if j <= i:
+                    clauses.append((-s[i - 1][j], s[i][j]))
+            if i >= k:
+                clauses.append((-lits[i], -s[i - 1][k]))
+        clauses.append((-lits[w - 1], -s[w - 2][k]))
+
+    def at_least(lits, b):
+        if b > len(lits):
+            t = fresh()
+            clauses.extend([(t,), (-t,)])
+        elif b == len(lits):
+            clauses.extend((l,) for l in lits)
+        elif b > 0:
+            at_most([-l for l in lits], len(lits) - b)
+
+    for c in cs.constraints:
+        if isinstance(c, OrClause):
+            clauses.append(tuple(v + 1 if pos else -(v + 1) for v, pos in c.lits))
+        elif isinstance(c, XorClause):
+            parity_chain([v + 1 for v in c.vars], c.parity)
+        else:
+            lits = [v + 1 for v in c.vars]
+            if c.cmp in (">=", "=="):
+                at_least(lits, c.bound)
+            if c.cmp in ("<=", "=="):
+                at_most(lits, c.bound)
+    lines = ["c stabsearch constraint system export"]
+    lines += [f"c map {v} {v + 1}" for v in range(cs.num_vars)]
+    lines.append(f"p cnf {top[0]} {len(clauses)}")
+    lines += [" ".join(str(l) for l in clause) + " 0" for clause in clauses]
+    return "\n".join(lines) + "\n"

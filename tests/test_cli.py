@@ -5,7 +5,7 @@ import pytest
 
 from stabsearch import cli, harness
 from stabsearch.cli import main
-from stabsearch.constraints import PAULI, EncodingParams, Linear, XorClause, encode
+from stabsearch.constraints import PAULI, EncodingParams, Linear, OrClause, XorClause, encode
 from stabsearch.css import shor_code
 from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch.harness import (
@@ -101,6 +101,7 @@ def first_name(pattern):
 NON_COMMUTING = '{"hx": ["110"], "hz": ["100"], "n": 3}'
 LAST_CONSTRAINT = len(encode(GRAPH).constraints) - 1
 FIRST_XOR = next(i for i, c in enumerate(encode(GRAPH).constraints) if isinstance(c, XorClause))
+FIRST_OR = next(i for i, c in enumerate(encode(GRAPH).constraints) if isinstance(c, OrClause))
 DEGREE_CS = encode(GRAPH, EncodingParams(min_qubit_degree=1))
 DEGREE_SYSTEM = DEGREE_CS.to_json()
 FIRST_PAULI = next(v.id for v in DEGREE_CS.variables if v.kind == PAULI)
@@ -264,6 +265,39 @@ BAD_INPUTS = [
                                 lambda d: d["constraints"][FIRST_LINEAR].update(bound=True)),
                    "--out", str(t / "x.cnf")],
      4, ["constraint system", f"constraints[{FIRST_LINEAR}]", "True", "integer"]),
+    ("solve-or-sign-2",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][FIRST_OR]["lits"][1].__setitem__(1, 2))],
+     4, ["constraint system", f"constraints[{FIRST_OR}]", "sign 2"]),
+    ("export-cnf-or-sign-string",
+     lambda t, s: ["export-cnf", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][FIRST_OR]["lits"][0].__setitem__(1, "x")),
+                   "--out", str(t / "x.cnf")],
+     4, ["constraint system", f"constraints[{FIRST_OR}]", "sign 'x'"]),
+    ("solve-or-sign-boolean",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][FIRST_OR]["lits"][0].__setitem__(1, True))],
+     4, ["constraint system", f"constraints[{FIRST_OR}]", "sign True"]),
+    ("export-cnf-xor-parity-boolean",
+     lambda t, s: ["export-cnf", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][FIRST_XOR].update(parity=True)),
+                   "--out", str(t / "x.cnf")],
+     4, ["constraint system", f"constraints[{FIRST_XOR}]", "parity True"]),
+    ("solve-tag-integer",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][FIRST_XOR].update(tag=5))],
+     4, ["constraint system", f"constraints[{FIRST_XOR}]", "tag 5"]),
+    ("export-cnf-tag-list",
+     lambda t, s: ["export-cnf", "--system",
+                   write_edited(t / "s.json", encode(GRAPH).to_json(),
+                                lambda d: d["constraints"][LAST_CONSTRAINT].update(tag=[1])),
+                   "--out", str(t / "x.cnf")],
+     4, ["constraint system", f"constraints[{LAST_CONSTRAINT}]", "tag [1]"]),
     ("decode-record-degree-not-integer",
      lambda t, s: ["decode", "--code",
                    write_edited(t / "r.json", sweep_record(s),

@@ -1,11 +1,16 @@
 import random
 from itertools import product
 
+import pytest
+
 from stabsearch.cnf import export_cnf
-from stabsearch.constraints import Linear, OrClause, XorClause
+from stabsearch.constraints import EncodingParams, Linear, OrClause, XorClause, encode
+from stabsearch.graphs import sample_support_graph
+from stabsearch.rng import RngSpec
 from stabsearch.solver import SAT, SolverConfig, check, solve
 
-from oracles import brute_force_verdict
+import test_constraints
+from oracles import brute_force_verdict, reference_dimacs
 from test_solver import random_system, raw_system
 
 
@@ -108,3 +113,28 @@ def test_var_map_comments_present():
     export = export_cnf(cs)
     assert "c map 0 1" in export.text
     assert "c map 2 3" in export.text
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+@pytest.mark.parametrize("parity", (0, 1))
+def test_xor_text_matches_reference(width, parity):
+    cs = raw_system(width + 1, [XorClause(tuple(range(width, 0, -1)), parity, "t"),
+                                OrClause(((0, False), (width, True)), "t")])
+    assert export_cnf(cs).text == reference_dimacs(cs)
+
+
+@pytest.mark.parametrize("cmp_", (">=", "<=", "=="))
+def test_cardinality_text_matches_reference(cmp_):
+    rows = [Linear(tuple(range(w)), cmp_, bound, "t") for w in range(6) for bound in range(-1, w + 2)]
+    cs = raw_system(5, rows)
+    assert export_cnf(cs).text == reference_dimacs(cs)
+
+
+def test_random_and_encoded_text_matches_reference():
+    rng = random.Random(77)
+    systems = [random_system(rng, rng.randint(3, 12)) for _ in range(30)]
+    g = sample_support_graph(10, 9, 0.4, RngSpec(2))
+    systems += [encode(g, params) for params, _ in test_constraints.TestLayout.FAMILIES.values()]
+    systems.append(encode(g, EncodingParams()))
+    for cs in systems:
+        assert export_cnf(cs).text == reference_dimacs(cs)

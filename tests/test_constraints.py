@@ -35,8 +35,9 @@ from stabsearch.graphs import SupportGraph, sample_support_graph, shared_qubits
 from stabsearch.rng import RngSpec
 from stabsearch.solver import Assignment, check, consistent_completion
 
-from oracles import assignment_bits, satisfying_set
+from oracles import assignment_bits, reference_system_json, satisfying_set
 from test_graphs import fig_two_stabilizers_graph
+from test_solver import free_variables
 
 
 def semantic_commutes(g, activators, paulis):
@@ -229,6 +230,34 @@ class TestLayout:
         assert head == [(ACTIVATOR, e) for e in g.edges] + [(PAULI, (s,)) for s in range(g.m)]
 
 
+class TestSystemDocument:
+    """to_json writes the bytes of json.dumps over one dict per constraint."""
+
+    FAMILIES = TestLayout.FAMILIES
+
+    @pytest.mark.parametrize("family", ["none", *sorted(FAMILIES)])
+    def test_system_json_matches_dict_oracle(self, family):
+        params = self.FAMILIES[family][0] if family in self.FAMILIES else None
+        for seed in range(3):
+            cs = encode(sample_support_graph(10, 9, 0.4, RngSpec(seed)), params)
+            assert cs.to_json() == reference_system_json(cs)
+
+    def test_hand_built_system_json_matches_dict_oracle(self):
+        tags = ['say "hi"', "back\\slash", "naïve ✓", "tab\tnew\nline", ""]
+        g, variables = free_variables(4)
+        cs = ConstraintSystem(g, variables, [
+            OrClause(((0, True), (3, False)), tags[0]),
+            XorClause((1, 2), 0, tags[1]),
+            Linear((0, 1, 2), "==", 2, tags[2]),
+            OrClause(((2, 1),), tags[3]),
+            Linear((), "<=", 0, tags[4]),
+        ])
+        assert cs.to_json() == reference_system_json(cs)
+        assert ConstraintSystem.from_json(cs.to_json()).to_json() == cs.to_json()
+        empty = ConstraintSystem(g, variables, [])
+        assert empty.to_json() == reference_system_json(empty)
+
+
 class TestSystemValidation:
     def _vars(self, g):
         from stabsearch.constraints import ACTIVATOR, VarRef
@@ -256,8 +285,16 @@ class TestSystemValidation:
         g = sample_support_graph(3, 1, 1.0, RngSpec(0))
         with pytest.raises(ValueError):
             ConstraintSystem(g, self._vars(g), [XorClause((0, 1), 2, "t")])
+        with pytest.raises(ValueError, match="parity True"):
+            ConstraintSystem(g, self._vars(g), [XorClause((0, 1), True, "t")])
         with pytest.raises(ValueError):
             ConstraintSystem(g, self._vars(g), [Linear((0, 1), ">", 1, "t")])
+
+    @pytest.mark.parametrize("tag", [5, [1], None, b"t"])
+    def test_non_string_tag_rejected(self, tag):
+        g = sample_support_graph(3, 1, 1.0, RngSpec(0))
+        with pytest.raises(ValueError, match=r"constraints\[1\]: tag"):
+            ConstraintSystem(g, self._vars(g), [OrClause(((0, True),), "t"), OrClause(((1, True),), tag)])
 
     def test_empty_linear_allowed(self):
         # an empty sum is a legitimate (vacuous or unsatisfiable) bound

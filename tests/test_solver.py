@@ -133,6 +133,22 @@ class TestSolveBasics:
             assert solve(cs, SolverConfig(time_budget=1)).verdict == brute_force_verdict(cs)
 
 
+class TestProbes:
+    def test_degree_bounded_solve_never_checks_the_all_inactive_completion(self, monkeypatch):
+        # a positive minimum qubit degree rules the all-inactive probe out
+        cs = band_system()
+        zero = consistent_completion(cs, {}, [0] * cs.graph.m)
+        checked = []
+
+        def recording_check(cs_, a):
+            checked.append(a)
+            return check(cs_, a)
+
+        monkeypatch.setattr(solver, "check", recording_check)
+        solve(cs, SolverConfig(time_budget=0.2, seed=1))
+        assert checked and zero not in checked
+
+
 class TestOracleAgreement:
     def test_agreement_on_random_systems(self):
         rng = random.Random(2024)
