@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .css import CommutationError, CssCode, check_commutation
-from .gf2 import rank_int_rows, rank_masked
+from .gf2 import kernel, rank_int_rows, rank_masked
 from .rng import CounterStream, RngSpec
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -88,19 +88,6 @@ def _independent(rows: list[int], pivots: dict[int, int]) -> list[int]:
     return out
 
 
-def _kernel(rows: list[int], n: int) -> list[int]:
-    """A basis of the vectors with even overlap against every row."""
-    piv: dict[int, int] = {}  # pivot column -> row, zero in every other pivot column
-    for row in rows:
-        for c, r in piv.items():
-            if row >> c & 1:
-                row ^= r
-        if row:
-            b = row.bit_length() - 1
-            piv = {c: r ^ row if r >> b & 1 else r for c, r in piv.items()} | {b: row}
-    return [1 << f | sum(1 << c for c, r in piv.items() if r >> f & 1) for f in range(n) if f not in piv]
-
-
 def _gain(basis: list[int], logicals: list[int], s: int, size: int) -> int:
     """rank([basis; logicals] on s) - rank(basis on s) in one elimination,
     stopping once the pivots span the |s| = size columns."""
@@ -130,7 +117,8 @@ def _class_counter(c: CssCode):
         raise CommutationError("check matrices do not commute")
     hx, hz = list(c.hx.rows), list(c.hz.rows)
     bx, bz = _independent(hx, px := {}), _independent(hz, pz := {})
-    lx, lz = _independent(_kernel(hz, c.n), px), _independent(_kernel(hx, c.n), pz)
+    lx = _independent(kernel(hz, range(c.n))[0], px)
+    lz = _independent(kernel(hx, range(c.n))[0], pz)
 
     def class_log2(mask: int, w: int) -> int:
         return _gain(bz, lz, mask, w) + _gain(bx, lx, mask, w)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 
 def rank_int_rows(rows: list[int]) -> int:
@@ -25,6 +26,31 @@ def rank_int_rows(rows: list[int]) -> int:
 def rank_masked(rows: list[int], mask: int) -> int:
     """Rank of the matrix restricted to the columns selected by mask."""
     return rank_int_rows([r & mask for r in rows])
+
+
+def kernel(rows: list[int], cols: Iterable[int]) -> tuple[list[int], int]:
+    """A basis of the vectors on the columns cols with even overlap against
+    every row, and the number of row XORs the elimination took.
+
+    Basis vector i is the i-th free column of cols, in the order given,
+    plus the pivot columns that cancel it.
+    """
+    cols = list(cols)
+    mask = sum(1 << c for c in cols)
+    piv: dict[int, int] = {}  # pivot column -> row, zero in every other pivot column
+    xors = 0
+    for row in rows:
+        row &= mask
+        for c, r in piv.items():
+            if row >> c & 1:
+                row ^= r
+                xors += 1
+        if row:
+            b = row.bit_length() - 1
+            xors += sum(r >> b & 1 for r in piv.values())
+            piv = {c: r ^ row if r >> b & 1 else r for c, r in piv.items()} | {b: row}
+    basis = [1 << f | sum(1 << c for c, r in piv.items() if r >> f & 1) for f in cols if f not in piv]
+    return basis, xors
 
 
 @dataclass(frozen=True)

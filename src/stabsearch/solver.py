@@ -11,16 +11,18 @@ The search is CDCL over boolean variables with three native propagators:
 
 Branching is activity-driven with phase saving and seeded random
 tie-breaking; restarts follow a Luby schedule.  The budget is counted
-in deterministic work units (propagations) derived from the configured
-time budget, so a given (system, config) pair always reproduces the
-same verdict and, when satisfiable, the same assignment, on any machine
-and at any speed.
+in deterministic work units (propagations, plus the kernel probe's
+GF(2) row XORs) derived from the configured time budget, so a given
+(system, config) pair always reproduces the same verdict and, when
+satisfiable, the same assignment, on any machine and at any speed.
 
-Before searching, the solver probes cheap structured candidates (the
-all-inactive coloring, and a greedy degree-respecting coloring when
-degree bounds are present) against the independent checker; commutation
-systems without degree bounds are satisfied by the first probe, which
-keeps them near-instant at any size.
+Probes are candidates that only the independent checker accepts.
+Before searching, a system without degree bounds tries the all-inactive
+coloring, which satisfies every commutation-only system at once; one
+with a minimum qubit degree tries a greedy degree-respecting coloring,
+which also seeds the search's phases.  If the first slice of such a
+search ends unknown, the kernel probe runs once before the second: it
+fixes a random X side and solves each Z row by GF(2) elimination.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from .constraints import (
     XorClause,
     gc_paused,
 )
+from .gf2 import kernel
+from .rng import stable_hash64
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -61,6 +65,13 @@ PROPS_PER_SECOND = 150_000
 # slice is long enough for genuine unsatisfiability proofs.
 _FIRST_SLICE_FRACTION = 1 / 32
 _MIN_SLICE = 50_000
+
+# The kernel probe before the second slice: random X/Z splits it tries,
+# Z-degree repair moves per try, and the chance of a move that raises the
+# Z-degree shortfall (see _kernel_try).
+_KERNEL_TRIES = 16
+_KERNEL_STEPS = 200
+_KERNEL_NOISE = 0.3
 
 # Conflicts between restarts: this many times the next Luby number.
 _LUBY_BASE = 128
@@ -227,6 +238,103 @@ def _greedy_degree_candidate(cs: ConstraintSystem) -> tuple[dict, list[int]] | N
                 if not active.get((q, s)):
                     active[(q, s)] = 1
                     need -= 1
+    return active, paulis
+
+
+def _kernel_probe(cs: ConstraintSystem, seed: int, stats: SolverStats) -> Assignment | None:
+    """Random X sides with the Z side solved by elimination: a checked model, or None.
+
+    Runs _KERNEL_TRIES tries from its own seeded stream.  Every GF(2) row
+    XOR, a repair move weighed included, counts one propagation into stats.
+    """
+    rng = random.Random(stable_hash64("kernel", seed))
+    for _ in range(_KERNEL_TRIES):
+        candidate = _kernel_try(cs, rng, stats)
+        if candidate is not None:
+            model = consistent_completion(cs, *candidate)
+            if check(cs, model):
+                return model
+    return None
+
+
+def _kernel_try(cs: ConstraintSystem, rng: random.Random,
+                stats: SolverStats) -> tuple[dict, list[int]] | None:
+    """One kernel-probe candidate (activators, paulis) in which every qubit
+    meets dq = min_qubit_degree on both sides.
+
+    Puts a random floor(m/2) stabilizers on the X side and activates a
+    random dq to dq + 2 of each qubit's X candidates, which fixes hx.  A
+    Z row commutes with hx iff it lies in the kernel of hx on its
+    stabilizer's candidate qubits, so each Z row starts as a random
+    kernel element.  Then, for a random qubit short of dq Z edges, the
+    kernel basis vector that adds it and lowers the total shortfall most
+    is XORed into one of its Z rows; a move that raises the shortfall is
+    taken with probability _KERNEL_NOISE.  None as soon as a qubit has
+    fewer than dq candidates on a side, or fewer than dq Z rows whose
+    kernel reaches it, or once _KERNEL_STEPS moves leave a qubit short.
+    """
+    g, dq = cs.graph, cs.params.min_qubit_degree
+    paulis = [0] * g.m
+    for s in rng.sample(range(g.m), g.m // 2):
+        paulis[s] = 1
+    x_cands = [[s for s in g.qubit_neighbors(q) if paulis[s]] for q in range(g.n)]
+    reach = [len(g.qubit_neighbors(q)) - len(xs) for q, xs in enumerate(x_cands)]
+    if min(map(len, x_cands)) < dq or min(reach) < dq:
+        return None
+    rows = [0] * g.m  # each stabilizer's active qubits
+    for q, xs in enumerate(x_cands):
+        for s in rng.sample(xs, min(len(xs), rng.randint(dq, dq + 2))):
+            rows[s] |= 1 << q
+    hx = [rows[s] for s in range(g.m) if paulis[s]]
+    bases = {}
+    zdeg = [0] * g.n
+    for s in range(g.m):
+        if paulis[s]:
+            continue
+        bases[s], xors = kernel(hx, g.stabilizer_neighbors(s))
+        stats.propagations += xors
+        support = 0
+        for b in bases[s]:
+            support |= b
+        for q in g.stabilizer_neighbors(s):
+            if not support >> q & 1:
+                reach[q] -= 1
+                if reach[q] < dq:
+                    return None
+        pick = rng.getrandbits(len(bases[s]))
+        for i, b in enumerate(bases[s]):
+            if pick >> i & 1:
+                rows[s] ^= b
+                stats.propagations += 1
+        for q in g.stabilizer_neighbors(s):
+            zdeg[q] += rows[s] >> q & 1
+    for _ in range(_KERNEL_STEPS):
+        short = [q for q in range(g.n) if zdeg[q] < dq]
+        if not short:
+            break
+        short_mask = sum(1 << q for q in short)
+        tight_mask = sum(1 << q for q in range(g.n) if zdeg[q] == dq)
+        q = rng.choice(short)
+        best = None
+        for s in g.qubit_neighbors(q):
+            if paulis[s] or rows[s] >> q & 1:
+                continue
+            for b in bases[s]:
+                if b >> q & 1:
+                    stats.propagations += 1
+                    rise = (rows[s] & b & tight_mask).bit_count() - (b & ~rows[s] & short_mask).bit_count()
+                    if best is None or rise < best[0]:
+                        best = (rise, s, b)
+        if best is None or (best[0] > 0 and rng.random() >= _KERNEL_NOISE):
+            continue
+        _, s, b = best
+        for r in g.stabilizer_neighbors(s):
+            if b >> r & 1:
+                zdeg[r] += -1 if rows[s] >> r & 1 else 1
+        rows[s] ^= b
+    if min(zdeg) < dq:
+        return None
+    active = {(q, s): 1 for s in range(g.m) for q in g.stabilizer_neighbors(s) if rows[s] >> q & 1}
     return active, paulis
 
 
@@ -753,12 +861,18 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
 
     # Slice k gets seed cfg.seed + k and twice the work of slice k - 1,
     # cut at the budget.  Its limit is taken before the engine loads, so
-    # level-0 units enqueued at load count towards it.
+    # level-0 units enqueued at load count towards it.  The kernel probe
+    # runs once, between the first slice and the second.
     budget = int(cfg.time_budget * PROPS_PER_SECOND)
     work = max(_MIN_SLICE, int(budget * _FIRST_SLICE_FRACTION))
     seed = cfg.seed
     verdict = UNKNOWN
     while verdict == UNKNOWN and stats.propagations < budget:
+        if seed == cfg.seed + 1 and cfg.probe_candidates and cs.params.min_qubit_degree > 0:
+            model = _kernel_probe(cs, cfg.seed, stats)
+            if model is not None:
+                stats.wall_time_s = time.monotonic() - t0
+                return SolveResult(SAT, model, stats)
         limit = min(stats.propagations + work, budget)
         engine = _Engine(cs, seed, warm_phases, stats)
         verdict = engine.search(limit)

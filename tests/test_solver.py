@@ -17,7 +17,9 @@ from stabsearch.constraints import (
     XorClause,
     encode,
 )
-from stabsearch.graphs import sample_support_graph
+from stabsearch.css import extract_code, satisfies_degree_bounds
+from stabsearch.gf2 import kernel, rank_int_rows
+from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch import harness, solver
 from stabsearch.rng import RngSpec, stable_hash64
 from stabsearch.solver import (
@@ -249,7 +251,7 @@ PINNED_BAND = [
     ("unsat", 0, 0, 6, 0, 0, None),
     ("unsat", 0, 1, 12, 0, 0, None),
     ("unknown", 1590, 859, 150192, 4, 859, None),
-    ("unknown", 1699, 760, 150665, 4, 760, None),
+    ("unknown", 1697, 759, 150150, 4, 759, None),
 ]
 PINNED_RANDOM = [
     ("sat", 2, 0, 7, 0, 0, "3d5b3e09988c1358"), ("unsat", 0, 1, 9, 0, 0, None),
@@ -322,6 +324,16 @@ class TestPinnedWork:
             cs = random_system(rng, rng.randint(4, 16))
             got.append(work_row(solve(cs, SolverConfig(time_budget=1.0, seed=trial))))
         assert got == PINNED_RANDOM
+
+
+def band_graph(n: int, gamma: float) -> SupportGraph:
+    """The graph of band_sweep's (n, gamma) sample: m = 0.9 n, master seed 20240808."""
+    return sample_support_graph(n, round(0.9 * n), gamma, RngSpec(20240808, stable_hash64(n, gamma, 0)))
+
+
+def band_config(n: int, gamma: float) -> SolverConfig:
+    """The solver config (budget 1.0) that band_sweep gives its (n, gamma) sample."""
+    return SolverConfig(1.0, stable_hash64("solver", n, gamma, 0, 20240808) & 0x7FFFFFFF)
 
 
 def band_system() -> ConstraintSystem:
@@ -420,3 +432,119 @@ class TestActivityRescale:
         hook_engine(monkeypatch, "_pick_branch_var", check_heap_entries)
         solve(band_system(), SolverConfig(time_budget=1.0, seed=1))
         assert sum(e.var_inc < 1e97 for e in engines) >= 2  # var_inc only falls in a rescale
+
+
+def record_calls(monkeypatch, owner, name, log):
+    """Append (name, stats.propagations before, after) to log on every call of owner.name,
+    which is solver._kernel_probe(cs, seed, stats) or solver._Engine.search(engine, limit)."""
+    original = getattr(owner, name)
+
+    def recorded(*args):
+        stats = args[-1] if name == "_kernel_probe" else args[0].stats
+        before = stats.propagations
+        result = original(*args)
+        log.append((name, before, stats.propagations))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+
+
+def one_propagation_first_slice(monkeypatch):
+    """Slices of 1, 2, 4, ... propagations, so a first slice ends unknown at once."""
+    monkeypatch.setattr(solver, "_MIN_SLICE", 1)
+    monkeypatch.setattr(solver, "_FIRST_SLICE_FRACTION", 0)
+
+
+class TestKernelProbe:
+    """The probe between the first and second slice: random X side, Z rows by elimination."""
+
+    def test_kernel_basis_spans_the_restricted_kernel(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            rows = [rng.getrandbits(24) for _ in range(rng.randint(0, 14))]
+            cols = sorted(rng.sample(range(24), rng.randint(1, 24)))
+            basis, _ = kernel(rows, cols)
+            mask = sum(1 << c for c in cols)
+            assert all(b & ~mask == 0 and all((b & r).bit_count() % 2 == 0 for r in rows) for b in basis)
+            assert rank_int_rows(basis) == len(basis) == len(cols) - rank_int_rows([r & mask for r in rows])
+
+    def test_same_seed_same_model_and_work(self):
+        cs = encode(band_graph(40, 0.6), EncodingParams(min_qubit_degree=3))
+        runs = []
+        for seed in (5, 5, 6):
+            stats = solver.SolverStats()
+            runs.append((solver._kernel_probe(cs, seed, stats), stats.propagations))
+        assert runs[0] == runs[1] and runs[0][0] is not None
+        assert runs[2][0] is not None and runs[2][0] != runs[0][0]
+
+    def test_every_hit_is_a_checked_code_within_its_degree_bounds(self):
+        hits = 0
+        for n, gamma, params in [
+            (30, 0.7, EncodingParams(min_qubit_degree=3)),
+            (30, 0.7, EncodingParams(min_qubit_degree=3, min_stab_degree=4, max_stab_degree=14)),
+            (40, 0.6, EncodingParams(min_qubit_degree=3)),
+        ]:
+            g = band_graph(n, gamma)
+            cs = encode(g, params)
+            for seed in range(3):
+                model = solver._kernel_probe(cs, seed, solver.SolverStats())
+                if model is not None:
+                    hits += 1
+                    assert check(cs, model)
+                    assert satisfies_degree_bounds(extract_code(g, model), params)
+        assert hits == 9
+
+    def test_band_sample_ends_sat_after_the_first_slice(self):
+        # band_sweep's n=40, gamma=0.6 sample: unknown at budget 1 without the probe
+        result = solve(encode(band_graph(40, 0.6), EncodingParams(min_qubit_degree=3)), band_config(40, 0.6))
+        assert result.stats.propagations < 60_000
+        assert work_row(result) == ("sat", 1550, 133, 51581, 1, 133, "a8175df668cca9f0")
+
+    def test_balanced_hit_meets_the_balance_row(self):
+        g = band_graph(30, 0.7)  # m = 27, so 13 X stabilizers
+        params = EncodingParams(min_qubit_degree=3, balanced=True)
+        cs = encode(g, params)
+        model = solver._kernel_probe(cs, 1, solver.SolverStats())
+        assert model is not None and check(cs, model)
+        assert extract_code(g, model).hx.num_rows == g.m // 2 == 13
+
+    @pytest.mark.parametrize("params, probe, calls", [
+        (EncodingParams(min_qubit_degree=3), True, 1),
+        (EncodingParams(min_qubit_degree=3), False, 0),
+        (EncodingParams(min_stab_degree=2), True, 0),
+    ])
+    def test_entered_once_and_only_with_a_qubit_degree_and_probes(self, monkeypatch, params, probe, calls):
+        one_propagation_first_slice(monkeypatch)
+        log = []
+        record_calls(monkeypatch, solver, "_kernel_probe", log)
+        record_calls(monkeypatch, solver._Engine, "search", log)
+        cs = encode(band_graph(20, 0.5), params)
+        solve(cs, SolverConfig(time_budget=0.05, seed=3, probe_candidates=probe))
+        names = [name for name, _, _ in log]
+        assert names.count("search") > 3
+        assert names.count("_kernel_probe") == calls
+        if calls:
+            assert names[:3] == ["search", "_kernel_probe", "search"]
+
+    def test_degree_infeasible_graph_charges_nothing_and_falls_through(self, monkeypatch):
+        g = band_graph(40, 0.6)
+        cut = [(q, s) for q, s in g.edges if q != 0] + [(0, s) for s in g.qubit_neighbors(0)[:5]]
+        cs = encode(SupportGraph(g.n, g.m, g.gamma, g.seed, tuple(cut)), EncodingParams(min_qubit_degree=3))
+        stats = solver.SolverStats()
+        assert solver._kernel_probe(cs, 0, stats) is None and stats.propagations == 0
+        one_propagation_first_slice(monkeypatch)
+        log = []
+        record_calls(monkeypatch, solver, "_kernel_probe", log)
+        record_calls(monkeypatch, solver._Engine, "search", log)
+        solve(cs, SolverConfig(time_budget=0.05, seed=3))
+        assert [name for name, _, _ in log[:3]] == ["search", "_kernel_probe", "search"]
+        assert log[1][1] == log[1][2] == log[0][2]
+
+    def test_first_slice_verdicts_are_unchanged(self, monkeypatch):
+        log = []
+        record_calls(monkeypatch, solver, "_kernel_probe", log)
+        got = [work_row(solve(encode(band_graph(n, gamma), EncodingParams(min_qubit_degree=3)),
+                              band_config(n, gamma)))
+               for n, gamma in [(20, 0.6), (40, 0.3)]]
+        assert got == [PINNED_BAND[3], ("unsat", 366, 26, 7859, 0, 21, None)]
+        assert log == []
