@@ -155,10 +155,7 @@ class ConstraintSystem:
         constraints: Iterable[Constraint],
         params: EncodingParams | None = None,
     ):
-        self.graph = graph
-        self.variables = tuple(variables)
-        self.constraints = tuple(constraints)
-        self.params = params or EncodingParams()
+        self._fill(graph, variables, constraints, params)
         nv = len(self.variables)
         for i, v in enumerate(self.variables):
             if v.id != i:
@@ -184,6 +181,19 @@ class ConstraintSystem:
                         raise ValueError(f"bound {c.bound!r} is not an integer")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"constraint system: constraints[{i}]: {exc}") from None
+
+    def _fill(self, graph, variables, constraints, params):
+        self.graph = graph
+        self.variables = tuple(variables)
+        self.constraints = tuple(constraints)
+        self.params = params or EncodingParams()
+
+    @classmethod
+    def _unchecked(cls, graph, variables, constraints, params) -> "ConstraintSystem":
+        """A system from parts that encode built, without __init__'s checks."""
+        cs = cls.__new__(cls)
+        cs._fill(graph, variables, constraints, params)
+        return cs
 
     @property
     def num_vars(self) -> int:
@@ -339,7 +349,7 @@ def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintS
     if params.balanced:
         constraints.append(Linear(tuple(p_id), "==", g.m // 2, TAG_BALANCE))
 
-    return ConstraintSystem(g, variables, constraints, params)
+    return ConstraintSystem._unchecked(g, variables, constraints, params)
 
 
 @dataclass(frozen=True)

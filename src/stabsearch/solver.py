@@ -2,7 +2,8 @@
 
 The search is CDCL over boolean variables with three native propagators:
 
-- OR clauses with two watched literals,
+- OR clauses with two watched literals; a binary clause is watched
+  natively, as its other literal in each literal's watch list,
 - XOR constraints as watched parity rows, kept in native form so wide
   parities never get expanded into clauses (a row is re-examined and
   reduced against the current assignment only when a watched variable
@@ -358,19 +359,26 @@ class _Engine:
     saved phases, and the search counts its work into stats, which the
     slices of one solve share.
 
-    Two invariants keep the hot path lean without changing the search:
+    Three invariants keep the hot path lean without changing the search:
 
     - heap_top[v] is the key of v's newest heap entry, or None once that
       entry is popped.  _backtrack pushes v only when its key changed,
       so every unassigned v has the live entry (-var_act[v], v): only
       assigned variables are bumped, and a rescale scales the keys and
       heap_top with the activities.
-    - An OR implication's reason is its clause.  An XOR implication's is
-      (0, row_vars) and a cardinality implication's is (1, lits), with
-      lits the row's false literals at firing time, shared by every
-      literal that firing forces.  _reason_of builds the clause only when
-      analysis reads it; each of its literals precedes v on the trail,
-      so it keeps its value while v stays assigned.
+    - An OR implication's reason is its clause, unless that is an original
+      binary clause (below).  An XOR implication's is (0, row_vars) and a
+      cardinality implication's is (1, lits), with lits the row's false
+      literals at firing time, shared by every literal that firing forces.
+      _reason_of builds the clause only when analysis reads it; each of
+      its literals precedes v on the trail, so it keeps its value while v
+      stays assigned.
+    - An original binary clause (l0, l1) is the int l1 in watches[l0] and
+      l0 in watches[l1], and an implication from it has the falsified
+      literal (an int) as its reason: _reason_of reads [implied,
+      falsified] and a conflict on it is [other, falsified], which is how
+      its two-element list would read at every visit.  Learnt binary
+      clauses stay lists, since cla_act bumps them.
     """
 
     def __init__(self, cs: ConstraintSystem, seed: int, phases: tuple[int, ...] | None,
@@ -407,25 +415,26 @@ class _Engine:
     # ----- loading ---------------------------------------------------
 
     def _load(self, cs: ConstraintSystem):
+        watches = self.watches
         for c in cs.constraints:
             if not self.ok:
                 return
             if isinstance(c, OrClause):
-                self._add_clause([2 * v + (0 if pos else 1) for v, pos in c.lits])
+                lits = [2 * v + (0 if pos else 1) for v, pos in c.lits]
+                if len(lits) == 1:
+                    self.ok = self._enqueue(lits[0], None)
+                    continue
+                self.clauses.append(lits)
+                if len(lits) == 2:
+                    watches[lits[0]].append(lits[1])
+                    watches[lits[1]].append(lits[0])
+                else:
+                    watches[lits[0]].append(lits)
+                    watches[lits[1]].append(lits)
             elif isinstance(c, XorClause):
                 self._add_xor(list(c.vars), c.parity)
             else:
                 self._add_linear(c)
-
-    def _add_clause(self, lits: list[int]):
-        if len(lits) == 1:
-            if not self._enqueue(lits[0], None):
-                self.ok = False
-            return
-        clause = lits
-        self.clauses.append(clause)
-        self.watches[clause[0]].append(clause)
-        self.watches[clause[1]].append(clause)
 
     def _add_xor(self, vs: list[int], parity: int):
         if len(vs) == 1:
@@ -466,13 +475,9 @@ class _Engine:
         self.reason[v] = reason
         self.trail.append(lit)
         self.stats.propagations += 1
-        if val == 1:
-            for entry in self.locc[v]:
-                entry[3] += 1
-                entry[4] -= 1
-        else:
-            for entry in self.locc[v]:
-                entry[4] -= 1
+        for entry in self.locc[v]:
+            entry[3] += val
+            entry[4] -= 1
         return True
 
     def _backtrack(self, target_level: int):
@@ -480,23 +485,22 @@ class _Engine:
             return
         trail = self.trail
         values = self.values
+        phase = self.phase
+        reason = self.reason
+        locc = self.locc
         limit = self.trail_lim[target_level]
         var_act = self.var_act
         heap = self.heap
         heap_top = self.heap_top
-        for i in range(len(trail) - 1, limit - 1, -1):
-            v = trail[i] >> 1
+        for lit in reversed(trail[limit:]):
+            v = lit >> 1
             old = values[v]
-            self.phase[v] = old
+            phase[v] = old
             values[v] = -1
-            self.reason[v] = None
-            if old == 1:
-                for entry in self.locc[v]:
-                    entry[3] -= 1
-                    entry[4] += 1
-            else:
-                for entry in self.locc[v]:
-                    entry[4] += 1
+            reason[v] = None
+            for entry in locc[v]:
+                entry[3] -= old
+                entry[4] += 1
             key = -var_act[v]
             if heap_top[v] != key:
                 heap_top[v] = key
@@ -538,90 +542,132 @@ class _Engine:
         return None
 
     def _propagate(self):
-        """Exhaust the queue; returns a conflict clause (lits) or None."""
+        """Exhaust the queue; returns a conflict clause (lits) or None.
+
+        Assigns OR and XOR implications inline, as _enqueue would, and
+        compacts each watch list in place, keeping its order.
+        """
         values = self.values
+        level = self.level
+        reason = self.reason
+        trail = self.trail
         watches = self.watches
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
+        xwatches = self.xwatches
+        locc = self.locc
+        stats = self.stats
+        dl = len(self.trail_lim)
+        qhead = self.qhead
+        props = 0  # added to stats before _fire and on return
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             v = lit >> 1
 
-            # OR clauses watching the falsified literal
+            # OR clauses watching the falsified literal: wl[:i] is kept, the
+            # next `gone` entries moved away, and the rest not yet read
             flit = lit ^ 1
             wl = watches[flit]
-            if wl:
-                kept = []
-                j = 0
-                total = len(wl)
-                while j < total:
-                    clause = wl[j]
-                    j += 1
+            i = gone = 0
+            for clause in wl:
+                if type(clause) is int:  # binary: the other literal
+                    fval = values[clause >> 1]
+                    if fval == ((clause & 1) ^ 1):
+                        wl[i] = clause
+                        i += 1
+                        continue
+                    first, why = clause, flit
+                else:
                     if clause[0] == flit:
                         clause[0], clause[1] = clause[1], flit
                     first = clause[0]
-                    if values[first >> 1] == ((first & 1) ^ 1):
-                        kept.append(clause)
+                    fval = values[first >> 1]
+                    if fval == ((first & 1) ^ 1):
+                        wl[i] = clause
+                        i += 1
                         continue
-                    moved = False
-                    for k in range(2, len(clause)):
-                        cl = clause[k]
+                    for cl in clause[2:]:
                         if values[cl >> 1] != (cl & 1):
+                            clause[clause.index(cl, 2)] = flit
                             clause[1] = cl
-                            clause[k] = flit
                             watches[cl].append(clause)
-                            moved = True
                             break
-                    if moved:
+                    if clause[1] != flit:  # moved to a new watch
+                        gone += 1
                         continue
-                    kept.append(clause)
-                    if not self._enqueue(first, clause):
-                        kept.extend(wl[j:])
-                        watches[flit] = kept
-                        return list(clause)
-                watches[flit] = kept
+                    why = clause
+                wl[i] = clause
+                i += 1
+                if fval >= 0:  # first is false
+                    del wl[i:i + gone]
+                    self.qhead = qhead
+                    stats.propagations += props
+                    return [first, flit] if type(clause) is int else list(clause)
+                u = first >> 1
+                fval = (first & 1) ^ 1
+                values[u] = fval
+                level[u] = dl
+                reason[u] = why
+                trail.append(first)
+                props += 1
+                for entry in locc[u]:
+                    entry[3] += fval
+                    entry[4] -= 1
+            if gone:
+                del wl[i:]
 
             # XOR rows watching this variable
-            xl = self.xwatches[v]
+            xl = xwatches[v]
             if xl:
-                kept = []
-                j = 0
-                total = len(xl)
-                while j < total:
-                    row = xl[j]
-                    j += 1
+                i = gone = 0
+                for row in xl:
                     vars_, parity, w0, w1 = row
                     if vars_[w0] == v:
                         slot, other = 2, vars_[w1]
                     else:
                         slot, other = 3, vars_[w0]
-                    moved = False
-                    for k in range(len(vars_)):
-                        u = vars_[k]
-                        if u != other and values[u] < 0:
+                    acc = parity  # XOR the assigned variables' values
+                    for k, u in enumerate(vars_):
+                        uval = values[u]
+                        if uval >= 0:
+                            acc ^= uval
+                        elif u != other:
                             row[slot] = k
-                            self.xwatches[u].append(row)
-                            moved = True
+                            xwatches[u].append(row)
+                            gone += 1
                             break
-                    if moved:
-                        continue
-                    kept.append(row)
-                    acc = parity
-                    for u in vars_:
-                        if u != other:
-                            acc ^= values[u]
-                    if values[other] < 0:
-                        self._enqueue(2 * other + (acc ^ 1), (0, vars_))
-                    elif values[other] != acc:
-                        kept.extend(xl[j:])
-                        self.xwatches[v] = kept
-                        return [2 * u + values[u] for u in vars_]
-                self.xwatches[v] = kept
+                    else:
+                        xl[i] = row
+                        i += 1
+                        if values[other] >= 0:
+                            if acc:  # every variable assigned, the parity wrong
+                                del xl[i:i + gone]
+                                self.qhead = qhead
+                                stats.propagations += props
+                                return [2 * u + values[u] for u in vars_]
+                            continue
+                        values[other] = acc
+                        level[other] = dl
+                        reason[other] = (0, vars_)
+                        trail.append(2 * other + (acc ^ 1))
+                        props += 1
+                        for entry in locc[other]:
+                            entry[3] += acc
+                            entry[4] -= 1
+                if gone:
+                    del xl[i:]
 
-            # cardinality rows (counters were updated at enqueue time)
-            for entry in self.locc[v]:
-                conflict = self._fire(entry)
-                if conflict is not None:
-                    return conflict
+            # cardinality rows (counters were updated at assignment time)
+            rows = locc[v]
+            if rows:
+                stats.propagations += props
+                props = 0
+                for entry in rows:
+                    conflict = self._fire(entry)
+                    if conflict is not None:
+                        self.qhead = qhead
+                        return conflict
+        self.qhead = qhead
+        stats.propagations += props
         return None
 
     # ----- conflict analysis -------------------------------------------
@@ -629,10 +675,12 @@ class _Engine:
     def _reason_of(self, v: int) -> list[int] | None:
         """v's reason as a clause: its true literal first, then false literals."""
         r = self.reason[v]
-        if type(r) is not tuple:
+        if r is None or type(r) is list:
             return r
-        kind, lits = r
         implied = 2 * v + (self.values[v] ^ 1)
+        if type(r) is int:  # binary clause: the falsified literal
+            return [implied, r]
+        kind, lits = r
         if kind:  # cardinality: the row's false literals at firing time
             return [implied] + lits
         values = self.values  # XOR: every other row variable, assigned before v
@@ -669,35 +717,55 @@ class _Engine:
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learned clause and backjump level."""
         level = self.level
-        seen = bytearray(self.nvars)
+        values = self.values
+        reason = self.reason
+        trail = self.trail
+        var_act = self.var_act
+        var_inc = self.var_inc
+        # v stays seen while its own reason is read, which skips v's literal in it;
+        # the conflict is read as the reason of a spare variable, nvars
+        seen = bytearray(self.nvars + 1)
         learnt: list[int] = [0]  # slot 0 receives the asserting literal
         cur_level = len(self.trail_lim)
         counter = 0
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         reason_lits = conflict
-        start = 0
+        pv = self.nvars
         while True:
-            for k in range(start, len(reason_lits)):
-                q = reason_lits[k]
+            for q in reason_lits:
                 qv = q >> 1
                 if not seen[qv] and level[qv] > 0:
                     seen[qv] = 1
-                    self._bump_var(qv)
+                    act = var_act[qv] + var_inc
+                    if act > 1e100:
+                        self._bump_var(qv)
+                        var_inc = self.var_inc
+                    else:
+                        var_act[qv] = act
                     if level[qv] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[self.trail[idx] >> 1]:
+            seen[pv] = 0
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
-            seen[p >> 1] = 0
             counter -= 1
             if counter == 0:
                 break
-            self._bump_clause(self.reason[p >> 1])
-            reason_lits = self._reason_of(p >> 1)
-            start = 1
+            pv = p >> 1
+            r = reason[pv]
+            if type(r) is list:
+                self._bump_clause(r)
+                reason_lits = r
+            elif type(r) is int:
+                reason_lits = (r,)
+            elif r[0]:  # cardinality: the row's false literals
+                reason_lits = r[1]
+            else:  # XOR: the row's variables as false literals (v's own is seen)
+                reason_lits = [2 * u + values[u] for u in r[1]]
+        seen[p >> 1] = 0
         learnt[0] = p ^ 1
 
         # clause minimization: drop literals implied by the rest of the
@@ -711,9 +779,9 @@ class _Engine:
                 if r is None:
                     kept.append(q)
                     continue
-                for other in r:
+                for other in r:  # q's own literal is seen
                     ov = other >> 1
-                    if ov != (q >> 1) and not seen[ov] and level[ov] > 0:
+                    if not seen[ov] and level[ov] > 0:
                         kept.append(q)
                         break
             learnt = kept
@@ -767,7 +835,7 @@ class _Engine:
         for lit in range(2 * self.nvars):
             wl = self.watches[lit]
             if wl:
-                self.watches[lit] = [c for c in wl if id(c) not in removed]
+                self.watches[lit] = [c for c in wl if type(c) is int or id(c) not in removed]
 
     # ----- branching ----------------------------------------------------
 
@@ -862,7 +930,8 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     # Slice k gets seed cfg.seed + k and twice the work of slice k - 1,
     # cut at the budget.  Its limit is taken before the engine loads, so
     # level-0 units enqueued at load count towards it.  The kernel probe
-    # runs once, between the first slice and the second.
+    # runs once, between the first slice and the second; no slice follows
+    # a probe whose charge reached the budget.
     budget = int(cfg.time_budget * PROPS_PER_SECOND)
     work = max(_MIN_SLICE, int(budget * _FIRST_SLICE_FRACTION))
     seed = cfg.seed
@@ -873,6 +942,8 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
             if model is not None:
                 stats.wall_time_s = time.monotonic() - t0
                 return SolveResult(SAT, model, stats)
+            if stats.propagations >= budget:
+                break
         limit = min(stats.propagations + work, budget)
         engine = _Engine(cs, seed, warm_phases, stats)
         verdict = engine.search(limit)

@@ -259,6 +259,15 @@ class TestSystemDocument:
 
 
 class TestSystemValidation:
+    @pytest.mark.parametrize("family", ["none", *sorted(TestLayout.FAMILIES)])
+    def test_checked_constructor_accepts_what_encode_builds(self, family):
+        # encode skips __init__'s checks; they still hold for everything it builds
+        params = TestLayout.FAMILIES[family][0] if family in TestLayout.FAMILIES else None
+        for seed in range(3):
+            cs = encode(sample_support_graph(12, 10, 0.5, RngSpec(seed)), params)
+            checked = ConstraintSystem(cs.graph, cs.variables, cs.constraints, cs.params)
+            assert vars(checked) == vars(cs)
+
     def _vars(self, g):
         from stabsearch.constraints import ACTIVATOR, VarRef
 

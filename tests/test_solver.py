@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +65,15 @@ def random_system(rng: random.Random, nv: int) -> ConstraintSystem:
             vs = rng.sample(range(nv), w)
             cons.append(Linear(tuple(vs), rng.choice([">=", "<=", "=="]), rng.randint(0, w), "rnd"))
     return raw_system(nv, cons)
+
+
+def random_3sat(seed: int, nv: int, ratio: float, n_binary: int) -> ConstraintSystem:
+    """round(ratio * nv) random 3-literal OR clauses, then n_binary random 2-literal ones."""
+    rng = random.Random(seed)
+    widths = [3] * round(ratio * nv) + [2] * n_binary
+    return raw_system(nv, [
+        OrClause(tuple((v, rng.random() < 0.5) for v in rng.sample(range(nv), w)), "rnd") for w in widths
+    ])
 
 
 class TestCheck:
@@ -280,6 +290,17 @@ PINNED_RANDOM = [
     ("unsat", 0, 1, 11, 0, 0, None), ("sat", 2, 0, 9, 0, 0, "8e8cf23feec69e47"),
     ("unsat", 0, 0, 3, 0, 0, None), ("sat", 4, 1, 25, 0, 0, "93992577186b34ff"),
 ]
+# band_sweep's own grid: n=30 and 40, gamma 0.3-0.6, delta_q=3, budget 1.0
+PINNED_BAND_SWEEP = [
+    ("unsat", 0, 1, 12, 0, 0, None),
+    ("sat", 1782, 547, 129957, 2, 547, "adec86a7c966facb"),
+    ("sat", 2209, 409, 109434, 2, 409, "d153121a06bfbe6f"),
+    ("sat", 1200, 152, 50828, 1, 152, "1991e6daa80ec0ab"),
+    ("unsat", 366, 26, 7859, 0, 21, None),
+    ("unknown", 2669, 390, 150012, 1, 390, None),
+    ("sat", 1487, 130, 51513, 1, 130, "01259d200b06b080"),
+    ("sat", 1550, 133, 51581, 1, 133, "a8175df668cca9f0"),
+]
 
 
 def work_row(result) -> tuple:
@@ -298,9 +319,9 @@ class TestPinnedWork:
     it together with the new values.
     """
 
-    def test_band_grid_and_random_systems(self, monkeypatch, tmp_path):
-        # the band_sweep benchmark's small grid (n=20, delta_q=3, budget 1.0), then the
-        # same grid with stabilizer-degree bounds and balance, swept serially
+    @staticmethod
+    def sweep(monkeypatch, out_dir, qubit_counts, params) -> list[tuple]:
+        """work_row of every solve of a serial band sweep (gamma 0.3-0.6, budget 1.0)."""
         results = []
 
         def recording_solve(cs, cfg):
@@ -308,15 +329,22 @@ class TestPinnedWork:
             return results[-1]
 
         monkeypatch.setattr(harness, "solve", recording_solve)
+        harness.run_phase_sweep(harness.SweepConfig(
+            qubit_counts, 0.3, 0.6, 0.1, samples=1, params=params, time_budget=1.0,
+            master_seed=20240808, out_dir=str(out_dir),
+        ))
+        return [work_row(r) for r in results]
+
+    def test_band_grid_and_random_systems(self, monkeypatch, tmp_path):
+        # the band_sweep benchmark's small grid (n=20, delta_q=3, budget 1.0), then the
+        # same grid with stabilizer-degree bounds and balance
+        got = []
         for i, params in enumerate([
             EncodingParams(min_qubit_degree=3),
             EncodingParams(min_qubit_degree=3, min_stab_degree=4, max_stab_degree=8, balanced=True),
         ]):
-            harness.run_phase_sweep(harness.SweepConfig(
-                (20,), 0.3, 0.6, 0.1, samples=1, params=params, time_budget=1.0,
-                master_seed=20240808, out_dir=str(tmp_path / str(i)),
-            ))
-        assert [work_row(r) for r in results] == PINNED_BAND
+            got += self.sweep(monkeypatch, tmp_path / str(i), (20,), params)
+        assert got == PINNED_BAND
 
         rng = random.Random(8)
         got = []
@@ -324,6 +352,10 @@ class TestPinnedWork:
             cs = random_system(rng, rng.randint(4, 16))
             got.append(work_row(solve(cs, SolverConfig(time_budget=1.0, seed=trial))))
         assert got == PINNED_RANDOM
+
+    def test_band_sweep_grid(self, monkeypatch, tmp_path):
+        got = self.sweep(monkeypatch, tmp_path, (30, 40), EncodingParams(min_qubit_degree=3))
+        assert got == PINNED_BAND_SWEEP
 
 
 def band_graph(n: int, gamma: float) -> SupportGraph:
@@ -363,22 +395,40 @@ def check_reasons(engine):
             assert position[q >> 1] < i
 
 
-def hook_engine(monkeypatch, method, before):
-    """Call before(engine) ahead of every call of _Engine.method; returns the call log."""
+def check_binary_watches(engine):
+    """Each original binary clause (l0, l1) is the int l1 in watches[l0] and the int
+    l0 in watches[l1], once each, and no other int is in any watch list."""
+    expected = [Counter() for _ in engine.watches]
+    for clause in engine.clauses:
+        if len(clause) == 2:
+            expected[clause[0]][clause[1]] += 1
+            expected[clause[1]][clause[0]] += 1
+    for lit, wl in enumerate(engine.watches):
+        assert Counter(c for c in wl if type(c) is int) == expected[lit]
+
+
+def hook_engine(monkeypatch, method, before=None, after=None):
+    """Call before(engine) ahead of and after(engine) behind every call of _Engine.method;
+    returns the call log."""
     original = getattr(solver._Engine, method)
     calls = []
 
     def hooked(engine, *args):
-        before(engine)
+        if before:
+            before(engine)
         calls.append(method)
-        return original(engine, *args)
+        result = original(engine, *args)
+        if after:
+            after(engine)
+        return result
 
     monkeypatch.setattr(solver._Engine, method, hooked)
     return calls
 
 
 class TestEngineInvariants:
-    """The heap and reason invariants of _Engine's docstring hold inside real searches."""
+    """The heap, reason and binary-watch invariants of _Engine's docstring hold inside
+    real searches."""
 
     @staticmethod
     def solve_all():
@@ -395,9 +445,32 @@ class TestEngineInvariants:
         assert len(calls) > 1500
 
     def test_reasons_are_true_literal_then_earlier_false_literals(self, monkeypatch):
-        calls = hook_engine(monkeypatch, "_analyze", check_reasons)
+        binary_reasons = []
+        calls = hook_engine(monkeypatch, "_analyze", lambda engine: (
+            check_reasons(engine), binary_reasons.extend(r for r in engine.reason if type(r) is int)))
         self.solve_all()
-        assert len(calls) > 800
+        assert len(calls) > 800 and binary_reasons
+
+    def test_binary_clauses_stay_watched_as_their_other_literal(self, monkeypatch):
+        reduces = hook_engine(monkeypatch, "_reduce_db", after=check_binary_watches)
+        slices = hook_engine(monkeypatch, "search", after=check_binary_watches)
+        self.solve_all()
+        # one 250,000-propagation slice learns past the 4,000 clauses that start a reduction
+        monkeypatch.setattr(solver, "_MIN_SLICE", 250_000)
+        result = solve(random_3sat(2, 180, 4.3, 10), SolverConfig(time_budget=2.0, seed=2))
+        assert result.verdict == UNSAT and result.stats.conflicts > 4000
+        assert len(reduces) >= 1 and len(slices) > 60
+
+    def test_binary_conflict_is_other_then_falsified(self):
+        # deciding x0 falsifies ~x0: (~x0 | x1) implies x1, then (~x0 | ~x1) is in conflict
+        cs = raw_system(2, [OrClause(((0, False), (1, True)), "t"), OrClause(((0, False), (1, False)), "t")])
+        engine = solver._Engine(cs, 0, None, solver.SolverStats())
+        assert engine.watches[1] == [2, 3] and len(engine.clauses) == 2
+        engine.trail_lim.append(0)
+        engine._enqueue(0, None)
+        assert engine._propagate() == [3, 1]
+        assert engine.reason[1] == 1 and engine._reason_of(1) == [2, 1]
+        assert engine.watches[1] == [2, 3] and engine.stats.propagations == 2
 
 
 class TestActivityRescale:
@@ -539,6 +612,29 @@ class TestKernelProbe:
         solve(cs, SolverConfig(time_budget=0.05, seed=3))
         assert [name for name, _, _ in log[:3]] == ["search", "_kernel_probe", "search"]
         assert log[1][1] == log[1][2] == log[0][2]
+
+    def test_no_slice_after_a_probe_that_spends_the_budget(self, monkeypatch):
+        one_propagation_first_slice(monkeypatch)
+        cfg = SolverConfig(time_budget=0.05, seed=3)
+        budget = int(cfg.time_budget * solver.PROPS_PER_SECOND)
+        after_probe = []
+
+        def spending_probe(cs, seed, stats):
+            stats.propagations = budget + 5
+            after_probe.append(stats.propagations)
+
+        monkeypatch.setattr(solver, "_kernel_probe", spending_probe)
+        original_init = solver._Engine.__init__
+        built = []
+
+        def counted_init(engine, *args):
+            built.append(engine)
+            original_init(engine, *args)
+
+        monkeypatch.setattr(solver._Engine, "__init__", counted_init)
+        result = solve(encode(band_graph(20, 0.5), EncodingParams(min_qubit_degree=3)), cfg)
+        assert len(built) == 1 and after_probe  # the first slice's engine only
+        assert result.verdict == UNKNOWN and result.stats.propagations == after_probe[0]
 
     def test_first_slice_verdicts_are_unchanged(self, monkeypatch):
         log = []
