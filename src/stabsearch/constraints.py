@@ -145,7 +145,9 @@ class ConstraintSystem:
 
     Variable ids are dense and assigned in a canonical order (activators
     row-major, then paulis, then pair auxiliaries, then type indicators),
-    so re-encoding a graph reproduces the system exactly.
+    so re-encoding a graph reproduces the system exactly.  The constructor
+    stores its parts as given; from_json, where documents enter, checks
+    every variable and constraint.
     """
 
     def __init__(
@@ -155,45 +157,10 @@ class ConstraintSystem:
         constraints: Iterable[Constraint],
         params: EncodingParams | None = None,
     ):
-        self._fill(graph, variables, constraints, params)
-        nv = len(self.variables)
-        for i, v in enumerate(self.variables):
-            if v.id != i:
-                raise ValueError("variable ids must be dense and in order")
-        try:
-            for i, c in enumerate(self.constraints):
-                ids = [lit[0] for lit in c.lits] if isinstance(c, OrClause) else list(c.vars)
-                for vid in ids:
-                    if type(vid) is not int or not 0 <= vid < nv:
-                        raise ValueError(f"variable id {vid!r} is not an integer in [0, {nv})")
-                if isinstance(c, (OrClause, XorClause)) and not ids:
-                    raise ValueError("OR/XOR constraints must be non-empty")
-                if len(set(ids)) != len(ids):
-                    raise ValueError("constraint variable lists must be duplicate-free")
-                if isinstance(c, XorClause) and (type(c.parity) is not int or c.parity not in (0, 1)):
-                    raise ValueError(f"XOR parity {c.parity!r} is not 0 or 1")
-                if type(c.tag) is not str:
-                    raise ValueError(f"tag {c.tag!r} is not a string")
-                if isinstance(c, Linear):
-                    if c.cmp not in (">=", "<=", "=="):
-                        raise ValueError(f"unknown comparator {c.cmp!r}")
-                    if type(c.bound) is not int:
-                        raise ValueError(f"bound {c.bound!r} is not an integer")
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"constraint system: constraints[{i}]: {exc}") from None
-
-    def _fill(self, graph, variables, constraints, params):
         self.graph = graph
         self.variables = tuple(variables)
         self.constraints = tuple(constraints)
         self.params = params or EncodingParams()
-
-    @classmethod
-    def _unchecked(cls, graph, variables, constraints, params) -> "ConstraintSystem":
-        """A system from parts that encode built, without __init__'s checks."""
-        cs = cls.__new__(cls)
-        cs._fill(graph, variables, constraints, params)
-        return cs
 
     @property
     def num_vars(self) -> int:
@@ -245,20 +212,36 @@ class ConstraintSystem:
                     raise ValueError(f"index {index!r} does not fit kind {kind!r} "
                                      f"on {graph.n} qubits and {graph.m} stabilizers")
                 variables.append(VarRef(len(variables), kind, tuple(index)))
+            nv = len(variables)
             for c in doc["constraints"]:
                 ctype = c["type"]
                 if ctype == "or":
                     con = OrClause(tuple((v, pos == 1) for v, pos in c["lits"]), c["tag"])
                     if bad := [pos for _, pos in c["lits"] if type(pos) is not int or pos not in (0, 1)]:
                         raise ValueError(f"literal sign {bad[0]!r} is not 0 or 1")
+                    ids = [v for v, _ in con.lits]
                 elif ctype == "xor":
-                    con = XorClause(tuple(c["vars"]), c["parity"], c["tag"])
+                    con = XorClause(ids := tuple(c["vars"]), c["parity"], c["tag"])
+                    if type(con.parity) is not int or con.parity not in (0, 1):
+                        raise ValueError(f"XOR parity {con.parity!r} is not 0 or 1")
                 elif ctype == "linear":
-                    con = Linear(tuple(c["vars"]), c["cmp"], c["bound"], c["tag"])
+                    con = Linear(ids := tuple(c["vars"]), c["cmp"], c["bound"], c["tag"])
+                    if con.cmp not in (">=", "<=", "=="):
+                        raise ValueError(f"unknown comparator {con.cmp!r}")
+                    if type(con.bound) is not int:
+                        raise ValueError(f"bound {con.bound!r} is not an integer")
                 else:
                     raise ValueError(f"unknown 'type' {ctype!r}")
                 if len(c) != len(con) + 1:  # the keys are 'type' and the fields of con
                     raise ValueError(f"unknown key {min(c.keys() - {'type', *con._fields})!r}")
+                if bad := [v for v in ids if type(v) is not int or not 0 <= v < nv]:
+                    raise ValueError(f"variable id {bad[0]!r} is not an integer in [0, {nv})")
+                if not ids and ctype != "linear":  # an empty sum is a legitimate bound
+                    raise ValueError("OR/XOR constraints must be non-empty")
+                if len(set(ids)) != len(ids):
+                    raise ValueError("constraint variable lists must be duplicate-free")
+                if type(con.tag) is not str:
+                    raise ValueError(f"tag {con.tag!r} is not a string")
                 constraints.append(con)
         except (KeyError, TypeError, ValueError) as exc:
             where = (f"constraints[{len(constraints)}]" if len(variables) == len(doc["variables"])
@@ -349,7 +332,7 @@ def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintS
     if params.balanced:
         constraints.append(Linear(tuple(p_id), "==", g.m // 2, TAG_BALANCE))
 
-    return ConstraintSystem._unchecked(g, variables, constraints, params)
+    return ConstraintSystem(g, variables, constraints, params)
 
 
 @dataclass(frozen=True)

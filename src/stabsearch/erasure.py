@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .css import CommutationError, CssCode, check_commutation
-from .gf2 import kernel, rank_int_rows, rank_masked
+from .gf2 import independent_rows, kernel, rank_int_rows, rank_masked
 from .rng import CounterStream, RngSpec
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -73,21 +73,6 @@ def sample_erasure(n: int, p: float, rng: RngSpec, base_index: int = 0) -> Erasu
     return ErasurePattern(n=n, mask=CounterStream(rng).bernoulli_mask(base_index, n, p))
 
 
-def _independent(rows: list[int], pivots: dict[int, int]) -> list[int]:
-    """The rows that add a pivot, inserted in order into the pivot table."""
-    out = []
-    for row in rows:
-        cur = row
-        while cur:
-            b = cur.bit_length() - 1
-            if b not in pivots:
-                pivots[b] = cur
-                out.append(row)
-                break
-            cur ^= pivots[b]
-    return out
-
-
 def _gain(basis: list[int], logicals: list[int], s: int, size: int) -> int:
     """rank([basis; logicals] on s) - rank(basis on s) in one elimination,
     stopping once the pivots span the |s| = size columns."""
@@ -116,9 +101,9 @@ def _class_counter(c: CssCode):
     if not check_commutation(c):
         raise CommutationError("check matrices do not commute")
     hx, hz = list(c.hx.rows), list(c.hz.rows)
-    bx, bz = _independent(hx, px := {}), _independent(hz, pz := {})
-    lx = _independent(kernel(hz, range(c.n))[0], px)
-    lz = _independent(kernel(hx, range(c.n))[0], pz)
+    bx, bz = independent_rows(hx, px := {}), independent_rows(hz, pz := {})
+    lx = independent_rows(kernel(hz, range(c.n))[0], px)
+    lz = independent_rows(kernel(hx, range(c.n))[0], pz)
 
     def class_log2(mask: int, w: int) -> int:
         return _gain(bz, lz, mask, w) + _gain(bx, lx, mask, w)

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-def rank_int_rows(rows: list[int]) -> int:
-    """Rank over GF(2) by incremental elimination with a pivot table."""
-    pivots: dict[int, int] = {}
-    rank = 0
+def independent_rows(rows: Iterable[int], pivots: dict[int, int]) -> list[int]:
+    """The rows that add a pivot, in order, each inserted into the pivot
+    table (leading bit -> reduced row) by incremental elimination."""
+    out = []
     for row in rows:
         cur = row
         while cur:
@@ -17,10 +17,15 @@ def rank_int_rows(rows: list[int]) -> int:
             piv = pivots.get(b)
             if piv is None:
                 pivots[b] = cur
-                rank += 1
+                out.append(row)
                 break
             cur ^= piv
-    return rank
+    return out
+
+
+def rank_int_rows(rows: list[int]) -> int:
+    """Rank over GF(2): the number of independent rows."""
+    return len(independent_rows(rows, {}))
 
 
 def rank_masked(rows: list[int], mask: int) -> int:

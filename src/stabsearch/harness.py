@@ -201,7 +201,7 @@ def find_code(
                 "master_seed": rng.master_seed,
                 "stream_id": rng.stream_id,
                 "params": params.to_dict(),
-                "solver": result.stats.to_dict(include_wall_time=False),
+                "solver": result.stats.to_dict(),
                 "verdict": result.verdict,
             },
         )

@@ -29,7 +29,6 @@ fixes a random X side and solves each Z row by GF(2) elimination.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
 
@@ -102,13 +101,9 @@ class SolverStats:
     propagations: int = 0
     restarts: int = 0
     learned: int = 0
-    wall_time_s: float = 0.0
 
-    def to_dict(self, include_wall_time: bool = True) -> dict:
-        doc = asdict(self)
-        if not include_wall_time:
-            del doc["wall_time_s"]
-        return doc
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,6 @@ class SolverConfig:
 
     time_budget: float = 60.0
     seed: int = 0
-    probe_candidates: bool = True
 
     def __post_init__(self):
         if self.time_budget <= 0:
@@ -912,20 +906,15 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
 
     Unknown is returned only when the work budget runs out.  Every sat
     verdict is re-validated with the independent checker before being
-    returned.
+    returned.  No clock is read: the budget, the probes and the slices
+    are all counted in work units.
     """
     cfg = cfg or SolverConfig()
-    t0 = time.monotonic()
     stats = SolverStats()
-
-    warm_phases = None
-    if cfg.probe_candidates:
-        model, greedy = _probe_candidates(cs)
-        if model is not None:
-            stats.wall_time_s = time.monotonic() - t0
-            return SolveResult(SAT, model, stats)
-        if greedy is not None:
-            warm_phases = greedy.values
+    model, greedy = _probe_candidates(cs)
+    if model is not None:
+        return SolveResult(SAT, model, stats)
+    warm_phases = None if greedy is None else greedy.values
 
     # Slice k gets seed cfg.seed + k and twice the work of slice k - 1,
     # cut at the budget.  Its limit is taken before the engine loads, so
@@ -937,10 +926,9 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     seed = cfg.seed
     verdict = UNKNOWN
     while verdict == UNKNOWN and stats.propagations < budget:
-        if seed == cfg.seed + 1 and cfg.probe_candidates and cs.params.min_qubit_degree > 0:
+        if seed == cfg.seed + 1 and cs.params.min_qubit_degree > 0:
             model = _kernel_probe(cs, cfg.seed, stats)
             if model is not None:
-                stats.wall_time_s = time.monotonic() - t0
                 return SolveResult(SAT, model, stats)
             if stats.propagations >= budget:
                 break
@@ -949,7 +937,6 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
         verdict = engine.search(limit)
         work *= 2
         seed += 1
-    stats.wall_time_s = time.monotonic() - t0
 
     if verdict != SAT:
         return SolveResult(verdict, None, stats)

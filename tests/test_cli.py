@@ -359,6 +359,19 @@ class TestSampleEncodeSolve:
         assert "assignment" in doc or doc["verdict"] != "sat"
         assert "verdict:" in capsys.readouterr().out
 
+    def test_solve_result_is_byte_reproducible(self, tmp_path):
+        # satisfiable, and only by search: no probe answers it
+        g = sample_support_graph(12, 10, 0.6, RngSpec(1))
+        system = tmp_path / "s.json"
+        system.write_text(encode(g, EncodingParams(min_qubit_degree=1)).to_json())
+        outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
+        for out in outs:
+            assert run(["solve", "--system", str(system), "--budget", "1", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        doc = json.loads(outs[0].read_text())
+        assert doc.keys() == {"verdict", "stats", "assignment"}
+        assert doc["stats"].keys() == {"decisions", "conflicts", "propagations", "restarts", "learned"}
+
     def test_sample_invalid_gamma_is_validation_error(self, tmp_path):
         assert run(["sample", "--n", "4", "--m", "3", "--gamma", "1.5",
                     "--out", str(tmp_path / "g.json")]) == 4

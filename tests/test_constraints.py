@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -259,56 +260,56 @@ class TestSystemDocument:
 
 
 class TestSystemValidation:
+    """from_json is the one way a system enters from outside, and the one place its
+    constraints are checked."""
+
     @pytest.mark.parametrize("family", ["none", *sorted(TestLayout.FAMILIES)])
     def test_checked_constructor_accepts_what_encode_builds(self, family):
-        # encode skips __init__'s checks; they still hold for everything it builds
         params = TestLayout.FAMILIES[family][0] if family in TestLayout.FAMILIES else None
         for seed in range(3):
             cs = encode(sample_support_graph(12, 10, 0.5, RngSpec(seed)), params)
-            checked = ConstraintSystem(cs.graph, cs.variables, cs.constraints, cs.params)
-            assert vars(checked) == vars(cs)
+            again = ConstraintSystem.from_json(cs.to_json())
+            assert vars(again) == vars(cs)
 
-    def _vars(self, g):
-        from stabsearch.constraints import ACTIVATOR, VarRef
-
-        return [VarRef(i, ACTIVATOR, edge) for i, edge in enumerate(g.edges)]
+    @staticmethod
+    def load(*constraints):
+        """from_json of a document on four variables (ids 0-3) with these constraint entries."""
+        doc = json.loads(encode(sample_support_graph(3, 1, 1.0, RngSpec(0))).to_json())
+        doc["constraints"] = list(constraints)
+        return ConstraintSystem.from_json(doc)
 
     def test_unknown_variable_rejected(self):
-        g = sample_support_graph(3, 1, 1.0, RngSpec(0))
-        with pytest.raises(ValueError):
-            ConstraintSystem(g, self._vars(g), [OrClause(((7, True),), "t")])
+        with pytest.raises(ValueError, match=r"constraints\[0\]: variable id 7 "):
+            self.load({"type": "or", "lits": [[7, 1]], "tag": "t"})
 
     def test_empty_or_xor_rejected(self):
-        g = sample_support_graph(3, 1, 1.0, RngSpec(0))
-        with pytest.raises(ValueError):
-            ConstraintSystem(g, self._vars(g), [OrClause((), "t")])
-        with pytest.raises(ValueError):
-            ConstraintSystem(g, self._vars(g), [XorClause((), 1, "t")])
+        with pytest.raises(ValueError, match="non-empty"):
+            self.load({"type": "or", "lits": [], "tag": "t"})
+        with pytest.raises(ValueError, match="non-empty"):
+            self.load({"type": "xor", "vars": [], "parity": 1, "tag": "t"})
 
     def test_duplicate_vars_rejected(self):
-        g = sample_support_graph(3, 1, 1.0, RngSpec(0))
-        with pytest.raises(ValueError):
-            ConstraintSystem(g, self._vars(g), [XorClause((0, 0), 1, "t")])
+        with pytest.raises(ValueError, match="duplicate"):
+            self.load({"type": "xor", "vars": [0, 0], "parity": 1, "tag": "t"})
 
     def test_bad_parity_and_comparator_rejected(self):
-        g = sample_support_graph(3, 1, 1.0, RngSpec(0))
-        with pytest.raises(ValueError):
-            ConstraintSystem(g, self._vars(g), [XorClause((0, 1), 2, "t")])
+        with pytest.raises(ValueError, match="parity 2"):
+            self.load({"type": "xor", "vars": [0, 1], "parity": 2, "tag": "t"})
         with pytest.raises(ValueError, match="parity True"):
-            ConstraintSystem(g, self._vars(g), [XorClause((0, 1), True, "t")])
-        with pytest.raises(ValueError):
-            ConstraintSystem(g, self._vars(g), [Linear((0, 1), ">", 1, "t")])
+            self.load({"type": "xor", "vars": [0, 1], "parity": True, "tag": "t"})
+        with pytest.raises(ValueError, match="comparator '>'"):
+            self.load({"type": "linear", "vars": [0, 1], "cmp": ">", "bound": 1, "tag": "t"})
 
     @pytest.mark.parametrize("tag", [5, [1], None, b"t"])
     def test_non_string_tag_rejected(self, tag):
-        g = sample_support_graph(3, 1, 1.0, RngSpec(0))
         with pytest.raises(ValueError, match=r"constraints\[1\]: tag"):
-            ConstraintSystem(g, self._vars(g), [OrClause(((0, True),), "t"), OrClause(((1, True),), tag)])
+            self.load({"type": "or", "lits": [[0, 1]], "tag": "t"},
+                      {"type": "or", "lits": [[1, 1]], "tag": tag})
 
     def test_empty_linear_allowed(self):
         # an empty sum is a legitimate (vacuous or unsatisfiable) bound
-        g = sample_support_graph(3, 1, 1.0, RngSpec(0))
-        ConstraintSystem(g, self._vars(g), [Linear((), ">=", 1, "t")])
+        cs = self.load({"type": "linear", "vars": [], "cmp": ">=", "bound": 1, "tag": "t"})
+        assert cs.constraints == (Linear((), ">=", 1, "t"),)
 
 
 class TestCensusScaling:
