@@ -56,7 +56,6 @@ from .solver import (
     SAT,
     UNKNOWN,
     UNSAT,
-    Assignment,
     SolveResult,
     SolverConfig,
     check,

@@ -3,11 +3,11 @@
 Exit codes: 0 success, 2 usage errors (argparse), 3 a file could not be
 read or written (OSError), 4 a document or argument is malformed or
 inconsistent (ValueError, KeyError, TypeError): JSON syntax errors,
-out-of-range values such as ``--budget 0`` and documents that break the
-rules of ``documents.read_document`` (the message names the document
-kind and the key) are all 4.  ``main`` is the only place that maps errors
-to exit codes; any other exception is a program fault and propagates
-with its traceback.
+out-of-range values such as ``--budget 0`` or ``--budget inf`` and
+documents that break the rules of ``documents.read_document`` (the
+message names the document kind and the key) are all 4.  ``main`` is
+the only place that maps errors to exit codes; any other exception is a
+program fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _cmd_solve(args) -> int:
     result = solve(cs, SolverConfig(time_budget=args.budget, seed=args.solver_seed))
     doc = {"verdict": result.verdict, "stats": result.stats.to_dict()}
     if result.assignment is not None:
-        doc["assignment"] = list(result.assignment.values)
+        doc["assignment"] = list(result.assignment)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
     print(f"verdict: {result.verdict} ({result.stats.conflicts} conflicts, "

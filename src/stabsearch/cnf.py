@@ -2,11 +2,11 @@
 
 XOR constraints are chain-decomposed with fresh auxiliaries (direct
 truth-table expansion at width <= 3), and cardinality constraints are
-expanded through sequential-counter networks.  Original variable ids
-map to DIMACS variables 1..num_vars in order; auxiliaries come after.
-The mapping is embedded as comment lines and exposed programmatically,
-so models found by an external solver can be pulled back onto the
-original variables.
+expanded through sequential-counter networks (an at-least bound is an
+at-most bound on the negated literals).  Original variable v maps to
+DIMACS variable v + 1; auxiliaries come after num_orig.  The map is
+embedded as comment lines, and assignment_from_model pulls a model
+found by an external solver back onto the original variables.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from operator import mul
 from typing import Iterable
 
 from .constraints import ConstraintSystem, OrClause, XorClause, gc_paused
-from .solver import Assignment
 
 # (width, parity) -> the sign patterns a width <= 3 parity forbids, one clause each
 _PARITY_SIGNS = {(w, p): [tuple(-1 if bits >> i & 1 else 1 for i in range(w))
@@ -27,12 +26,12 @@ _PARITY_SIGNS = {(w, p): [tuple(-1 if bits >> i & 1 else 1 for i in range(w))
 @dataclass(frozen=True)
 class CnfExport:
     text: str
-    var_map: dict[int, int]  # original variable id -> DIMACS variable
+    num_orig: int  # original variable v is DIMACS variable v + 1
     num_vars: int
     num_clauses: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def assignment_from_model(self, model: Iterable[int]) -> Assignment:
+    def assignment_from_model(self, model: Iterable[int]) -> tuple[int, ...]:
         """Map a DIMACS model (signed literals) back to original variables.
 
         Variables missing from the model default to 0.
@@ -42,8 +41,7 @@ class CnfExport:
             if lit == 0:
                 continue
             truth[abs(lit)] = 1 if lit > 0 else 0
-        n_orig = len(self.var_map)
-        return Assignment(tuple(truth.get(self.var_map[v], 0) for v in range(n_orig)))
+        return tuple(truth.get(v + 1, 0) for v in range(self.num_orig))
 
 
 class _CnfBuilder:
@@ -110,24 +108,13 @@ class _CnfBuilder:
         self.emit(-lits[w - 1], -s[w - 2][k])
 
     def at_least(self, lits: list[int], b: int):
-        w = len(lits)
-        if b <= 0:
-            return
-        if b > w:
-            self.contradiction()
-            return
-        if b == w:
-            for l in lits:
-                self.emit(l)
-            return
-        self.at_most([-l for l in lits], w - b)
+        self.at_most([-l for l in lits], len(lits) - b)
 
 
 @gc_paused
 def export_cnf(cs: ConstraintSystem) -> CnfExport:
     """Render a constraint system as DIMACS CNF with a variable side-table."""
     n_orig = cs.num_vars
-    var_map = {v: v + 1 for v in range(n_orig)}
     b = _CnfBuilder(n_orig)
 
     for c in cs.constraints:
@@ -144,12 +131,12 @@ def export_cnf(cs: ConstraintSystem) -> CnfExport:
 
     num_vars = b.next_var - 1
     lines = ["c stabsearch constraint system export"]
-    lines.extend(f"c map {orig} {dim}" for orig, dim in var_map.items())
+    lines.extend(f"c map {v} {v + 1}" for v in range(n_orig))
     lines.append(f"p cnf {num_vars} {len(b.clauses)}")
     lines.extend([" ".join(map(str, clause)) + " 0" for clause in b.clauses])
     return CnfExport(
         text="\n".join(lines) + "\n",
-        var_map=var_map,
+        num_orig=n_orig,
         num_vars=num_vars,
         num_clauses=len(b.clauses),
         clauses=tuple(b.clauses),

@@ -16,7 +16,6 @@ from .constraints import EncodingParams
 from .documents import fields_shape, read_document
 from .gf2 import BitMatrix
 from .graphs import SupportGraph
-from .solver import Assignment
 
 CODE_FORMAT_VERSION = 1
 
@@ -70,7 +69,7 @@ def check_commutation(c: CssCode) -> bool:
     return True
 
 
-def extract_code(g: SupportGraph, a: Assignment) -> CssCode:
+def extract_code(g: SupportGraph, a: tuple[int, ...]) -> CssCode:
     """Decode a satisfying assignment into a CSS code.
 
     Relies on the canonical variable layout: activators first in edge

@@ -143,37 +143,6 @@ class DecodingReport:
     failures: float
     failure_rate: float
     ci95: float
-    estimator: str = "exact"
-    sum_sq: float = 0.0
-
-    def merge(self, other: "DecodingReport") -> "DecodingReport":
-        if self.p != other.p or self.estimator != other.estimator:
-            raise ValueError("cannot merge reports for different settings")
-        return _make_report(
-            self.p,
-            self.trials + other.trials,
-            self.failures + other.failures,
-            self.sum_sq + other.sum_sq,
-            self.estimator,
-        )
-
-
-def _make_report(p: float, trials: int, fail_sum: float, sum_sq: float, estimator: str) -> DecodingReport:
-    mean = fail_sum / trials
-    if trials > 1:
-        var = max(0.0, (sum_sq - trials * mean * mean) / (trials - 1))
-        half = Z95 * math.sqrt(var / trials)
-    else:
-        half = 0.0
-    return DecodingReport(
-        p=p,
-        trials=trials,
-        failures=fail_sum,
-        failure_rate=mean,
-        ci95=half,
-        estimator=estimator,
-        sum_sq=sum_sq,
-    )
 
 
 def failure_rate(
@@ -188,8 +157,7 @@ def failure_rate(
     estimator="exact" accumulates the per-pattern expected failure
     1 - 2^(-g) (lower variance); "bernoulli" draws the decoder's success
     as a coin flip with that probability.  Trial t consumes stream
-    counters [t*(n+1), (t+1)*(n+1)), so reports over disjoint trial
-    ranges merge associatively.
+    counters [t*(n+1), (t+1)*(n+1)).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -219,7 +187,13 @@ def failure_rate(
             failed = 1.0 if unit(base + n) < p_fail else 0.0
             fail_sum += failed
             sum_sq += failed
-    return _make_report(p, trials, fail_sum, sum_sq, estimator)
+    mean = fail_sum / trials
+    if trials > 1:
+        var = max(0.0, (sum_sq - trials * mean * mean) / (trials - 1))
+        half = Z95 * math.sqrt(var / trials)
+    else:
+        half = 0.0
+    return DecodingReport(p=p, trials=trials, failures=fail_sum, failure_rate=mean, ci95=half)
 
 
 def exact_failure_rate(c: CssCode, p: float) -> float:

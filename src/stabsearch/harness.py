@@ -102,6 +102,7 @@ class SweepConfig:
             raise ValueError("samples must be >= 1")
         if self.gamma_step <= 0 or self.gamma_max < self.gamma_min:
             raise ValueError("invalid gamma grid")
+        SolverConfig(time_budget=self.time_budget)  # raises on a budget no solve accepts
 
     def gammas(self) -> tuple[float, ...]:
         count = int(math.floor((self.gamma_max - self.gamma_min) / self.gamma_step + 1e-9)) + 1
@@ -264,7 +265,8 @@ def run_phase_sweep(cfg: SweepConfig) -> list[PixelResult]:
     """Run (or resume) a sweep; returns pixel results in grid order.
 
     A later call on the same config resumes from the pixel files of an
-    interrupted one.  The final CSV is only written once every pixel is
+    interrupted one, with any number of workers: config.json keeps the
+    first run's.  The final CSV is only written once every pixel is
     complete.
     """
     out = Path(cfg.out_dir)
@@ -275,7 +277,7 @@ def run_phase_sweep(cfg: SweepConfig) -> list[PixelResult]:
     if config_path.exists():
         with _in_file(config_path):
             stored = SweepConfig.from_dict(config_path.read_text())
-        if replace(stored, out_dir=cfg.out_dir) != cfg:
+        if replace(stored, out_dir=cfg.out_dir, workers=cfg.workers) != cfg:
             raise ValueError(f"output directory {out} holds a sweep with a different config")
     else:
         _write_atomic(config_path, json.dumps(cfg.to_dict(), sort_keys=True))

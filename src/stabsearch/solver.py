@@ -28,6 +28,7 @@ fixes a random X side and solves each Z row by GF(2) elimination.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
@@ -81,19 +82,6 @@ _CLA_ACT_DECAY = 1.0 / 0.999
 _RANDOM_BRANCH_FREQ = 0.02
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Total 0/1 valuation, indexed by variable id."""
-
-    values: tuple[int, ...]
-
-    def __getitem__(self, var_id: int) -> int:
-        return self.values[var_id]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 @dataclass
 class SolverStats:
     decisions: int = 0
@@ -109,7 +97,7 @@ class SolverStats:
 @dataclass(frozen=True)
 class SolveResult:
     verdict: str
-    assignment: Assignment | None
+    assignment: tuple[int, ...] | None  # 0/1 per variable id when sat
     stats: SolverStats
 
 
@@ -121,17 +109,17 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.time_budget <= 0:
-            raise ValueError("time_budget must be positive")
+        # inf and nan fail too, as would a budget whose work-unit count overflows
+        if not (self.time_budget > 0 and math.isfinite(self.time_budget * PROPS_PER_SECOND)):
+            raise ValueError(f"time_budget must be positive and finite, got {self.time_budget}")
 
 
-def check(cs: ConstraintSystem, a: Assignment) -> bool:
+def check(cs: ConstraintSystem, values: tuple[int, ...]) -> bool:
     """Independent verifier: evaluate every constraint directly.
 
     Shares no code with the solver's propagators.  Raises on partial or
     ill-typed assignments.
     """
-    values = a.values
     if len(values) != cs.num_vars:
         raise ValueError(f"assignment covers {len(values)} of {cs.num_vars} variables")
     if any(v not in (0, 1) for v in values):
@@ -161,7 +149,7 @@ def check(cs: ConstraintSystem, a: Assignment) -> bool:
 
 def consistent_completion(
     cs: ConstraintSystem, activators: dict[tuple[int, int], int], paulis: list[int]
-) -> Assignment:
+) -> tuple[int, ...]:
     """Fill auxiliary variables from activator/pauli choices.
 
     same/even/both and the type indicators are functionally determined
@@ -194,7 +182,7 @@ def consistent_completion(
             values[var.id] = 1 ^ paulis[s1] ^ paulis[s2]
         elif var.kind == EVEN:
             values[var.id] = 1 ^ both_parity.get(var.index, 0)
-    return Assignment(tuple(values))
+    return tuple(values)
 
 
 def _greedy_degree_candidate(cs: ConstraintSystem) -> tuple[dict, list[int]] | None:
@@ -236,7 +224,7 @@ def _greedy_degree_candidate(cs: ConstraintSystem) -> tuple[dict, list[int]] | N
     return active, paulis
 
 
-def _kernel_probe(cs: ConstraintSystem, seed: int, stats: SolverStats) -> Assignment | None:
+def _kernel_probe(cs: ConstraintSystem, seed: int, stats: SolverStats) -> tuple[int, ...] | None:
     """Random X sides with the Z side solved by elimination: a checked model, or None.
 
     Runs _KERNEL_TRIES tries from its own seeded stream.  Every GF(2) row
@@ -896,8 +884,8 @@ class _Engine:
             self.trail_lim.append(len(self.trail))
             self._enqueue(2 * v + (self.phase[v] ^ 1), None)
 
-    def assignment(self) -> Assignment:
-        return Assignment(tuple(self.values))
+    def assignment(self) -> tuple[int, ...]:
+        return tuple(self.values)
 
 
 @gc_paused
@@ -911,10 +899,9 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     """
     cfg = cfg or SolverConfig()
     stats = SolverStats()
-    model, greedy = _probe_candidates(cs)
+    model, warm_phases = _probe_candidates(cs)
     if model is not None:
         return SolveResult(SAT, model, stats)
-    warm_phases = None if greedy is None else greedy.values
 
     # Slice k gets seed cfg.seed + k and twice the work of slice k - 1,
     # cut at the budget.  Its limit is taken before the engine loads, so
@@ -946,7 +933,7 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     return SolveResult(SAT, model, stats)
 
 
-def _probe_candidates(cs: ConstraintSystem) -> tuple[Assignment | None, Assignment | None]:
+def _probe_candidates(cs: ConstraintSystem) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """Try cheap structured assignments before searching.
 
     Returns (model, greedy): the first probe that satisfies cs, if any,

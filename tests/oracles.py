@@ -205,7 +205,7 @@ def reference_failure_rate(code: CssCode, p: float, trials: int, rng: RngSpec,
     half = 0.0
     if trials > 1:
         half = Z95 * math.sqrt(max(0.0, (sum_sq - trials * mean * mean) / (trials - 1)) / trials)
-    return DecodingReport(p, trials, fail_sum, mean, half, estimator, sum_sq)
+    return DecodingReport(p, trials, fail_sum, mean, half)
 
 
 def reference_system_json(cs: ConstraintSystem) -> str:

@@ -111,7 +111,7 @@ def test_criterion_01_encoder_soundness():
             bits = assignment_bits(idx, cs.num_vars)
             activators = {edge: bits[i] for i, edge in enumerate(g.edges)}
             paulis = [bits[n_edges + s] for s in range(g.m)]
-            aux_ok = bits == consistent_completion(cs, activators, paulis).values
+            aux_ok = bits == consistent_completion(cs, activators, paulis)
             expected = aux_ok and semantic_commutes(g, activators, paulis)
             assert bool((sat_set >> idx) & 1) == expected
         done += 1

@@ -113,6 +113,12 @@ BAD_INPUTS = [
     ("solve-budget-0",
      lambda t, s: ["solve", "--system", write_system(t / "s.json"), "--budget", "0"], 4,
      ["time_budget"]),
+    ("solve-budget-inf",
+     lambda t, s: ["solve", "--system", write_edited(t / "s.json", DEGREE_SYSTEM, lambda d: None),
+                   "--budget", "inf"], 4, ["time_budget", "inf"]),
+    ("solve-budget-nan",
+     lambda t, s: ["solve", "--system", write_edited(t / "s.json", DEGREE_SYSTEM, lambda d: None),
+                   "--budget", "nan"], 4, ["time_budget", "nan"]),
     ("decode-out-missing-dir",
      lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10",
                    "--out", str(t / "absent" / "d.csv")], 3, ["d.csv"]),
@@ -497,6 +503,19 @@ class TestSweepAndDensity:
             p.relative_to(out_dir) for p in out_dir.rglob("*")
             if p.is_file() and p.name != "config.json"
         ) == files
+
+    @pytest.mark.parametrize("budget", [0, float("inf"), float("nan")])
+    def test_bad_budget_is_validation_error(self, budget, tmp_path, capsys):
+        cfg = {"qubit_counts": [5], "gamma_min": 0.5, "gamma_max": 0.5, "gamma_step": 0.1,
+               "samples": 2}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**cfg, "time_budget": budget}))  # inf as Infinity
+        out_dir = tmp_path / "sweep"
+        assert run(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 4
+        assert "time_budget" in capsys.readouterr().err
+        assert not (out_dir / "config.json").exists()
+        cfg_path.write_text(json.dumps({**cfg, "time_budget": 1.0}))
+        assert run(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
 
     def test_unknown_config_key_is_validation_error(self, tmp_path, capsys):
         base = {"qubit_counts": [5], "gamma_min": 0.5, "gamma_max": 0.5, "gamma_step": 0.1}

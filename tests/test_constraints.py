@@ -34,7 +34,7 @@ from stabsearch.constraints import (
 )
 from stabsearch.graphs import SupportGraph, sample_support_graph, shared_qubits
 from stabsearch.rng import RngSpec
-from stabsearch.solver import Assignment, check, consistent_completion
+from stabsearch.solver import check, consistent_completion
 
 from oracles import assignment_bits, reference_system_json, satisfying_set
 from test_graphs import fig_two_stabilizers_graph
@@ -138,7 +138,7 @@ class TestCommutationEncoding:
             paulis = [bits[n_edges + s] for s in range(g.m)]
             expected_aux = consistent_completion(cs, activators, paulis)
             semantically_ok = (
-                bits == expected_aux.values and semantic_commutes(g, activators, paulis)
+                bits == expected_aux and semantic_commutes(g, activators, paulis)
             )
             assert bool((sat_set >> idx) & 1) == semantically_ok
 

@@ -22,7 +22,6 @@ from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch.rng import RngSpec
 from stabsearch.solver import (
     SAT,
-    Assignment,
     SolverConfig,
     check,
     consistent_completion,
@@ -131,7 +130,7 @@ class TestExtraction:
     def test_extract_requires_covering_assignment(self):
         g = sample_support_graph(3, 2, 1.0, RngSpec(0))
         with pytest.raises(ValueError):
-            extract_code(g, Assignment((0,)))
+            extract_code(g, (0,))
 
     def test_solved_instances_extract_to_commuting_codes(self):
         count = 0

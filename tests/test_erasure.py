@@ -189,22 +189,6 @@ class TestFailureRate:
             rep = failure_rate(code, p, 6000, RngSpec(21), estimator="exact")
             assert abs(rep.failure_rate - truth) <= rep.ci95 + 1e-12
 
-    def test_merge_is_associative_and_matches_single_run(self):
-        code = steane_code()
-        a = failure_rate(code, 0.4, 300, RngSpec(31), estimator="exact")
-        b = failure_rate(code, 0.4, 200, RngSpec(32), estimator="exact")
-        c = failure_rate(code, 0.4, 100, RngSpec(33), estimator="exact")
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left == right
-        assert left.trials == 600
-
-    def test_merge_rejects_mismatched_settings(self):
-        a = failure_rate(shor_code(), 0.4, 10, RngSpec(1))
-        b = failure_rate(shor_code(), 0.5, 10, RngSpec(1))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_determinism(self):
         a = failure_rate(shor_code(), 0.37, 500, RngSpec(8, 3), estimator="bernoulli")
         b = failure_rate(shor_code(), 0.37, 500, RngSpec(8, 3), estimator="bernoulli")

@@ -211,6 +211,21 @@ class TestSweep:
             tmp_path / "par" / "pixels.csv"
         ).read_bytes()
 
+    def test_resume_with_other_workers_matches_serial(self, tmp_path, monkeypatch):
+        serial = tmp_path / "serial"
+        run_phase_sweep(tiny_config(serial, workers=1))
+        resumed = tmp_path / "resumed"
+        cfg = tiny_config(resumed, workers=1)
+        run_interrupted(cfg, monkeypatch, 3 * cfg.samples)  # in the fourth pixel
+        stored = (resumed / "config.json").read_bytes()
+        run_phase_sweep(tiny_config(resumed, workers=2))
+        assert (resumed / "config.json").read_bytes() == stored  # the first run's workers
+        files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+        assert any(rel.parts[0] == "codes" for rel in files)
+        assert sorted(p.relative_to(resumed) for p in resumed.rglob("*") if p.is_file()) == files
+        for rel in files:
+            assert (resumed / rel).read_bytes() == (serial / rel).read_bytes(), rel
+
     def test_config_mismatch_detected(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path / "x")
         run_interrupted(cfg, monkeypatch, cfg.samples)

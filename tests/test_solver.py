@@ -26,7 +26,6 @@ from stabsearch.solver import (
     SAT,
     UNKNOWN,
     UNSAT,
-    Assignment,
     SolverConfig,
     check,
     consistent_completion,
@@ -87,16 +86,16 @@ class TestCheck:
         a = consistent_completion(cs, {}, [0] * 6)
         both_ids = [v.id for v in cs.variables if v.kind == "both"]
         assert both_ids
-        values = list(a.values)
+        values = list(a)
         values[both_ids[0]] ^= 1
-        assert not check(cs, Assignment(tuple(values)))
+        assert not check(cs, tuple(values))
 
     def test_check_rejects_partial_assignment(self):
         cs = encode(sample_support_graph(4, 3, 0.5, RngSpec(0)))
         with pytest.raises(ValueError):
-            check(cs, Assignment((0,) * (cs.num_vars - 1)))
+            check(cs, (0,) * (cs.num_vars - 1))
         with pytest.raises(ValueError):
-            check(cs, Assignment((0, 2) + (0,) * (cs.num_vars - 2)))
+            check(cs, (0, 2) + (0,) * (cs.num_vars - 2))
 
     def test_check_evaluates_each_constraint_type(self):
         cs = raw_system(
@@ -109,8 +108,8 @@ class TestCheck:
                 Linear((0, 1), "==", 1, "t"),
             ],
         )
-        assert check(cs, Assignment((1, 0, 0)))
-        assert not check(cs, Assignment((1, 1, 1)))  # violates xor and <= and ==
+        assert check(cs, (1, 0, 0))
+        assert not check(cs, (1, 1, 1))  # violates xor and <= and ==
 
 
 class TestSolveBasics:
@@ -225,7 +224,7 @@ class TestDeterminism:
             r1, r2 = solve(cs, cfg), solve(cs, cfg)
             assert r1.verdict == r2.verdict
             if r1.verdict == SAT:
-                assert r1.assignment.values == r2.assignment.values
+                assert r1.assignment == r2.assignment
 
     def test_degree_constrained_pipeline_deterministic(self):
         g = sample_support_graph(20, 18, 0.7, RngSpec(5, 2))
@@ -233,7 +232,7 @@ class TestDeterminism:
         cfg = SolverConfig(time_budget=20, seed=9)
         r1, r2 = solve(cs, cfg), solve(cs, cfg)
         assert r1.verdict == r2.verdict == SAT
-        assert r1.assignment.values == r2.assignment.values
+        assert r1.assignment == r2.assignment
 
     def test_verdict_does_not_depend_on_wall_clock(self, monkeypatch):
         def no_clock():
@@ -301,7 +300,7 @@ PINNED_BAND_SWEEP = [
 def work_row(result) -> tuple:
     s = result.stats
     model = result.assignment
-    digest = None if model is None else hashlib.sha256(bytes(model.values)).hexdigest()[:16]
+    digest = None if model is None else hashlib.sha256(bytes(model)).hexdigest()[:16]
     return (result.verdict, s.decisions, s.conflicts, s.propagations, s.restarts, s.learned, digest)
 
 
