@@ -28,6 +28,7 @@ from .gf2 import independent_rows, kernel, rank_int_rows, rank_masked
 from .rng import CounterStream, RngSpec
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
+_BLOCK_DRAWS = 1 << 13  # failure_rate draws about this many counters per bernoulli_bits call
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,12 @@ def failure_rate(
     estimator="exact" accumulates the per-pattern expected failure
     1 - 2^(-g) (lower variance); "bernoulli" draws the decoder's success
     as a coin flip with that probability.  Trial t consumes stream
-    counters [t*(n+1), (t+1)*(n+1)).
+    counters [t*(n+1), (t+1)*(n+1)): qubit q is erased when
+    unit(t*(n+1) + q) < p, and the bernoulli coin is unit(t*(n+1) + n).
+    The erasures are drawn in blocks of trials, one
+    CounterStream.bernoulli_bits call of about _BLOCK_DRAWS counters per
+    block, so memory stays bounded for any trial count and the counters
+    each trial reads are the same as one draw per trial would read.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -168,25 +174,28 @@ def failure_rate(
     n = c.n
     class_log2 = _class_counter(c)
     stream = CounterStream(rng)
-    draw, unit = stream.bernoulli_mask, stream.unit
+    draw, unit = stream.bernoulli_bits, stream.unit
 
     fail_sum = 0.0
     sum_sq = 0.0
     stride = n + 1
-    for t in range(trials):
-        base = t * stride
-        mask = draw(base, n, p)
-        if mask:
-            p_fail = 1.0 - 2.0 ** (-class_log2(mask, mask.bit_count()))
-        else:
-            p_fail = 0.0
-        if estimator == "exact":
-            fail_sum += p_fail
-            sum_sq += p_fail * p_fail
-        else:
-            failed = 1.0 if unit(base + n) < p_fail else 0.0
-            fail_sum += failed
-            sum_sq += failed
+    block = max(1, _BLOCK_DRAWS // stride)
+    for first in range(0, trials, block):
+        size = min(block, trials - first)
+        bits = draw(first * stride, size * stride, p)
+        for at in range(0, size * stride, stride):
+            mask = int(bits[at:at + n][::-1], 2)
+            if mask:
+                p_fail = 1.0 - 2.0 ** (-class_log2(mask, mask.bit_count()))
+            else:
+                p_fail = 0.0
+            if estimator == "exact":
+                fail_sum += p_fail
+                sum_sq += p_fail * p_fail
+            else:
+                failed = 1.0 if unit(first * stride + at + n) < p_fail else 0.0
+                fail_sum += failed
+                sum_sq += failed
     mean = fail_sum / trials
     if trials > 1:
         var = max(0.0, (sum_sq - trials * mean * mean) / (trials - 1))

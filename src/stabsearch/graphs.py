@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from itertools import compress, count
 
 from .documents import fields_shape, read_document
 from .rng import CounterStream, RngSpec
 
 GRAPH_FORMAT_VERSION = 1
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # b"0"/b"1" draws -> false/true bytes
 
 
 @dataclass(frozen=True)
@@ -88,11 +90,8 @@ def sample_support_graph(n: int, m: int, gamma: float, rng: RngSpec) -> SupportG
         raise ValueError("n and m must be positive")
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    draw = CounterStream(rng).bernoulli_mask
-    edges = []
-    for q in range(n):
-        row = draw(q * m, m, gamma)
-        edges.extend((q, s) for s in range(m) if row >> s & 1)
+    bits = CounterStream(rng).bernoulli_bits(0, n * m, gamma)
+    edges = [divmod(i, m) for i in compress(count(), bits.translate(_FLAGS))]
     return SupportGraph(n=n, m=m, gamma=gamma, seed=rng.key(), edges=tuple(edges))
 
 

@@ -96,12 +96,21 @@ class SweepConfig:
     out_dir: str = "sweep_out"
 
     def __post_init__(self):
-        if not self.qubit_counts:
-            raise ValueError("qubit_counts must be non-empty")
+        if not self.qubit_counts or min(self.qubit_counts) < 1:
+            raise ValueError(f"qubit_counts must be non-empty and each >= 1, got {self.qubit_counts!r}")
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.gamma_step <= 0 or self.gamma_max < self.gamma_min:
-            raise ValueError("invalid gamma grid")
+            raise ValueError(f"samples must be >= 1, got {self.samples!r}")
+        if not (0.0 <= self.gamma_min <= self.gamma_max <= 1.0):
+            raise ValueError(f"gamma_min and gamma_max must satisfy 0 <= gamma_min <= gamma_max <= 1, "
+                             f"got {self.gamma_min!r} and {self.gamma_max!r}")
+        if not (0.0 < self.gamma_step < math.inf):
+            raise ValueError(f"gamma_step must be positive and finite, got {self.gamma_step!r}")
+        if not (0.0 < self.ratio < math.inf):
+            raise ValueError(f"ratio must be positive and finite, got {self.ratio!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
+        if not (0.0 < self.solved_threshold <= 1.0):
+            raise ValueError(f"solved_threshold must lie in (0, 1], got {self.solved_threshold!r}")
         SolverConfig(time_budget=self.time_budget)  # raises on a budget no solve accepts
 
     def gammas(self) -> tuple[float, ...]:

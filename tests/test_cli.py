@@ -517,6 +517,20 @@ class TestSweepAndDensity:
         cfg_path.write_text(json.dumps({**cfg, "time_budget": 1.0}))
         assert run(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
 
+    @pytest.mark.parametrize("field,value", [
+        ("workers", 0), ("qubit_counts", [5, 0]), ("ratio", -1), ("ratio", float("inf")),
+        ("solved_threshold", 7), ("solved_threshold", 0), ("gamma_min", -0.5), ("gamma_max", 1.5),
+    ])
+    def test_out_of_range_config_is_validation_error(self, field, value, tmp_path, capsys):
+        cfg = {"qubit_counts": [5], "gamma_min": 0.5, "gamma_max": 0.5, "gamma_step": 0.1,
+               "samples": 2, "time_budget": 1.0}
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**cfg, field: value}))  # inf as Infinity
+        out_dir = tmp_path / "sweep"
+        assert run(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 4
+        assert field in capsys.readouterr().err
+        assert not (out_dir / "config.json").exists()
+
     def test_unknown_config_key_is_validation_error(self, tmp_path, capsys):
         base = {"qubit_counts": [5], "gamma_min": 0.5, "gamma_max": 0.5, "gamma_step": 0.1}
         bad = [

@@ -6,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from stabsearch.css import CommutationError, CssCode, shor_code, stats, steane_code
+from stabsearch import erasure
 from stabsearch.erasure import (
     ErasurePattern,
     _class_counter,
@@ -202,6 +203,16 @@ class TestFailureRate:
             rng = RngSpec(41, i)
             want = reference_failure_rate(code, p, 200, rng, estimator)
             assert failure_rate(code, p, 200, rng, estimator) == want
+
+    @pytest.mark.parametrize("estimator", ["exact", "bernoulli"])
+    def test_report_equals_original_trial_loop_across_blocks(self, estimator):
+        """Trials past a draw block and its lane chunks read the same counters."""
+        for i, code in enumerate([shor_code(), steane_code()]):
+            stride = code.n + 1
+            trials = 2 * (erasure._BLOCK_DRAWS // stride) + 3  # two full blocks and a short one
+            rng = RngSpec(43, i)
+            want = reference_failure_rate(code, 0.4, trials, rng, estimator)
+            assert failure_rate(code, 0.4, trials, rng, estimator) == want
 
     def test_non_commuting_code_raises(self):
         code = css(3, ["110"], ["100"])

@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from stabsearch.graphs import SupportGraph, sample_support_graph, shared_qubits
-from stabsearch.rng import RngSpec
+from stabsearch.rng import CounterStream, RngSpec
 
 
 def fig_two_stabilizers_graph():
@@ -53,6 +53,18 @@ def test_edge_count_mean_matches_binomial_law():
     # variance sanity: within half an order of magnitude of binomial
     var = sum((c - mean) ** 2 for c in counts) / (len(counts) - 1)
     assert 0.5 * sigma**2 < var < 2.0 * sigma**2
+
+
+@pytest.mark.parametrize("n,m,gamma", [
+    (5, 4, 0.5), (40, 36, 0.1), (40, 36, 0.45), (100, 90, 0.05), (3, 700, 0.9), (7, 1, 1e-300),
+])
+def test_edges_are_per_edge_unit_below_gamma(n, m, gamma):
+    """Edge (q, s) is present exactly when unit(q*m + s) < gamma."""
+    rng = RngSpec(2024, n * m)
+    unit = CounterStream(rng).unit
+    g = sample_support_graph(n, m, gamma, rng)
+    assert g.edges == tuple((q, s) for q in range(n) for s in range(m) if unit(q * m + s) < gamma)
+    assert g.seed == rng.key()
 
 
 def test_determinism_across_calls():

@@ -233,6 +233,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_phase_sweep(other)
 
+    @pytest.mark.parametrize("field,value", [
+        ("workers", 0), ("workers", -3),
+        ("qubit_counts", (6, 0)), ("qubit_counts", (-4,)),
+        ("ratio", 0.0), ("ratio", -1.0), ("ratio", float("inf")), ("ratio", float("nan")),
+        ("solved_threshold", 0.0), ("solved_threshold", 7.0), ("solved_threshold", float("nan")),
+        ("gamma_min", -0.1), ("gamma_max", 1.2), ("gamma_max", float("nan")),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(tiny_config("unused"), **{field: value})
+
     def test_gamma_grid_construction(self):
         cfg = tiny_config("unused")
         assert cfg.gammas() == (0.2, 0.5, 0.8)

@@ -1,9 +1,11 @@
 import math
+import random
 
+import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from stabsearch.rng import CounterStream, RngSpec, mix64, stable_hash64
+from stabsearch.rng import _CHUNK, CounterStream, RngSpec, mix64, stable_hash64
 
 
 def test_same_spec_same_stream():
@@ -58,14 +60,66 @@ def test_substream_derivation():
 
 def test_bernoulli_mask_is_unit_below_p():
     s = CounterStream(RngSpec(31, 4))
-    for p in (0.0, 1e-300, 0.3, 0.5, 1 - 2**-53, 1.0):
+    for p in (0.0, 1e-300, 0.3, 0.5, 1 - 2**-53, 1.0, -0.5, 2.0):
         assert s.bernoulli_mask(100, 70, p) == sum(1 << j for j in range(70) if s.unit(100 + j) < p)
 
 
+# The batched kernel against the scalar definition: byte j of
+# bernoulli_bits(base, count, p) is b"1" exactly when unit(base + j) < p.
+# unit() hashes one counter with mix64, which shares no code with the lanes.
+
+def scalar_bits(s: CounterStream, base: int, count: int, p: float) -> bytes:
+    return b"".join(b"1" if s.unit(base + j) < p else b"0" for j in range(count))
+
+
+def stream_with_key(key: int) -> CounterStream:
+    s = CounterStream(RngSpec(0))
+    s.key = key
+    return s
+
+
+def check_kernel(s: CounterStream, base: int, count: int, p: float) -> None:
+    want = scalar_bits(s, base, count, p)
+    assert s.bernoulli_bits(base, count, p) == want, (s.key, base, count, p)
+    assert s.bernoulli_mask(base, count, p) == int(want[::-1] or b"0", 2)
+
+
 def test_bernoulli_mask_threshold_is_exact():
-    """p equal to a draw leaves its bit clear; the next float above sets it."""
+    """p equal to a draw leaves its bit clear and p one step above sets it.
+
+    Includes draws whose u64 has 11 zero low bits, so that it equals the
+    threshold when p is the draw, and 11 one low bits, so that it is the
+    threshold minus one when p is a step above; both also inside a batch."""
     s = CounterStream(RngSpec(7, 1))
-    for i in range(200):
+    edges = [i for i in range(40000) if s.u64(i) & 0x7FF in (0, 0x7FF)]
+    assert sum(s.u64(i) & 0x7FF == 0 for i in edges) >= 5
+    assert sum(s.u64(i) & 0x7FF == 0x7FF for i in edges) >= 5
+    for i in list(range(200)) + edges:
         u = s.unit(i)
+        above = u + 2**-53  # the next multiple of 2^-53, exact below 1
         assert s.bernoulli_mask(i, 1, u) == 0
         assert s.bernoulli_mask(i, 1, math.nextafter(u, 1.0)) == 1
+        assert s.bernoulli_bits(i, 1, above) == b"1"
+        if i >= 200:
+            base = max(0, i - 700)  # the same draw inside a longer batch
+            check_kernel(s, base, _CHUNK + 3, u)
+            check_kernel(s, base, _CHUNK + 3, above)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_bernoulli_bits_matches_scalar_on_random_keys(count):
+    r = random.Random(count)
+    for _ in range(3):
+        s = stream_with_key(r.getrandbits(64))
+        base = r.getrandbits(64)
+        for p in (0.0, 1e-300, r.random(), 0.5, 1 - 2**-53, 1.0):
+            check_kernel(s, base, count, p)
+
+
+@pytest.mark.parametrize("count", [1, 7, _CHUNK + 1, 2 * _CHUNK])
+def test_bernoulli_bits_wraps_the_counter_past_2_64(count):
+    s = stream_with_key(random.Random(99).getrandbits(64))
+    for back in (1, 2, count // 2 + 1, count):
+        base = 2**64 - back  # counters base .. base + count - 1 cross 2^64
+        for p in (0.3, 0.9):
+            check_kernel(s, base, count, p)
