@@ -76,6 +76,8 @@ class Linear(NamedTuple):
 
 
 Constraint = OrClause | XorClause | Linear
+# A variable's literal pair ((v, False), (v, True)), indexed by polarity
+Lits = tuple[tuple[int, bool], tuple[int, bool]]
 
 # Tags, used for the census and for warm starts; one per constraint family.
 TAG_COMMUTE = "commute-or"
@@ -263,13 +265,14 @@ def intersecting_pairs(g: SupportGraph) -> list[tuple[int, int, tuple[int, ...]]
     return out
 
 
-def _and_definition(target: int, in1: int, in2: int, tag: str, pos2: bool = True) -> list[OrClause]:
-    """target <-> (in1 AND in2) as the standard three clauses; with
-    pos2=False the second input is negated: target <-> (in1 AND NOT in2)."""
+def _and_definition(target: Lits, in1: Lits, in2: Lits, tag: str, pos2: bool = True) -> list[OrClause]:
+    """target <-> (in1 AND in2) as the standard three clauses, over each
+    variable's literal pair; with pos2=False the second input is negated:
+    target <-> (in1 AND NOT in2)."""
     return [
-        OrClause(((target, False), (in1, True)), tag),
-        OrClause(((target, False), (in2, pos2)), tag),
-        OrClause(((target, True), (in1, False), (in2, not pos2)), tag),
+        OrClause((target[0], in1[1]), tag),
+        OrClause((target[0], in2[pos2]), tag),
+        OrClause((target[1], in1[0], in2[not pos2]), tag),
     ]
 
 
@@ -285,10 +288,12 @@ def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintS
     """
     params = params or EncodingParams()
     variables: list[VarRef] = []
+    lits: list[Lits] = []  # every OR clause reuses these tuples: fewer objects to build and free
 
     def new_var(kind: str, index: tuple[int, ...]) -> int:
         vid = len(variables)
         variables.append(VarRef(vid, kind, index))
+        lits.append(((vid, False), (vid, True)))
         return vid
 
     a_id = {edge: new_var(ACTIVATOR, edge) for edge in g.edges}
@@ -299,11 +304,11 @@ def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintS
         same = new_var(SAME, (s1, s2))
         even = new_var(EVEN, (s1, s2))
         both = [new_var(BOTH, (q, s1, s2)) for q in shared]
-        constraints.append(OrClause(((same, True), (even, True)), TAG_COMMUTE))
+        constraints.append(OrClause((lits[same][1], lits[even][1]), TAG_COMMUTE))
         constraints.append(XorClause((same, p_id[s1], p_id[s2]), 1, TAG_SAME))
         constraints.append(XorClause((even, *both), 1, TAG_EVEN))
         for q, b in zip(shared, both):
-            constraints.extend(_and_definition(b, a_id[(q, s1)], a_id[(q, s2)], TAG_BOTH))
+            constraints.extend(_and_definition(lits[b], lits[a_id[(q, s1)]], lits[a_id[(q, s2)]], TAG_BOTH))
 
     if params.min_qubit_degree > 0:
         x_id = {}
@@ -312,9 +317,9 @@ def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintS
             x_id[edge] = new_var(XIND, edge)
             z_id[edge] = new_var(ZIND, edge)
         for edge in g.edges:
-            a, p = a_id[edge], p_id[edge[1]]
-            constraints.extend(_and_definition(x_id[edge], a, p, TAG_XIND))
-            constraints.extend(_and_definition(z_id[edge], a, p, TAG_ZIND, pos2=False))
+            a, p = lits[a_id[edge]], lits[p_id[edge[1]]]
+            constraints.extend(_and_definition(lits[x_id[edge]], a, p, TAG_XIND))
+            constraints.extend(_and_definition(lits[z_id[edge]], a, p, TAG_ZIND, pos2=False))
         for q in range(g.n):
             xs = tuple(x_id[(q, s)] for s in g.qubit_neighbors(q))
             zs = tuple(z_id[(q, s)] for s in g.qubit_neighbors(q))

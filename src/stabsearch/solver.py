@@ -21,9 +21,10 @@ Probes are candidates that only the independent checker accepts.
 Before searching, a system without degree bounds tries the all-inactive
 coloring, which satisfies every commutation-only system at once; one
 with a minimum qubit degree tries a greedy degree-respecting coloring,
-which also seeds the search's phases.  If the first slice of such a
-search ends unknown, the kernel probe runs once before the second: it
-fixes a random X side and solves each Z row by GF(2) elimination.
+which also seeds the search's phases.  Such a system, unless it also
+bounds stabilizer degrees, then runs the kernel probe once before the
+first slice: it fixes a random X side and takes each Z row as a light
+element of a GF(2) kernel.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ PROPS_PER_SECOND = 150_000
 _FIRST_SLICE_FRACTION = 1 / 32
 _MIN_SLICE = 50_000
 
-# The kernel probe before the second slice: random X/Z splits it tries,
+# The kernel probe before the first slice: random X/Z splits it tries,
 # Z-degree repair moves per try, and the chance of a move that raises the
 # Z-degree shortfall (see _kernel_try).
 _KERNEL_TRIES = 16
@@ -228,7 +229,8 @@ def _kernel_probe(cs: ConstraintSystem, seed: int, stats: SolverStats) -> tuple[
     """Random X sides with the Z side solved by elimination: a checked model, or None.
 
     Runs _KERNEL_TRIES tries from its own seeded stream.  Every GF(2) row
-    XOR, a repair move weighed included, counts one propagation into stats.
+    XOR, a repair or lightening move weighed included, counts one
+    propagation into stats.
     """
     rng = random.Random(stable_hash64("kernel", seed))
     for _ in range(_KERNEL_TRIES):
@@ -246,15 +248,17 @@ def _kernel_try(cs: ConstraintSystem, rng: random.Random,
     meets dq = min_qubit_degree on both sides.
 
     Puts a random floor(m/2) stabilizers on the X side and activates a
-    random dq to dq + 2 of each qubit's X candidates, which fixes hx.  A
-    Z row commutes with hx iff it lies in the kernel of hx on its
-    stabilizer's candidate qubits, so each Z row starts as a random
-    kernel element.  Then, for a random qubit short of dq Z edges, the
-    kernel basis vector that adds it and lowers the total shortfall most
-    is XORed into one of its Z rows; a move that raises the shortfall is
-    taken with probability _KERNEL_NOISE.  None as soon as a qubit has
-    fewer than dq candidates on a side, or fewer than dq Z rows whose
-    kernel reaches it, or once _KERNEL_STEPS moves leave a qubit short.
+    random dq of each qubit's X candidates, which fixes hx.  A Z row
+    commutes with hx iff it lies in the kernel of hx on its stabilizer's
+    candidate qubits, so each Z row starts as a random kernel element.
+    Then, for a random qubit short of dq Z edges, the kernel basis vector
+    that adds it and lowers the total shortfall most is XORed into one of
+    its Z rows; a move that raises the shortfall is taken with
+    probability _KERNEL_NOISE.  Last, until none applies, a basis vector
+    is XORed into its Z row whenever that lowers the row's weight and
+    keeps every Z degree at least dq.  None as soon as a qubit has fewer
+    than dq candidates on a side, or fewer than dq Z rows whose kernel
+    reaches it, or once _KERNEL_STEPS moves leave a qubit short.
     """
     g, dq = cs.graph, cs.params.min_qubit_degree
     paulis = [0] * g.m
@@ -266,7 +270,7 @@ def _kernel_try(cs: ConstraintSystem, rng: random.Random,
         return None
     rows = [0] * g.m  # each stabilizer's active qubits
     for q, xs in enumerate(x_cands):
-        for s in rng.sample(xs, min(len(xs), rng.randint(dq, dq + 2))):
+        for s in rng.sample(xs, dq):
             rows[s] |= 1 << q
     hx = [rows[s] for s in range(g.m) if paulis[s]]
     bases = {}
@@ -317,6 +321,19 @@ def _kernel_try(cs: ConstraintSystem, rng: random.Random,
         rows[s] ^= b
     if min(zdeg) < dq:
         return None
+    lighter = True
+    while lighter:
+        lighter = False
+        for s, basis in bases.items():
+            for b in basis:
+                stats.propagations += 1
+                drop = rows[s] & b
+                if 2 * drop.bit_count() > b.bit_count() and all(
+                        zdeg[q] > dq for q in g.stabilizer_neighbors(s) if drop >> q & 1):
+                    for q in g.stabilizer_neighbors(s):
+                        zdeg[q] += (b >> q & 1) - 2 * (drop >> q & 1)
+                    rows[s] ^= b
+                    lighter = True
     active = {(q, s): 1 for s in range(g.m) for q in g.stabilizer_neighbors(s) if rows[s] >> q & 1}
     return active, paulis
 
@@ -895,7 +912,7 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     Unknown is returned only when the work budget runs out.  Every sat
     verdict is re-validated with the independent checker before being
     returned.  No clock is read: the budget, the probes and the slices
-    are all counted in work units.
+    are all counted in work units, the kernel probe's ahead of slice 1.
     """
     cfg = cfg or SolverConfig()
     stats = SolverStats()
@@ -903,22 +920,19 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     if model is not None:
         return SolveResult(SAT, model, stats)
 
-    # Slice k gets seed cfg.seed + k and twice the work of slice k - 1,
-    # cut at the budget.  Its limit is taken before the engine loads, so
-    # level-0 units enqueued at load count towards it.  The kernel probe
-    # runs once, between the first slice and the second; no slice follows
-    # a probe whose charge reached the budget.
+    # The kernel probe runs once, ahead of slice 1, unless stabilizer degree
+    # bounds make it hopeless.  Slice k gets seed cfg.seed + k and twice the
+    # work of slice k - 1, cut at the budget; its limit is taken before the
+    # engine loads, so level-0 units enqueued at load count towards it.
+    if cs.params.min_qubit_degree and not cs.params.min_stab_degree and cs.params.max_stab_degree is None:
+        model = _kernel_probe(cs, cfg.seed, stats)
+        if model is not None:
+            return SolveResult(SAT, model, stats)
     budget = int(cfg.time_budget * PROPS_PER_SECOND)
     work = max(_MIN_SLICE, int(budget * _FIRST_SLICE_FRACTION))
     seed = cfg.seed
     verdict = UNKNOWN
     while verdict == UNKNOWN and stats.propagations < budget:
-        if seed == cfg.seed + 1 and cs.params.min_qubit_degree > 0:
-            model = _kernel_probe(cs, cfg.seed, stats)
-            if model is not None:
-                return SolveResult(SAT, model, stats)
-            if stats.propagations >= budget:
-                break
         limit = min(stats.propagations + work, budget)
         engine = _Engine(cs, seed, warm_phases, stats)
         verdict = engine.search(limit)

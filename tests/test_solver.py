@@ -251,11 +251,11 @@ PINNED_BAND = [
     ("unsat", 0, 0, 6, 0, 0, None),
     ("unsat", 0, 1, 12, 0, 0, None),
     ("sat", 1358, 627, 125196, 2, 627, "a67c09a3451bbcae"),
-    ("sat", 678, 232, 39540, 1, 232, "6a3c28439a2e8d88"),
+    ("sat", 678, 232, 39653, 1, 232, "6a3c28439a2e8d88"),
     ("unsat", 0, 0, 6, 0, 0, None),
     ("unsat", 0, 1, 12, 0, 0, None),
     ("unknown", 1590, 859, 150192, 4, 859, None),
-    ("unknown", 1697, 759, 150150, 4, 759, None),
+    ("unknown", 1699, 760, 150665, 4, 760, None),
 ]
 PINNED_RANDOM = [
     ("sat", 2, 0, 7, 0, 0, "3d5b3e09988c1358"), ("unsat", 0, 1, 9, 0, 0, None),
@@ -288,12 +288,12 @@ PINNED_RANDOM = [
 PINNED_BAND_SWEEP = [
     ("unsat", 0, 1, 12, 0, 0, None),
     ("sat", 1782, 547, 129957, 2, 547, "adec86a7c966facb"),
-    ("sat", 2209, 409, 109434, 2, 409, "d153121a06bfbe6f"),
-    ("sat", 1200, 152, 50828, 1, 152, "1991e6daa80ec0ab"),
+    ("sat", 2209, 409, 107640, 2, 409, "d153121a06bfbe6f"),
+    ("sat", 0, 0, 816, 0, 0, "109e9109c8340b66"),
     ("unsat", 366, 26, 7859, 0, 21, None),
-    ("unknown", 2669, 390, 150012, 1, 390, None),
-    ("sat", 1487, 130, 51513, 1, 130, "01259d200b06b080"),
-    ("sat", 1550, 133, 51581, 1, 133, "a8175df668cca9f0"),
+    ("unknown", 2660, 390, 150009, 1, 390, None),
+    ("sat", 0, 0, 2521, 0, 0, "60c1b6a252d900a6"),
+    ("sat", 0, 0, 1369, 0, 0, "4f4bf48691bdd038"),
 ]
 
 
@@ -523,7 +523,7 @@ def one_propagation_first_slice(monkeypatch):
 
 
 class TestKernelProbe:
-    """The probe between the first and second slice: random X side, Z rows by elimination."""
+    """The probe ahead of the first slice: random X side, Z rows by elimination."""
 
     def test_kernel_basis_spans_the_restricted_kernel(self):
         rng = random.Random(4)
@@ -561,11 +561,11 @@ class TestKernelProbe:
                     assert satisfies_degree_bounds(extract_code(g, model), params)
         assert hits == 9
 
-    def test_band_sample_ends_sat_after_the_first_slice(self):
+    def test_band_sample_ends_sat_before_the_first_slice(self):
         # band_sweep's n=40, gamma=0.6 sample: unknown at budget 1 without the probe
         result = solve(encode(band_graph(40, 0.6), EncodingParams(min_qubit_degree=3)), band_config(40, 0.6))
-        assert result.stats.propagations < 60_000
-        assert work_row(result) == ("sat", 1550, 133, 51581, 1, 133, "a8175df668cca9f0")
+        assert result.stats.propagations < 2_000
+        assert work_row(result) == ("sat", 0, 0, 1369, 0, 0, "4f4bf48691bdd038")
 
     def test_balanced_hit_meets_the_balance_row(self):
         g = band_graph(30, 0.7)  # m = 27, so 13 X stabilizers
@@ -578,6 +578,8 @@ class TestKernelProbe:
     @pytest.mark.parametrize("params, calls", [
         (EncodingParams(min_qubit_degree=3), 1),
         (EncodingParams(min_stab_degree=2), 0),
+        (EncodingParams(min_qubit_degree=3, min_stab_degree=4), 0),
+        (EncodingParams(min_qubit_degree=3, max_stab_degree=14), 0),
     ])
     def test_entered_once_and_only_with_a_qubit_degree_and_probes(self, monkeypatch, params, calls):
         one_propagation_first_slice(monkeypatch)
@@ -590,7 +592,64 @@ class TestKernelProbe:
         assert names.count("search") > 3
         assert names.count("_kernel_probe") == calls
         if calls:
-            assert names[:3] == ["search", "_kernel_probe", "search"]
+            assert names[:2] == ["_kernel_probe", "search"]
+
+    def test_runs_before_any_engine_and_a_hit_builds_none(self, monkeypatch):
+        log = []
+        record_calls(monkeypatch, solver, "_kernel_probe", log)
+        original_init = solver._Engine.__init__
+
+        def logged_init(engine, *args):
+            log.append(("engine",))
+            original_init(engine, *args)
+
+        monkeypatch.setattr(solver._Engine, "__init__", logged_init)
+        params = EncodingParams(min_qubit_degree=3)
+        hit = solve(encode(band_graph(40, 0.6), params), band_config(40, 0.6))
+        assert hit.verdict == SAT and [entry[0] for entry in log] == ["_kernel_probe"]
+        log.clear()
+        # band_sweep's n=30, gamma=0.5 sample: the probe misses, then the slices decide
+        miss = solve(encode(band_graph(30, 0.5), params), band_config(30, 0.5))
+        assert miss.verdict == SAT and miss.stats.decisions > 0
+        assert [entry[0] for entry in log] == ["_kernel_probe", "engine", "engine"]
+        assert log[0][1] == 0 < log[0][2]
+
+    def test_unknown_after_a_missed_probe_ends_at_the_budget(self, monkeypatch):
+        # band_sweep's n=40, gamma=0.4 sample: the probe misses and the budget runs out
+        log = []
+        record_calls(monkeypatch, solver, "_kernel_probe", log)
+        cfg = band_config(40, 0.4)
+        result = solve(encode(band_graph(40, 0.4), EncodingParams(min_qubit_degree=3)), cfg)
+        assert [name for name, _, _ in log] == ["_kernel_probe"] and log[0][2] > 0
+        assert result.verdict == UNKNOWN
+        assert result.stats.propagations >= int(cfg.time_budget * solver.PROPS_PER_SECOND)
+        assert work_row(result) == PINNED_BAND_SWEEP[5]
+
+    def test_hits_have_exact_x_degrees_and_no_lightening_move_left(self):
+        dq = 3
+        hits = 0
+        for n, gamma in [(30, 0.6), (30, 0.7), (40, 0.5), (40, 0.6)]:
+            g = band_graph(n, gamma)
+            cs = encode(g, EncodingParams(min_qubit_degree=dq))
+            for seed in range(3):
+                model = solver._kernel_probe(cs, seed, solver.SolverStats())
+                if model is None:
+                    continue
+                hits += 1
+                rows = [0] * g.m
+                for i, (q, s) in enumerate(g.edges):
+                    rows[s] |= model[i] << q
+                paulis = model[len(g.edges):len(g.edges) + g.m]
+                hx = [rows[s] for s in range(g.m) if paulis[s]]
+                assert all(sum(r >> q & 1 for r in hx) == dq for q in range(g.n))
+                zdeg = [sum(rows[s] >> q & 1 for s in range(g.m) if not paulis[s]) for q in range(g.n)]
+                for s in range(g.m):
+                    if paulis[s]:
+                        continue
+                    for b in kernel(hx, g.stabilizer_neighbors(s))[0]:
+                        lighter = (rows[s] ^ b).bit_count() < rows[s].bit_count()
+                        assert not lighter or any(zdeg[q] == dq for q in range(g.n) if (rows[s] & b) >> q & 1)
+        assert hits == 12
 
     def test_degree_infeasible_graph_charges_nothing_and_falls_through(self, monkeypatch):
         g = band_graph(40, 0.6)
@@ -603,11 +662,10 @@ class TestKernelProbe:
         record_calls(monkeypatch, solver, "_kernel_probe", log)
         record_calls(monkeypatch, solver._Engine, "search", log)
         solve(cs, SolverConfig(time_budget=0.05, seed=3))
-        assert [name for name, _, _ in log[:3]] == ["search", "_kernel_probe", "search"]
-        assert log[1][1] == log[1][2] == log[0][2]
+        assert [name for name, _, _ in log[:2]] == ["_kernel_probe", "search"]
+        assert log[0][1:] == (0, 0) and log[1][1] == 0
 
     def test_no_slice_after_a_probe_that_spends_the_budget(self, monkeypatch):
-        one_propagation_first_slice(monkeypatch)
         cfg = SolverConfig(time_budget=0.05, seed=3)
         budget = int(cfg.time_budget * solver.PROPS_PER_SECOND)
         after_probe = []
@@ -626,14 +684,19 @@ class TestKernelProbe:
 
         monkeypatch.setattr(solver._Engine, "__init__", counted_init)
         result = solve(encode(band_graph(20, 0.5), EncodingParams(min_qubit_degree=3)), cfg)
-        assert len(built) == 1 and after_probe  # the first slice's engine only
+        assert built == [] and after_probe  # no slice at all
         assert result.verdict == UNKNOWN and result.stats.propagations == after_probe[0]
 
     def test_first_slice_verdicts_are_unchanged(self, monkeypatch):
+        # samples the probe misses keep the first slice's verdict, search and model;
+        # their work is the first slice's plus the probe's charge
         log = []
         record_calls(monkeypatch, solver, "_kernel_probe", log)
         got = [work_row(solve(encode(band_graph(n, gamma), EncodingParams(min_qubit_degree=3)),
                               band_config(n, gamma)))
                for n, gamma in [(20, 0.6), (40, 0.3)]]
-        assert got == [PINNED_BAND[3], ("unsat", 366, 26, 7859, 0, 21, None)]
-        assert log == []
+        charges = [after - before for _, before, after in log]
+        assert len(charges) == 2 and charges[0] > 0
+        first_slice = [("sat", 678, 232, 39540, 1, 232, "6a3c28439a2e8d88"),
+                       ("unsat", 366, 26, 7859, 0, 21, None)]
+        assert got == [row[:3] + (row[3] + charge,) + row[4:] for row, charge in zip(first_slice, charges)]
