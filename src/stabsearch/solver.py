@@ -18,13 +18,13 @@ GF(2) row XORs) derived from the configured time budget, so a given
 satisfiable, the same assignment, on any machine and at any speed.
 
 Probes are candidates that only the independent checker accepts.
-Before searching, a system without degree bounds tries the all-inactive
-coloring, which satisfies every commutation-only system at once; one
-with a minimum qubit degree tries a greedy degree-respecting coloring,
-which also seeds the search's phases.  Such a system, unless it also
-bounds stabilizer degrees, then runs the kernel probe once before the
-first slice: it fixes a random X side and takes each Z row as a light
-element of a GF(2) kernel.
+A system with a minimum qubit degree but no stabilizer degree bounds
+first runs the kernel probe once: it fixes a sparse X side and takes
+each Z row as a light, often empty, element of a GF(2) kernel.  Then a
+system without degree bounds tries the all-inactive coloring, which
+satisfies every commutation-only system at once; one with a minimum
+qubit degree tries a greedy degree-respecting coloring, which also
+seeds the search's phases.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ PROPS_PER_SECOND = 150_000
 _FIRST_SLICE_FRACTION = 1 / 32
 _MIN_SLICE = 50_000
 
-# The kernel probe before the first slice: random X/Z splits it tries,
+# The kernel probe, run before any search: random X/Z splits it tries,
 # Z-degree repair moves per try, and the chance of a move that raises the
 # Z-degree shortfall (see _kernel_try).
 _KERNEL_TRIES = 16
@@ -247,30 +247,31 @@ def _kernel_try(cs: ConstraintSystem, rng: random.Random,
     """One kernel-probe candidate (activators, paulis) in which every qubit
     meets dq = min_qubit_degree on both sides.
 
-    Puts a random floor(m/2) stabilizers on the X side and activates a
-    random dq of each qubit's X candidates, which fixes hx.  A Z row
-    commutes with hx iff it lies in the kernel of hx on its stabilizer's
-    candidate qubits, so each Z row starts as a random kernel element.
-    Then, for a random qubit short of dq Z edges, the kernel basis vector
-    that adds it and lowers the total shortfall most is XORed into one of
-    its Z rows; a move that raises the shortfall is taken with
-    probability _KERNEL_NOISE.  Last, until none applies, a basis vector
-    is XORed into its Z row whenever that lowers the row's weight and
-    keeps every Z degree at least dq.  None as soon as a qubit has fewer
-    than dq candidates on a side, or fewer than dq Z rows whose kernel
-    reaches it, or once _KERNEL_STEPS moves leave a qubit short.
+    Puts a random floor(m/2) stabilizers, in a random order, on the X
+    side and activates each qubit's first dq X candidates in that order,
+    which fixes hx and leaves the last X rows empty.  A Z row commutes
+    with hx iff it lies in the kernel of hx on its stabilizer's candidate
+    qubits, so each Z row starts as a random kernel element.  Then, for
+    a random qubit short of dq Z edges, the kernel basis vector that adds
+    it and lowers the total shortfall most is XORed into one of its Z
+    rows; a move that raises the shortfall is taken with probability
+    _KERNEL_NOISE.  Last, until none applies, a Z row is emptied, or a
+    basis vector XORed into it, whenever that lowers the row's weight
+    and keeps every Z degree at least dq.  Empty rows add no rank, so
+    they raise k.  None as soon as a qubit has fewer than dq candidates
+    on a side, or fewer than dq Z rows whose kernel reaches it, or once
+    _KERNEL_STEPS moves leave a qubit short.
     """
     g, dq = cs.graph, cs.params.min_qubit_degree
-    paulis = [0] * g.m
-    for s in rng.sample(range(g.m), g.m // 2):
-        paulis[s] = 1
-    x_cands = [[s for s in g.qubit_neighbors(q) if paulis[s]] for q in range(g.n)]
+    x_order = rng.sample(range(g.m), g.m // 2)
+    paulis = [int(s in x_order) for s in range(g.m)]
+    x_cands = [[s for s in x_order if s in g.qubit_neighbors(q)] for q in range(g.n)]
     reach = [len(g.qubit_neighbors(q)) - len(xs) for q, xs in enumerate(x_cands)]
     if min(map(len, x_cands)) < dq or min(reach) < dq:
         return None
     rows = [0] * g.m  # each stabilizer's active qubits
     for q, xs in enumerate(x_cands):
-        for s in rng.sample(xs, dq):
+        for s in xs[:dq]:
             rows[s] |= 1 << q
     hx = [rows[s] for s in range(g.m) if paulis[s]]
     bases = {}
@@ -325,7 +326,7 @@ def _kernel_try(cs: ConstraintSystem, rng: random.Random,
     while lighter:
         lighter = False
         for s, basis in bases.items():
-            for b in basis:
+            for b in (rows[s], *basis):
                 stats.propagations += 1
                 drop = rows[s] & b
                 if 2 * drop.bit_count() > b.bit_count() and all(
@@ -916,18 +917,18 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     """
     cfg = cfg or SolverConfig()
     stats = SolverStats()
-    model, warm_phases = _probe_candidates(cs)
-    if model is not None:
-        return SolveResult(SAT, model, stats)
-
-    # The kernel probe runs once, ahead of slice 1, unless stabilizer degree
-    # bounds make it hopeless.  Slice k gets seed cfg.seed + k and twice the
-    # work of slice k - 1, cut at the budget; its limit is taken before the
-    # engine loads, so level-0 units enqueued at load count towards it.
+    # The kernel probe runs once, first, unless stabilizer degree bounds make
+    # it hopeless (its empty and concentrated rows break them).  Slice k gets
+    # seed cfg.seed + k and twice the work of slice k - 1, cut at the budget;
+    # its limit is taken before the engine loads, so level-0 units enqueued
+    # at load count towards it.
     if cs.params.min_qubit_degree and not cs.params.min_stab_degree and cs.params.max_stab_degree is None:
         model = _kernel_probe(cs, cfg.seed, stats)
         if model is not None:
             return SolveResult(SAT, model, stats)
+    model, warm_phases = _probe_candidates(cs)
+    if model is not None:
+        return SolveResult(SAT, model, stats)
     budget = int(cfg.time_budget * PROPS_PER_SECOND)
     work = max(_MIN_SLICE, int(budget * _FIRST_SLICE_FRACTION))
     seed = cfg.seed

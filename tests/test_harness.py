@@ -131,7 +131,9 @@ class TestFindCode:
         with pytest.raises(RecordValidationError):
             CodeRecord.from_json(json.dumps(doc)).validate()
         doc2 = json.loads(record.to_json())
-        doc2["code"]["hx"][0] = doc2["code"]["hx"][0][::-1]
+        hx = doc2["code"]["hx"]
+        i = next(i for i, row in enumerate(hx) if row != row[::-1])  # empty rows read the same reversed
+        hx[i] = hx[i][::-1]
         with pytest.raises(RecordValidationError):
             CodeRecord.from_json(json.dumps(doc2)).validate()
 
@@ -302,14 +304,12 @@ class TestBestCodes:
             return failure_rate(r.code, SCREEN_P, SCREEN_TRIALS, rng).failure_rate
 
         assert any(r.stats.rate < 0.4 for r in records)
-        # the second rate screens some codes out, and every n=8 code: the kernel
-        # probe decides every sample here, and none of its n=8 codes has k > 3
-        for min_rate, expected_ns in ((0.1, {6, 8}), (0.4, {6})):
+        for min_rate in (0.1, 0.4):  # the second one screens some codes out
             monkeypatch.setattr(harness, "SCREEN_MIN_RATE", min_rate)
             best = best_codes(records, 77)
             ns = [r.stats.n for r in best]
-            assert ns == sorted(ns) and set(ns) == expected_ns
-            for n in {6, 8}:
+            assert ns == sorted(ns) and set(ns) == {6, 8}
+            for n in set(ns):
                 chosen = [r for r in best if r.stats.n == n]
                 chosen_ids = {r.code_id for r in chosen}
                 candidates = [r for r in records if r.stats.n == n and r.stats.rate >= min_rate]

@@ -17,7 +17,7 @@ from stabsearch.constraints import (
     XorClause,
     encode,
 )
-from stabsearch.css import extract_code, satisfies_degree_bounds
+from stabsearch.css import extract_code, satisfies_degree_bounds, stats as code_stats
 from stabsearch.gf2 import kernel, rank_int_rows
 from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch import harness, solver
@@ -251,7 +251,7 @@ PINNED_BAND = [
     ("unsat", 0, 0, 6, 0, 0, None),
     ("unsat", 0, 1, 12, 0, 0, None),
     ("sat", 1358, 627, 125196, 2, 627, "a67c09a3451bbcae"),
-    ("sat", 678, 232, 39653, 1, 232, "6a3c28439a2e8d88"),
+    ("sat", 678, 232, 39632, 1, 232, "6a3c28439a2e8d88"),
     ("unsat", 0, 0, 6, 0, 0, None),
     ("unsat", 0, 1, 12, 0, 0, None),
     ("unknown", 1590, 859, 150192, 4, 859, None),
@@ -288,12 +288,12 @@ PINNED_RANDOM = [
 PINNED_BAND_SWEEP = [
     ("unsat", 0, 1, 12, 0, 0, None),
     ("sat", 1782, 547, 129957, 2, 547, "adec86a7c966facb"),
-    ("sat", 2209, 409, 107640, 2, 409, "d153121a06bfbe6f"),
-    ("sat", 0, 0, 816, 0, 0, "109e9109c8340b66"),
+    ("sat", 2209, 409, 106703, 2, 409, "d153121a06bfbe6f"),
+    ("sat", 0, 0, 1187, 0, 0, "7e0b657718710de3"),
     ("unsat", 366, 26, 7859, 0, 21, None),
-    ("unknown", 2660, 390, 150009, 1, 390, None),
-    ("sat", 0, 0, 2521, 0, 0, "60c1b6a252d900a6"),
-    ("sat", 0, 0, 1369, 0, 0, "4f4bf48691bdd038"),
+    ("unknown", 2680, 390, 150023, 1, 390, None),
+    ("sat", 0, 0, 2064, 0, 0, "695b77057b26e558"),
+    ("sat", 0, 0, 1461, 0, 0, "98e29372a2e34bac"),
 ]
 
 
@@ -538,7 +538,7 @@ class TestKernelProbe:
     def test_same_seed_same_model_and_work(self):
         cs = encode(band_graph(40, 0.6), EncodingParams(min_qubit_degree=3))
         runs = []
-        for seed in (5, 5, 6):
+        for seed in (6, 6, 7):
             stats = solver.SolverStats()
             runs.append((solver._kernel_probe(cs, seed, stats), stats.propagations))
         assert runs[0] == runs[1] and runs[0][0] is not None
@@ -550,6 +550,7 @@ class TestKernelProbe:
             (30, 0.7, EncodingParams(min_qubit_degree=3)),
             (30, 0.7, EncodingParams(min_qubit_degree=3, min_stab_degree=4, max_stab_degree=14)),
             (40, 0.6, EncodingParams(min_qubit_degree=3)),
+            (20, 0.7, EncodingParams(min_qubit_degree=3, max_stab_degree=14)),
         ]:
             g = band_graph(n, gamma)
             cs = encode(g, params)
@@ -559,13 +560,13 @@ class TestKernelProbe:
                     hits += 1
                     assert check(cs, model)
                     assert satisfies_degree_bounds(extract_code(g, model), params)
-        assert hits == 9
+        assert hits == 7  # under stabilizer bounds only the n=20 graph's seed 0 hits
 
     def test_band_sample_ends_sat_before_the_first_slice(self):
         # band_sweep's n=40, gamma=0.6 sample: unknown at budget 1 without the probe
         result = solve(encode(band_graph(40, 0.6), EncodingParams(min_qubit_degree=3)), band_config(40, 0.6))
         assert result.stats.propagations < 2_000
-        assert work_row(result) == ("sat", 0, 0, 1369, 0, 0, "4f4bf48691bdd038")
+        assert work_row(result) == ("sat", 0, 0, 1461, 0, 0, "98e29372a2e34bac")
 
     def test_balanced_hit_meets_the_balance_row(self):
         g = band_graph(30, 0.7)  # m = 27, so 13 X stabilizers
@@ -604,6 +605,14 @@ class TestKernelProbe:
             original_init(engine, *args)
 
         monkeypatch.setattr(solver._Engine, "__init__", logged_init)
+        original_candidates = solver._probe_candidates
+
+        def logged_candidates(cs):
+            log.append(("greedy",))
+            return original_candidates(cs)
+
+        # a hit builds neither the greedy candidate nor an engine
+        monkeypatch.setattr(solver, "_probe_candidates", logged_candidates)
         params = EncodingParams(min_qubit_degree=3)
         hit = solve(encode(band_graph(40, 0.6), params), band_config(40, 0.6))
         assert hit.verdict == SAT and [entry[0] for entry in log] == ["_kernel_probe"]
@@ -611,7 +620,7 @@ class TestKernelProbe:
         # band_sweep's n=30, gamma=0.5 sample: the probe misses, then the slices decide
         miss = solve(encode(band_graph(30, 0.5), params), band_config(30, 0.5))
         assert miss.verdict == SAT and miss.stats.decisions > 0
-        assert [entry[0] for entry in log] == ["_kernel_probe", "engine", "engine"]
+        assert [entry[0] for entry in log] == ["_kernel_probe", "greedy", "engine", "engine"]
         assert log[0][1] == 0 < log[0][2]
 
     def test_unknown_after_a_missed_probe_ends_at_the_budget(self, monkeypatch):
@@ -642,13 +651,15 @@ class TestKernelProbe:
                 paulis = model[len(g.edges):len(g.edges) + g.m]
                 hx = [rows[s] for s in range(g.m) if paulis[s]]
                 assert all(sum(r >> q & 1 for r in hx) == dq for q in range(g.n))
+                assert 0 in hx  # the X side fills its stabilizers in order and leaves the last ones empty
                 zdeg = [sum(rows[s] >> q & 1 for s in range(g.m) if not paulis[s]) for q in range(g.n)]
                 for s in range(g.m):
                     if paulis[s]:
                         continue
-                    for b in kernel(hx, g.stabilizer_neighbors(s))[0]:
+                    for b in (rows[s], *kernel(hx, g.stabilizer_neighbors(s))[0]):  # emptying included
                         lighter = (rows[s] ^ b).bit_count() < rows[s].bit_count()
                         assert not lighter or any(zdeg[q] == dq for q in range(g.n) if (rows[s] & b) >> q & 1)
+                assert code_stats(extract_code(g, model)).k > g.n - g.m  # empty rows add no rank
         assert hits == 12
 
     def test_degree_infeasible_graph_charges_nothing_and_falls_through(self, monkeypatch):
