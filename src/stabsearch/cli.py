@@ -125,6 +125,8 @@ def _cmd_sweep(args) -> int:
 
 def _load_satisfiable(sweep: str) -> list[CodeRecord]:
     """The validated satisfiable-phase records of a sweep directory; never empty."""
+    if not (Path(sweep) / "pixels").is_dir():
+        raise FileNotFoundError(f"{sweep} holds no pixels/ directory")
     records = satisfiable_records(sweep)
     if not records:
         raise ValueError(f"no code in the satisfiable phase of {sweep}")
@@ -151,7 +153,9 @@ def _load_code_or_record(path: str) -> CodeRecord:
 
 
 def _cmd_decode(args) -> int:
-    p_grid = [float(tok) for tok in args.grid.split(",") if tok] if args.grid else [args.p]
+    p_grid = [float(tok) for tok in args.grid.split(",") if tok] if args.grid is not None else [args.p]
+    if not p_grid:
+        raise ValueError(f"--grid {args.grid!r} holds no erasure probability")
     if args.sweep:
         records = best_codes(_load_satisfiable(args.sweep), args.seed)
         if not records:

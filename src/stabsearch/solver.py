@@ -20,11 +20,13 @@ satisfiable, the same assignment, on any machine and at any speed.
 Probes are candidates that only the independent checker accepts.
 A system with a minimum qubit degree but no stabilizer degree bounds
 first runs the kernel probe once: it fixes a sparse X side and takes
-each Z row as a light, often empty, element of a GF(2) kernel.  Then a
+each Z row as a light, often empty, element of a GF(2) kernel.  A
 system without degree bounds tries the all-inactive coloring, which
-satisfies every commutation-only system at once; one with a minimum
-qubit degree tries a greedy degree-respecting coloring, which also
-seeds the search's phases.
+satisfies every commutation-only system at once.  The search itself
+starts from saved phases: a greedy degree-respecting coloring when the
+system has a minimum qubit degree, all zero otherwise.  The greedy
+coloring is not checked as a model: a search whose phases satisfy the
+system returns them, unchanged, on its first descent.
 """
 
 from __future__ import annotations
@@ -186,20 +188,17 @@ def consistent_completion(
     return tuple(values)
 
 
-def _greedy_degree_candidate(cs: ConstraintSystem) -> tuple[dict, list[int]] | None:
-    """Deterministic starting point for degree-constrained systems.
+def _greedy_phases(cs: ConstraintSystem) -> tuple[int, ...]:
+    """Warm phases for a system with a minimum qubit degree dq.
 
     Splits stabilizers into X/Z halves and activates, per qubit, the
-    first few edges of each type.  Rarely satisfies commutation outright
+    first dq edges of each type.  Rarely satisfies commutation outright
     but lands near a feasible region, which makes it a useful phase
     initialization.
     """
     g = cs.graph
-    params = cs.params
-    dq = params.min_qubit_degree
-    if dq <= 0:
-        return None
-    n_x = g.m // 2 if params.balanced else (g.m + 1) // 2
+    dq = cs.params.min_qubit_degree
+    n_x = g.m // 2 if cs.params.balanced else (g.m + 1) // 2
     paulis = [1 if s < n_x else 0 for s in range(g.m)]
     active: dict[tuple[int, int], int] = {}
     for q in range(g.n):
@@ -211,18 +210,7 @@ def _greedy_degree_candidate(cs: ConstraintSystem) -> tuple[dict, list[int]] | N
             elif not paulis[s] and z_left > 0:
                 active[(q, s)] = 1
                 z_left -= 1
-    if params.min_stab_degree > 0:
-        for s in range(g.m):
-            need = params.min_stab_degree - sum(
-                active.get((q, s), 0) for q in g.stabilizer_neighbors(s)
-            )
-            for q in g.stabilizer_neighbors(s):
-                if need <= 0:
-                    break
-                if not active.get((q, s)):
-                    active[(q, s)] = 1
-                    need -= 1
-    return active, paulis
+    return consistent_completion(cs, active, paulis)
 
 
 def _kernel_probe(cs: ConstraintSystem, seed: int, stats: SolverStats) -> tuple[int, ...] | None:
@@ -917,18 +905,23 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     """
     cfg = cfg or SolverConfig()
     stats = SolverStats()
+    params = cs.params
     # The kernel probe runs once, first, unless stabilizer degree bounds make
     # it hopeless (its empty and concentrated rows break them).  Slice k gets
     # seed cfg.seed + k and twice the work of slice k - 1, cut at the budget;
     # its limit is taken before the engine loads, so level-0 units enqueued
     # at load count towards it.
-    if cs.params.min_qubit_degree and not cs.params.min_stab_degree and cs.params.max_stab_degree is None:
-        model = _kernel_probe(cs, cfg.seed, stats)
-        if model is not None:
+    warm_phases = None
+    if params.min_qubit_degree:
+        if not params.min_stab_degree and params.max_stab_degree is None:
+            model = _kernel_probe(cs, cfg.seed, stats)
+            if model is not None:
+                return SolveResult(SAT, model, stats)
+        warm_phases = _greedy_phases(cs)
+    elif not params.min_stab_degree:
+        model = consistent_completion(cs, {}, [0] * cs.graph.m)
+        if check(cs, model):
             return SolveResult(SAT, model, stats)
-    model, warm_phases = _probe_candidates(cs)
-    if model is not None:
-        return SolveResult(SAT, model, stats)
     budget = int(cfg.time_budget * PROPS_PER_SECOND)
     work = max(_MIN_SLICE, int(budget * _FIRST_SLICE_FRACTION))
     seed = cfg.seed
@@ -946,22 +939,3 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     if not check(cs, model):
         raise RuntimeError("internal error: solver produced an invalid model")
     return SolveResult(SAT, model, stats)
-
-
-def _probe_candidates(cs: ConstraintSystem) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Try cheap structured assignments before searching.
-
-    Returns (model, greedy): the first probe that satisfies cs, if any,
-    and the completed greedy degree candidate, if one was built, which
-    the search takes as its initial phases.  A positive minimum degree
-    rules out the all-inactive probe.
-    """
-    if not (cs.params.min_qubit_degree or cs.params.min_stab_degree):
-        zero = consistent_completion(cs, {}, [0] * cs.graph.m)
-        if check(cs, zero):
-            return zero, None
-    candidate = _greedy_degree_candidate(cs)
-    if candidate is None:
-        return None, None
-    greedy = consistent_completion(cs, *candidate)
-    return (greedy if check(cs, greedy) else None), greedy

@@ -125,6 +125,14 @@ BAD_INPUTS = [
     ("decode-min-out-missing-dir",
      lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10",
                    "--min-out", str(t / "absent" / "m.csv")], 3, ["m.csv"]),
+    ("decode-grid-no-value",
+     lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10", "--grid", ",",
+                   "--out", str(t / "d.csv")], 4, ["--grid"]),
+    ("density-sweep-missing",
+     lambda t, s: ["density", "--sweep", str(t / "absent"), "--out", str(t / "d.csv")], 3,
+     ["absent", "pixels"]),
+    ("decode-sweep-missing",
+     lambda t, s: ["decode", "--sweep", str(t / "absent"), "--trials", "10"], 3, ["absent", "pixels"]),
     ("density-out-missing-dir",
      lambda t, s: ["density", "--sweep", str(s), "--out", str(t / "absent" / "d.csv")], 3,
      ["d.csv"]),
@@ -331,6 +339,7 @@ class TestErrorBoundary:
         words = [w(small_sweep) if callable(w) else w for w in words]
         assert all(word in err for word in words), err
         assert not (tmp_path / "x.cnf").exists()  # a failed export writes no file
+        assert not (tmp_path / "d.csv").exists()  # nor a failed density or decode run
 
     def test_program_fault_propagates(self, tmp_path, monkeypatch):
         def broken_solve(cs, cfg):

@@ -32,7 +32,7 @@ from stabsearch.solver import (
     solve,
 )
 
-from oracles import brute_force_verdict
+from oracles import assignment_bits, brute_force_verdict, satisfying_set
 
 
 def free_variables(nv: int):
@@ -145,8 +145,9 @@ class TestSolveBasics:
 
 class TestProbes:
     def test_degree_bounded_solve_never_checks_the_all_inactive_completion(self, monkeypatch):
-        # a positive minimum qubit degree rules the all-inactive probe out
-        cs = band_system()
+        # a positive minimum qubit degree rules the all-inactive probe out; the
+        # band grid's n=20, gamma=0.6 sample ends sat in its slices, whose model is checked
+        cs = encode(band_graph(20, 0.6), EncodingParams(min_qubit_degree=3))
         zero = consistent_completion(cs, {}, [0] * cs.graph.m)
         checked = []
 
@@ -155,8 +156,37 @@ class TestProbes:
             return check(cs_, a)
 
         monkeypatch.setattr(solver, "check", recording_check)
-        solve(cs, SolverConfig(time_budget=0.2, seed=1))
+        assert solve(cs, band_config(20, 0.6)).verdict == SAT
         assert checked and zero not in checked
+
+
+class TestWarmStart:
+    """An engine whose saved phases satisfy the system returns them on its first descent."""
+
+    @staticmethod
+    def first_descent(cs, phases, seed):
+        stats = solver.SolverStats()
+        engine = solver._Engine(cs, seed, phases, stats)
+        assert engine.search(solver.PROPS_PER_SECOND) == SAT
+        assert engine.assignment() == phases and stats.conflicts == 0
+
+    def test_brute_force_model_as_phases(self):
+        rng = random.Random(31)
+        models = 0
+        for trial in range(150):
+            cs = random_system(rng, rng.randint(4, 14))
+            sat = satisfying_set(cs)
+            if sat:
+                models += 1
+                lowest = (sat & -sat).bit_length() - 1
+                self.first_descent(cs, assignment_bits(lowest, cs.num_vars), trial)
+        assert models > 20
+
+    def test_all_inactive_completion_as_phases(self):
+        for i in range(20):
+            g = sample_support_graph(20, 18, 0.3 + 0.02 * i, RngSpec(7, i))
+            cs = encode(g)
+            self.first_descent(cs, consistent_completion(cs, {}, [0] * g.m), i)
 
 
 class TestOracleAgreement:
@@ -254,8 +284,8 @@ PINNED_BAND = [
     ("sat", 678, 232, 39632, 1, 232, "6a3c28439a2e8d88"),
     ("unsat", 0, 0, 6, 0, 0, None),
     ("unsat", 0, 1, 12, 0, 0, None),
-    ("unknown", 1590, 859, 150192, 4, 859, None),
-    ("unknown", 1699, 760, 150665, 4, 760, None),
+    ("unknown", 1405, 737, 150049, 3, 737, None),
+    ("unknown", 2034, 851, 150161, 4, 851, None),
 ]
 PINNED_RANDOM = [
     ("sat", 2, 0, 7, 0, 0, "3d5b3e09988c1358"), ("unsat", 0, 1, 9, 0, 0, None),
@@ -605,14 +635,14 @@ class TestKernelProbe:
             original_init(engine, *args)
 
         monkeypatch.setattr(solver._Engine, "__init__", logged_init)
-        original_candidates = solver._probe_candidates
+        original_phases = solver._greedy_phases
 
-        def logged_candidates(cs):
+        def logged_phases(cs):
             log.append(("greedy",))
-            return original_candidates(cs)
+            return original_phases(cs)
 
-        # a hit builds neither the greedy candidate nor an engine
-        monkeypatch.setattr(solver, "_probe_candidates", logged_candidates)
+        # a hit builds neither the greedy phases nor an engine
+        monkeypatch.setattr(solver, "_greedy_phases", logged_phases)
         params = EncodingParams(min_qubit_degree=3)
         hit = solve(encode(band_graph(40, 0.6), params), band_config(40, 0.6))
         assert hit.verdict == SAT and [entry[0] for entry in log] == ["_kernel_probe"]
