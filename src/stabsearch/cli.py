@@ -152,8 +152,20 @@ def _load_code_or_record(path: str) -> CodeRecord:
     return CodeRecord.build(code, provenance={"params": {}, "source": path})
 
 
+def _grid_value(grid: str, tok: str) -> float:
+    """One erasure probability of --grid: a number in [0, 1]."""
+    try:
+        if 0.0 <= float(tok) <= 1.0:
+            return float(tok)
+    except ValueError:
+        pass
+    raise ValueError(f"--grid {grid!r}: {tok!r} is not a probability in [0, 1]")
+
+
 def _cmd_decode(args) -> int:
-    p_grid = [float(tok) for tok in args.grid.split(",") if tok] if args.grid is not None else [args.p]
+    p_grid = [args.p]
+    if args.grid is not None:
+        p_grid = [_grid_value(args.grid, tok) for tok in args.grid.split(",") if tok]
     if not p_grid:
         raise ValueError(f"--grid {args.grid!r} holds no erasure probability")
     if args.sweep:

@@ -14,8 +14,9 @@ import hashlib
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -270,13 +271,33 @@ def _read_pixel(path: Path) -> PixelResult:
     return PixelResult(**doc)
 
 
+def _write_pixel(cfg: SweepConfig, path: Path, n: int, gamma: float, outcomes) -> PixelResult:
+    """Persist one pixel's new code records, then its pixel file; return its result."""
+    verdicts = [verdict for verdict, _ in outcomes]
+    records = [record for _, record in outcomes if record is not None]
+    for record in records:
+        rec_path = Path(cfg.out_dir) / "codes" / f"{record.code_id}.json"
+        if not rec_path.exists():
+            _write_atomic(rec_path, record.to_json())
+    sat, unsat = verdicts.count("sat"), verdicts.count("unsat")
+    unknown = cfg.samples - sat - unsat
+    classification = classify_pixel(sat, unsat, unknown, cfg.solved_threshold)
+    pixel = PixelResult(n, cfg.m_for(n), gamma, sat, unsat, unknown, classification)
+    doc = {"format_version": PIXEL_FORMAT_VERSION, **asdict(pixel)}
+    doc.update(verdicts=verdicts, records=[record.code_id for record in records])
+    _write_atomic(path, json.dumps(doc, sort_keys=True))
+    return pixel
+
+
 def run_phase_sweep(cfg: SweepConfig) -> list[PixelResult]:
     """Run (or resume) a sweep; returns pixel results in grid order.
 
-    A later call on the same config resumes from the pixel files of an
-    interrupted one, with any number of workers: config.json keeps the
-    first run's.  The final CSV is only written once every pixel is
-    complete.
+    Every sample of every pixel without a file goes through one ordered
+    map (``Pool.imap`` when workers > 1).  A pixel's file and its new
+    records are written as soon as its samples arrive.  An error or
+    Ctrl-C terminates the workers and leaves only whole files, so
+    a later call on the same config resumes under any workers
+    (config.json keeps the first run's).  pixels.csv comes last.
     """
     out = Path(cfg.out_dir)
     (out / "pixels").mkdir(parents=True, exist_ok=True)
@@ -291,49 +312,21 @@ def run_phase_sweep(cfg: SweepConfig) -> list[PixelResult]:
     else:
         _write_atomic(config_path, json.dumps(cfg.to_dict(), sort_keys=True))
 
-    gammas = cfg.gammas()
-    pixels: list[PixelResult] = []
-    pool = Pool(cfg.workers) if cfg.workers > 1 else None
-    try:
-        for n in cfg.qubit_counts:
-            m = cfg.m_for(n)
-            for gi, gamma in enumerate(gammas):
-                path = _pixel_path(out, n, gi)
-                if path.exists():
-                    pixels.append(_read_pixel(path))
-                    continue
-                tasks = [
-                    (n, m, gamma, si, cfg.master_seed, cfg.params, cfg.time_budget)
-                    for si in range(cfg.samples)
-                ]
-                if pool is not None:
-                    outcomes = pool.map(_run_sample, tasks)
-                else:
-                    outcomes = [_run_sample(t) for t in tasks]
-                verdicts = [verdict for verdict, _ in outcomes]
-                sat = verdicts.count("sat")
-                unsat = verdicts.count("unsat")
-                unknown = cfg.samples - sat - unsat
-                classification = classify_pixel(sat, unsat, unknown, cfg.solved_threshold)
-                record_ids = []
-                for _, record in outcomes:
-                    if record is not None:
-                        record_ids.append(record.code_id)
-                        rec_path = out / "codes" / f"{record.code_id}.json"
-                        if not rec_path.exists():
-                            _write_atomic(rec_path, record.to_json())
-                pixel = PixelResult(n, m, gamma, sat, unsat, unknown, classification)
-                doc = {"format_version": PIXEL_FORMAT_VERSION, **asdict(pixel)}
-                doc.update(verdicts=verdicts, records=record_ids)
-                _write_atomic(path, json.dumps(doc, sort_keys=True))
-                pixels.append(pixel)
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    grid = [(_pixel_path(out, n, gi), n, gamma)
+            for n in cfg.qubit_counts for gi, gamma in enumerate(cfg.gammas())]
+    pixels = {path: _read_pixel(path) for path, _, _ in grid if path.exists()}
+    pending = {path: (n, gamma) for path, n, gamma in grid if path not in pixels}
+    tasks = [(n, cfg.m_for(n), gamma, si, cfg.master_seed, cfg.params, cfg.time_budget)
+             for n, gamma in pending.values() for si in range(cfg.samples)]
+    with ExitStack() as stack:  # leaving it terminates the workers
+        run = stack.enter_context(Pool(cfg.workers)).imap if cfg.workers > 1 else map
+        outcomes = run(_run_sample, tasks)
+        for path, (n, gamma) in pending.items():
+            pixels[path] = _write_pixel(cfg, path, n, gamma, list(islice(outcomes, cfg.samples)))
 
-    write_pixel_csv(out / "pixels.csv", pixels)
-    return pixels
+    results = [pixels[path] for path, _, _ in grid]
+    write_pixel_csv(out / "pixels.csv", results)
+    return results
 
 
 def sweep_records(out_dir: str | Path) -> list[CodeRecord]:

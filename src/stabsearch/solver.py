@@ -705,7 +705,6 @@ class _Engine:
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learned clause and backjump level."""
         level = self.level
-        values = self.values
         reason = self.reason
         trail = self.trail
         var_act = self.var_act
@@ -743,16 +742,9 @@ class _Engine:
             if counter == 0:
                 break
             pv = p >> 1
-            r = reason[pv]
-            if type(r) is list:
-                self._bump_clause(r)
-                reason_lits = r
-            elif type(r) is int:
-                reason_lits = (r,)
-            elif r[0]:  # cardinality: the row's false literals
-                reason_lits = r[1]
-            else:  # XOR: the row's variables as false literals (v's own is seen)
-                reason_lits = [2 * u + values[u] for u in r[1]]
+            reason_lits = self._reason_of(pv)  # pv's own literal is seen
+            if reason_lits is reason[pv]:  # a stored clause
+                self._bump_clause(reason_lits)
         seen[p >> 1] = 0
         learnt[0] = p ^ 1
 

@@ -128,6 +128,15 @@ BAD_INPUTS = [
     ("decode-grid-no-value",
      lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10", "--grid", ",",
                    "--out", str(t / "d.csv")], 4, ["--grid"]),
+    ("decode-grid-not-a-number",
+     lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10", "--grid", "0.2,x",
+                   "--out", str(t / "d.csv")], 4, ["--grid", "'x'"]),
+    ("decode-grid-out-of-range",
+     lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10", "--grid", "1.5",
+                   "--out", str(t / "d.csv")], 4, ["--grid", "'1.5'", "[0, 1]"]),
+    ("decode-grid-nan",
+     lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10",
+                   "--grid", "0.3,nan", "--out", str(t / "d.csv")], 4, ["--grid", "'nan'"]),
     ("density-sweep-missing",
      lambda t, s: ["density", "--sweep", str(t / "absent"), "--out", str(t / "d.csv")], 3,
      ["absent", "pixels"]),

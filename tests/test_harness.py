@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -66,6 +71,40 @@ def run_interrupted(cfg, monkeypatch, samples):
         patch.setattr(harness, "_run_sample", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_phase_sweep(cfg)
+
+
+_real_run_sample = harness._run_sample
+
+
+def fail_in_second_pixel(task):
+    """_run_sample, except that sample 1 of tiny_config's second pixel raises.
+
+    Module-level, so pool workers can unpickle it by name."""
+    n, _, gamma, sample_idx = task[:4]
+    if (n, gamma, sample_idx) == (6, 0.5, 1):
+        raise ValueError("sample failed")
+    return _real_run_sample(task)
+
+
+# A 2-worker sweep whose first pixel is quick and whose later samples
+# each sleep for a minute; argv[1] is the output directory.
+SLOW_SWEEP = """
+import sys, time
+from stabsearch import harness
+from stabsearch.constraints import EncodingParams
+
+real = harness._run_sample
+
+def slow(task):
+    if task[0] > 6:
+        time.sleep(60)
+    return real(task)
+
+harness._run_sample = slow
+harness.run_phase_sweep(harness.SweepConfig(
+    qubit_counts=(6, 8), gamma_min=0.5, gamma_max=0.5, gamma_step=0.1, samples=2,
+    params=EncodingParams(min_qubit_degree=1), time_budget=5.0, workers=2, out_dir=sys.argv[1]))
+"""
 
 
 def screen_config(out_dir):
@@ -227,6 +266,56 @@ class TestSweep:
         assert sorted(p.relative_to(resumed) for p in resumed.rglob("*") if p.is_file()) == files
         for rel in files:
             assert (resumed / rel).read_bytes() == (serial / rel).read_bytes(), rel
+
+    def test_pooled_sample_error_propagates_and_leaves_whole_files(self, tmp_path, monkeypatch):
+        serial = tmp_path / "serial"
+        run_phase_sweep(tiny_config(serial, workers=1))
+        failed = tmp_path / "failed"
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_run_sample", fail_in_second_pixel)  # before the pool forks
+            with pytest.raises(ValueError, match="sample failed"):
+                run_phase_sweep(tiny_config(failed, workers=2))
+        assert not (failed / "pixels.csv").exists()
+        assert not list(failed.rglob("*.tmp"))
+        assert [p.name for p in (failed / "pixels").iterdir()] == ["pixel_n6_g000.json"]
+
+        def files_as_serial():
+            files = sorted(p.relative_to(failed) for p in failed.rglob("*") if p.is_file())
+            for rel in files:
+                if rel.name != "config.json":  # which records the first run's workers
+                    assert (failed / rel).read_bytes() == (serial / rel).read_bytes(), rel
+            return files
+
+        files_as_serial()  # the error left whole pixel and record files only
+        run_phase_sweep(tiny_config(failed, workers=2))
+        assert files_as_serial() == sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+
+    def test_pooled_sweep_stops_on_sigint(self, tmp_path):
+        out = tmp_path / "sweep"
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-c", SLOW_SWEEP, str(out)], env=env,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(out.glob("pixels/pixel_*.json")):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "no pixel was written"
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C reaches the whole process group
+            try:
+                _, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                pytest.fail("the sweep was still running 60 s after SIGINT")
+            assert proc.returncode == -signal.SIGINT and "KeyboardInterrupt" in err, err
+            assert not list(out.rglob("*.tmp"))
+            assert not (out / "pixels.csv").exists()
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)
 
     def test_config_mismatch_detected(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path / "x")
