@@ -5,7 +5,8 @@ read or written (OSError), 4 a document or argument is malformed or
 inconsistent (ValueError, KeyError, TypeError): JSON syntax errors,
 out-of-range values such as ``--budget 0`` or ``--budget inf`` and
 documents that break the rules of ``documents.read_document`` (the
-message names the document kind and the key) are all 4.  ``main`` is
+message names the document kind and the key) are all 4.  Ctrl-C
+(KeyboardInterrupt) is 130, with one line and no traceback.  ``main`` is
 the only place that maps errors to exit codes; any other exception is a
 program fault and propagates with its traceback.
 """
@@ -23,6 +24,9 @@ from .cnf import export_cnf
 from .css import CssCode
 from .graphs import SupportGraph, sample_support_graph
 from .harness import (
+    DECODING_COLUMNS,
+    DECODING_MIN_COLUMNS,
+    DENSITY_COLUMNS,
     SATISFIABLE,
     SCREEN_MIN_RATE,
     CodeRecord,
@@ -33,9 +37,7 @@ from .harness import (
     run_density_study,
     run_phase_sweep,
     satisfiable_records,
-    write_decoding_csv,
-    write_decoding_min_csv,
-    write_density_csv,
+    write_csv,
 )
 from .rng import RngSpec
 from .solver import SolverConfig, solve
@@ -43,6 +45,7 @@ from .solver import SolverConfig, solve
 EXIT_OK = 0
 EXIT_IO = 3
 EXIT_VALIDATION = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a job stopped by Ctrl-C
 
 
 def _params_from_args(args) -> EncodingParams:
@@ -135,7 +138,7 @@ def _load_satisfiable(sweep: str) -> list[CodeRecord]:
 
 def _cmd_density(args) -> int:
     rows = run_density_study(_load_satisfiable(args.sweep))
-    write_density_csv(args.out, rows)
+    write_csv(args.out, DENSITY_COLUMNS, rows)
     for r in rows:
         print(f"n={r['n']}: mean_density={r['mean_density']:.4f} "
               f"min_sat_gamma={r['min_sat_gamma']} codes={r['num_codes']}")
@@ -163,9 +166,9 @@ def _grid_value(grid: str, tok: str) -> float:
 
 
 def _cmd_decode(args) -> int:
-    p_grid = [args.p]
-    if args.grid is not None:
-        p_grid = [_grid_value(args.grid, tok) for tok in args.grid.split(",") if tok]
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    p_grid = [_grid_value(args.grid, tok) for tok in args.grid.split(",") if tok]
     if not p_grid:
         raise ValueError(f"--grid {args.grid!r} holds no erasure probability")
     if args.sweep:
@@ -178,9 +181,9 @@ def _cmd_decode(args) -> int:
         records = [_load_code_or_record(args.code)]
     rows, minima = run_decoding_benchmark(records, p_grid, args.trials, RngSpec(args.seed))
     if args.out:
-        write_decoding_csv(args.out, rows)
+        write_csv(args.out, DECODING_COLUMNS, rows)
     if args.min_out:
-        write_decoding_min_csv(args.min_out, minima)
+        write_csv(args.min_out, DECODING_MIN_COLUMNS, minima)
     for r in rows:
         print(f"{r['code_id']} n={r['n']} p={r['p']}: failure_rate={r['failure_rate']:.6f} "
               f"+/- {r['ci95']:.6f} ({r['trials']} trials)")
@@ -252,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="a sweep directory: decode its best satisfiable-phase codes per n, "
         "screened on --seed",
     )
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--grid", default=None, help="comma-separated erasure probabilities")
+    p.add_argument("--grid", default="0.5",
+                   help="comma-separated erasure probabilities (default: %(default)s)")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -282,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except KeyboardInterrupt:
+        print("interrupted: rerun the same command to resume", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
@@ -32,6 +33,12 @@ from .solver import SAT, SolverConfig, solve
 PIXEL_FORMAT_VERSION = 1
 RECORD_FORMAT_VERSION = 1
 CSV_FORMAT_LINE = "# format_version: 1"
+
+# the columns of each CSV table, in order
+PIXEL_COLUMNS = ("n", "m", "gamma", "sat", "unsat", "unknown", "classification")
+DENSITY_COLUMNS = ("n", "mean_density", "min_sat_gamma", "num_codes")
+DECODING_COLUMNS = ("code_id", "n", "k", "p", "trials", "failures", "failure_rate", "ci95")
+DECODING_MIN_COLUMNS = ("n", "p", "min_failure_rate", "code_id")
 
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
@@ -319,13 +326,16 @@ def run_phase_sweep(cfg: SweepConfig) -> list[PixelResult]:
     tasks = [(n, cfg.m_for(n), gamma, si, cfg.master_seed, cfg.params, cfg.time_budget)
              for n, gamma in pending.values() for si in range(cfg.samples)]
     with ExitStack() as stack:  # leaving it terminates the workers
-        run = stack.enter_context(Pool(cfg.workers)).imap if cfg.workers > 1 else map
+        run = map
+        if cfg.workers > 1:  # the workers ignore Ctrl-C, so only this process raises it
+            run = stack.enter_context(Pool(cfg.workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))).imap
         outcomes = run(_run_sample, tasks)
         for path, (n, gamma) in pending.items():
             pixels[path] = _write_pixel(cfg, path, n, gamma, list(islice(outcomes, cfg.samples)))
 
     results = [pixels[path] for path, _, _ in grid]
-    write_pixel_csv(out / "pixels.csv", results)
+    rows = [asdict(px) for px in sorted(results, key=lambda p: (p.n, p.gamma))]
+    write_csv(out / "pixels.csv", PIXEL_COLUMNS, rows)
     return results
 
 
@@ -376,19 +386,11 @@ def best_codes(records: list[CodeRecord], master_seed: int) -> list[CodeRecord]:
     return best
 
 
-def _write_csv(path: str | Path, header: str, rows) -> None:
-    _write_atomic(Path(path), "\n".join([CSV_FORMAT_LINE, header, *rows]) + "\n")
-
-
-def write_pixel_csv(path: str | Path, pixels: list[PixelResult]) -> None:
-    _write_csv(
-        path,
-        "n,m,gamma,sat,unsat,unknown,classification",
-        (
-            f"{px.n},{px.m},{px.gamma!r},{px.sat},{px.unsat},{px.unknown},{px.classification}"
-            for px in sorted(pixels, key=lambda p: (p.n, p.gamma))
-        ),
-    )
+def write_csv(path: str | Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+    """Write the format line, the header and each row's values in column
+    order.  str of a float is its repr, so every float round-trips."""
+    lines = [",".join(str(row[c]) for c in columns) for row in rows]
+    _write_atomic(Path(path), "\n".join([CSV_FORMAT_LINE, ",".join(columns), *lines]) + "\n")
 
 
 def run_density_study(records: list[CodeRecord]) -> list[dict]:
@@ -416,14 +418,6 @@ def run_density_study(records: list[CodeRecord]) -> list[dict]:
     return rows
 
 
-def write_density_csv(path: str | Path, rows: list[dict]) -> None:
-    _write_csv(
-        path,
-        "n,mean_density,min_sat_gamma,num_codes",
-        (f"{r['n']},{r['mean_density']!r},{r['min_sat_gamma']!r},{r['num_codes']}" for r in rows),
-    )
-
-
 def run_decoding_benchmark(
     records: list[CodeRecord],
     p_grid: list[float],
@@ -432,12 +426,12 @@ def run_decoding_benchmark(
 ) -> tuple[list[dict], list[dict]]:
     """Exact-estimator failure reports per (code, p), plus the per-(n, p) minima.
 
-    Records must pass validation (commutation in particular) before
-    being benchmarked.
+    Callers pass records they have validated where they read them
+    (sweep_records does); failure_rate still refuses a code whose
+    checks do not commute.
     """
     rows = []
     for rec in sorted(records, key=lambda r: (r.stats.n, r.code_id)):
-        rec.validate()
         for p in p_grid:
             rep = failure_rate(rec.code, p, trials, rng.substream("decode", rec.code_id, p))
             rows.append(
@@ -462,23 +456,3 @@ def run_decoding_benchmark(
             {"n": n, "p": p, "min_failure_rate": best["failure_rate"], "code_id": best["code_id"]}
         )
     return rows, minima
-
-
-def write_decoding_csv(path: str | Path, rows: list[dict]) -> None:
-    _write_csv(
-        path,
-        "code_id,n,k,p,trials,failures,failure_rate,ci95",
-        (
-            f"{r['code_id']},{r['n']},{r['k']},{r['p']!r},{r['trials']},"
-            f"{r['failures']!r},{r['failure_rate']!r},{r['ci95']!r}"
-            for r in rows
-        ),
-    )
-
-
-def write_decoding_min_csv(path: str | Path, minima: list[dict]) -> None:
-    _write_csv(
-        path,
-        "n,p,min_failure_rate,code_id",
-        (f"{r['n']},{r['p']!r},{r['min_failure_rate']!r},{r['code_id']}" for r in minima),
-    )

@@ -1,5 +1,11 @@
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -9,11 +15,12 @@ from stabsearch.constraints import PAULI, EncodingParams, Linear, OrClause, XorC
 from stabsearch.css import shor_code
 from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch.harness import (
+    DECODING_COLUMNS,
+    DECODING_MIN_COLUMNS,
     best_codes,
     run_decoding_benchmark,
     satisfiable_records,
-    write_decoding_csv,
-    write_decoding_min_csv,
+    write_csv,
 )
 from stabsearch.rng import RngSpec
 
@@ -98,6 +105,24 @@ def first_name(pattern):
     return lambda sweep: sorted(sweep.glob(pattern))[0].name
 
 
+# `stabsearch sweep` on a 2-worker config whose first pixel is quick and
+# whose later samples each sleep for a minute; argv[1] is the config,
+# argv[2] the output directory.
+SLOW_CLI_SWEEP = """
+import sys, time
+from stabsearch import cli, harness
+
+real = harness._run_sample
+
+def slow(task):
+    if task[0] > 6:
+        time.sleep(60)
+    return real(task)
+
+harness._run_sample = slow
+sys.exit(cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
 NON_COMMUTING = '{"hx": ["110"], "hz": ["100"], "n": 3}'
 LAST_CONSTRAINT = len(encode(GRAPH).constraints) - 1
 FIRST_XOR = next(i for i, c in enumerate(encode(GRAPH).constraints) if isinstance(c, XorClause))
@@ -134,6 +159,12 @@ BAD_INPUTS = [
     ("decode-grid-out-of-range",
      lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10", "--grid", "1.5",
                    "--out", str(t / "d.csv")], 4, ["--grid", "'1.5'", "[0, 1]"]),
+    ("decode-trials-zero",
+     lambda t, s: ["decode", "--sweep", str(s), "--trials", "0", "--out", str(t / "d.csv")], 4,
+     ["--trials", "0"]),
+    ("decode-trials-negative",
+     lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "-3",
+                   "--out", str(t / "d.csv")], 4, ["--trials", "-3"]),
     ("decode-grid-nan",
      lambda t, s: ["decode", "--code", write_shor(t / "c.json"), "--trials", "10",
                    "--grid", "0.3,nan", "--out", str(t / "d.csv")], 4, ["--grid", "'nan'"]),
@@ -503,8 +534,7 @@ class TestSweepAndDensity:
         first.write_text(json.dumps({**cfg, "time_budget": 2}))
         resumed.write_text(json.dumps({**cfg, "time_budget": 2.0}))
         out_dir = tmp_path / "resumed"
-        with pytest.raises(KeyboardInterrupt):
-            run(["sweep", "--config", str(first), "--out", str(out_dir)])
+        assert run(["sweep", "--config", str(first), "--out", str(out_dir)]) == 130
         assert not (out_dir / "pixels.csv").exists()
         monkeypatch.setattr(harness, "_run_sample", real)
         assert run(["sweep", "--config", str(resumed), "--out", str(out_dir)]) == 0
@@ -521,6 +551,37 @@ class TestSweepAndDensity:
             p.relative_to(out_dir) for p in out_dir.rglob("*")
             if p.is_file() and p.name != "config.json"
         ) == files
+
+    def test_ctrl_c_on_pooled_sweep_is_one_line(self, tmp_path):
+        cfg = {"qubit_counts": [6, 8], "gamma_min": 0.5, "gamma_max": 0.5, "gamma_step": 0.1,
+               "samples": 2, "params": {"min_qubit_degree": 1}, "time_budget": 5.0, "workers": 2}
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "sweep"
+        cfg_path.write_text(json.dumps(cfg))
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-c", SLOW_CLI_SWEEP, str(cfg_path), str(out)],
+                                env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(out.glob("pixels/pixel_*.json")):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "no pixel was written"
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C reaches the whole process group
+            try:
+                _, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                pytest.fail("the sweep was still running 60 s after SIGINT")
+            assert proc.returncode == 130, err
+            assert err.count("\n") == 1 and "resume" in err and "Traceback" not in err, err
+            assert not list(out.rglob("*.tmp"))
+            assert not (out / "pixels.csv").exists()
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)
 
     @pytest.mark.parametrize("budget", [0, float("inf"), float("nan")])
     def test_bad_budget_is_validation_error(self, budget, tmp_path, capsys):
@@ -569,7 +630,7 @@ class TestDecode:
     def test_decode_plain_code_document(self, tmp_path, capsys):
         code_path = tmp_path / "shor.json"
         code_path.write_text(shor_code().to_json())
-        assert run(["decode", "--code", str(code_path), "--p", "0.5",
+        assert run(["decode", "--code", str(code_path), "--grid", "0.5",
                     "--trials", "2000", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "failure_rate=" in out
@@ -599,8 +660,8 @@ class TestDecode:
             best_codes(satisfiable_records(sweep), 77), [0.3, 0.4], 200, RngSpec(77)
         )
         assert len(rows) == 2 * 3 * 2  # two n, three codes each, two p
-        write_decoding_csv(tmp_path / "lib.csv", rows)
-        write_decoding_min_csv(tmp_path / "lib_min.csv", minima)
+        write_csv(tmp_path / "lib.csv", DECODING_COLUMNS, rows)
+        write_csv(tmp_path / "lib_min.csv", DECODING_MIN_COLUMNS, minima)
         assert out_csv.read_bytes() == (tmp_path / "lib.csv").read_bytes()
         assert min_csv.read_bytes() == (tmp_path / "lib_min.csv").read_bytes()
 

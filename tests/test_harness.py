@@ -14,6 +14,10 @@ from stabsearch.css import shor_code
 from stabsearch import harness
 from stabsearch.erasure import exact_failure_rate, failure_rate
 from stabsearch.harness import (
+    DECODING_COLUMNS,
+    DECODING_MIN_COLUMNS,
+    DENSITY_COLUMNS,
+    PIXEL_COLUMNS,
     SATISFIABLE,
     SCREEN_P,
     SCREEN_TOP,
@@ -21,6 +25,7 @@ from stabsearch.harness import (
     UNKNOWN_REGION,
     UNSATISFIABLE,
     CodeRecord,
+    PixelResult,
     RecordValidationError,
     SweepConfig,
     best_codes,
@@ -33,8 +38,7 @@ from stabsearch.harness import (
     satisfiable_records,
     sweep_pixels,
     sweep_records,
-    write_decoding_csv,
-    write_density_csv,
+    write_csv,
 )
 from stabsearch.rng import RngSpec, stable_hash64
 from stabsearch.solver import SAT, SolverConfig
@@ -438,7 +442,7 @@ class TestDensityStudy:
             10, 9, 0.8, EncodingParams(min_qubit_degree=1),
             RngSpec(5, 1), SolverConfig(time_budget=10),
         )
-        write_density_csv(tmp_path / "d.csv", run_density_study([record]))
+        write_csv(tmp_path / "d.csv", DENSITY_COLUMNS, run_density_study([record]))
         text = (tmp_path / "d.csv").read_text()
         assert text.startswith("# format_version: 1\n")
         assert "n,mean_density,min_sat_gamma,num_codes" in text
@@ -464,7 +468,7 @@ class TestDecodingBenchmark:
 
     def test_csv_schema(self, tmp_path):
         rows, _ = run_decoding_benchmark([self.shor_record()], [0.3], 100, RngSpec(1))
-        write_decoding_csv(tmp_path / "dec.csv", rows)
+        write_csv(tmp_path / "dec.csv", DECODING_COLUMNS, rows)
         lines = (tmp_path / "dec.csv").read_text().splitlines()
         assert lines[0] == "# format_version: 1"
         assert lines[1] == "code_id,n,k,p,trials,failures,failure_rate,ci95"
@@ -472,3 +476,28 @@ class TestDecodingBenchmark:
 
     def test_content_id_stable(self):
         assert code_content_id(shor_code()) == code_content_id(shor_code())
+
+
+def test_csv_tables_keep_their_bytes(tmp_path):
+    # the bytes every table had before one writer served all four
+    g = 0.1 + 0.2
+    tables = [
+        (PIXEL_COLUMNS, [dataclasses.asdict(PixelResult(6, 5, g, 0, 2, 2, "unknown")),
+                         dataclasses.asdict(PixelResult(8, 7, 0.7, 3, 1, 0, "satisfiable"))],
+         "n,m,gamma,sat,unsat,unknown,classification\n"
+         "6,5,0.30000000000000004,0,2,2,unknown\n8,7,0.7,3,1,0,satisfiable\n"),
+        (PIXEL_COLUMNS, [], "n,m,gamma,sat,unsat,unknown,classification\n"),
+        (DENSITY_COLUMNS, [{"n": 6, "mean_density": 1 / 3, "min_sat_gamma": g, "num_codes": 7}],
+         "n,mean_density,min_sat_gamma,num_codes\n6,0.3333333333333333,0.30000000000000004,7\n"),
+        (DECODING_COLUMNS,
+         [{"code_id": "3ba5759c848af02b", "n": 6, "k": 2, "p": g, "trials": 300,
+           "failures": 95.75, "failure_rate": 95.75 / 300, "ci95": 0.037869}],
+         "code_id,n,k,p,trials,failures,failure_rate,ci95\n"
+         "3ba5759c848af02b,6,2,0.30000000000000004,300,95.75,0.31916666666666665,0.037869\n"),
+        (DECODING_MIN_COLUMNS,
+         [{"n": 6, "p": g, "min_failure_rate": 95.75 / 300, "code_id": "3ba5759c848af02b"}],
+         "n,p,min_failure_rate,code_id\n6,0.30000000000000004,0.31916666666666665,3ba5759c848af02b\n"),
+    ]
+    for columns, rows, body in tables:
+        write_csv(tmp_path / "t.csv", columns, rows)
+        assert (tmp_path / "t.csv").read_text() == "# format_version: 1\n" + body

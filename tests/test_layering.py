@@ -1,7 +1,11 @@
-"""Module seams: the stages downstream of the solver do not depend on it, and
-the sweep reaches the solver's probes only through solve()."""
+"""Module seams: the stages downstream of the solver do not depend on it,
+the sweep reaches the solver's probes only through solve(), and importing
+one stage loads only what that stage imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,14 @@ def test_harness_reaches_the_kernel_probe_only_through_solve():
     imported = imported_names(tree)
     assert not {".gf2.kernel", "stabsearch.gf2.kernel"} & imported, imported
     assert not any(isinstance(node, ast.Attribute) and node.attr == "kernel" for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("module", ["erasure", "graphs"])
+def test_stage_import_loads_no_solver_or_pool(module):
+    # the package root re-exports nothing, so a decoding-only process never
+    # compiles the solver nor loads the sweep's process pool
+    heavy = ["stabsearch.solver", "stabsearch.harness", "stabsearch.cli", "multiprocessing"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    script = f"import sys, stabsearch.{module}; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
