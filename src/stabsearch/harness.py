@@ -104,8 +104,8 @@ class SweepConfig:
     out_dir: str = "sweep_out"
 
     def __post_init__(self):
-        if not self.qubit_counts or min(self.qubit_counts) < 1:
-            raise ValueError(f"qubit_counts must be non-empty and each >= 1, got {self.qubit_counts!r}")
+        if not self.qubit_counts or not all(type(n) is int and n >= 1 for n in self.qubit_counts):
+            raise ValueError(f"qubit_counts must be non-empty integers >= 1, got {self.qubit_counts!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples!r}")
         if not (0.0 <= self.gamma_min <= self.gamma_max <= 1.0):

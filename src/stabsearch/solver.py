@@ -17,16 +17,11 @@ GF(2) row XORs) derived from the configured time budget, so a given
 (system, config) pair always reproduces the same verdict and, when
 satisfiable, the same assignment, on any machine and at any speed.
 
-Probes are candidates that only the independent checker accepts.
 A system with a minimum qubit degree but no stabilizer degree bounds
-first runs the kernel probe once: it fixes a sparse X side and takes
-each Z row as a light, often empty, element of a GF(2) kernel.  A
-system without degree bounds tries the all-inactive coloring, which
-satisfies every commutation-only system at once.  The search itself
-starts from saved phases: a greedy degree-respecting coloring when the
-system has a minimum qubit degree, all zero otherwise.  The greedy
-coloring is not checked as a model: a search whose phases satisfy the
-system returns them, unchanged, on its first descent.
+first takes a kernel-probe candidate (stabsearch.probe), and on a miss
+starts the search from a greedy candidate's saved phases; without a
+qubit degree the all-inactive coloring is tried.  Each is completed
+here, and a probe hit leaves through the same check as a CDCL model.
 """
 
 from __future__ import annotations
@@ -50,8 +45,7 @@ from .constraints import (
     XorClause,
     gc_paused,
 )
-from .gf2 import kernel
-from .rng import stable_hash64
+from .probe import greedy_candidate, kernel_candidate
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -69,13 +63,6 @@ PROPS_PER_SECOND = 150_000
 # slice is long enough for genuine unsatisfiability proofs.
 _FIRST_SLICE_FRACTION = 1 / 32
 _MIN_SLICE = 50_000
-
-# The kernel probe, run before any search: random X/Z splits it tries,
-# Z-degree repair moves per try, and the chance of a move that raises the
-# Z-degree shortfall (see _kernel_try).
-_KERNEL_TRIES = 16
-_KERNEL_STEPS = 200
-_KERNEL_NOISE = 0.3
 
 # Conflicts between restarts: this many times the next Luby number.
 _LUBY_BASE = 128
@@ -186,145 +173,6 @@ def consistent_completion(
         elif var.kind == EVEN:
             values[var.id] = 1 ^ both_parity.get(var.index, 0)
     return tuple(values)
-
-
-def _greedy_phases(cs: ConstraintSystem) -> tuple[int, ...]:
-    """Warm phases for a system with a minimum qubit degree dq.
-
-    Splits stabilizers into X/Z halves and activates, per qubit, the
-    first dq edges of each type.  Rarely satisfies commutation outright
-    but lands near a feasible region, which makes it a useful phase
-    initialization.
-    """
-    g = cs.graph
-    dq = cs.params.min_qubit_degree
-    n_x = g.m // 2 if cs.params.balanced else (g.m + 1) // 2
-    paulis = [1 if s < n_x else 0 for s in range(g.m)]
-    active: dict[tuple[int, int], int] = {}
-    for q in range(g.n):
-        x_left = z_left = dq
-        for s in g.qubit_neighbors(q):
-            if paulis[s] and x_left > 0:
-                active[(q, s)] = 1
-                x_left -= 1
-            elif not paulis[s] and z_left > 0:
-                active[(q, s)] = 1
-                z_left -= 1
-    return consistent_completion(cs, active, paulis)
-
-
-def _kernel_probe(cs: ConstraintSystem, seed: int, stats: SolverStats) -> tuple[int, ...] | None:
-    """Random X sides with the Z side solved by elimination: a checked model, or None.
-
-    Runs _KERNEL_TRIES tries from its own seeded stream.  Every GF(2) row
-    XOR, a repair or lightening move weighed included, counts one
-    propagation into stats.
-    """
-    rng = random.Random(stable_hash64("kernel", seed))
-    for _ in range(_KERNEL_TRIES):
-        candidate = _kernel_try(cs, rng, stats)
-        if candidate is not None:
-            model = consistent_completion(cs, *candidate)
-            if check(cs, model):
-                return model
-    return None
-
-
-def _kernel_try(cs: ConstraintSystem, rng: random.Random,
-                stats: SolverStats) -> tuple[dict, list[int]] | None:
-    """One kernel-probe candidate (activators, paulis) in which every qubit
-    meets dq = min_qubit_degree on both sides.
-
-    Puts a random floor(m/2) stabilizers, in a random order, on the X
-    side and activates each qubit's first dq X candidates in that order,
-    which fixes hx and leaves the last X rows empty.  A Z row commutes
-    with hx iff it lies in the kernel of hx on its stabilizer's candidate
-    qubits, so each Z row starts as a random kernel element.  Then, for
-    a random qubit short of dq Z edges, the kernel basis vector that adds
-    it and lowers the total shortfall most is XORed into one of its Z
-    rows; a move that raises the shortfall is taken with probability
-    _KERNEL_NOISE.  Last, until none applies, a Z row is emptied, or a
-    basis vector XORed into it, whenever that lowers the row's weight
-    and keeps every Z degree at least dq.  Empty rows add no rank, so
-    they raise k.  None as soon as a qubit has fewer than dq candidates
-    on a side, or fewer than dq Z rows whose kernel reaches it, or once
-    _KERNEL_STEPS moves leave a qubit short.
-    """
-    g, dq = cs.graph, cs.params.min_qubit_degree
-    x_order = rng.sample(range(g.m), g.m // 2)
-    paulis = [int(s in x_order) for s in range(g.m)]
-    x_cands = [[s for s in x_order if s in g.qubit_neighbors(q)] for q in range(g.n)]
-    reach = [len(g.qubit_neighbors(q)) - len(xs) for q, xs in enumerate(x_cands)]
-    if min(map(len, x_cands)) < dq or min(reach) < dq:
-        return None
-    rows = [0] * g.m  # each stabilizer's active qubits
-    for q, xs in enumerate(x_cands):
-        for s in xs[:dq]:
-            rows[s] |= 1 << q
-    hx = [rows[s] for s in range(g.m) if paulis[s]]
-    bases = {}
-    zdeg = [0] * g.n
-    for s in range(g.m):
-        if paulis[s]:
-            continue
-        bases[s], xors = kernel(hx, g.stabilizer_neighbors(s))
-        stats.propagations += xors
-        support = 0
-        for b in bases[s]:
-            support |= b
-        for q in g.stabilizer_neighbors(s):
-            if not support >> q & 1:
-                reach[q] -= 1
-                if reach[q] < dq:
-                    return None
-        pick = rng.getrandbits(len(bases[s]))
-        for i, b in enumerate(bases[s]):
-            if pick >> i & 1:
-                rows[s] ^= b
-                stats.propagations += 1
-        for q in g.stabilizer_neighbors(s):
-            zdeg[q] += rows[s] >> q & 1
-    for _ in range(_KERNEL_STEPS):
-        short = [q for q in range(g.n) if zdeg[q] < dq]
-        if not short:
-            break
-        short_mask = sum(1 << q for q in short)
-        tight_mask = sum(1 << q for q in range(g.n) if zdeg[q] == dq)
-        q = rng.choice(short)
-        best = None
-        for s in g.qubit_neighbors(q):
-            if paulis[s] or rows[s] >> q & 1:
-                continue
-            for b in bases[s]:
-                if b >> q & 1:
-                    stats.propagations += 1
-                    rise = (rows[s] & b & tight_mask).bit_count() - (b & ~rows[s] & short_mask).bit_count()
-                    if best is None or rise < best[0]:
-                        best = (rise, s, b)
-        if best is None or (best[0] > 0 and rng.random() >= _KERNEL_NOISE):
-            continue
-        _, s, b = best
-        for r in g.stabilizer_neighbors(s):
-            if b >> r & 1:
-                zdeg[r] += -1 if rows[s] >> r & 1 else 1
-        rows[s] ^= b
-    if min(zdeg) < dq:
-        return None
-    lighter = True
-    while lighter:
-        lighter = False
-        for s, basis in bases.items():
-            for b in (rows[s], *basis):
-                stats.propagations += 1
-                drop = rows[s] & b
-                if 2 * drop.bit_count() > b.bit_count() and all(
-                        zdeg[q] > dq for q in g.stabilizer_neighbors(s) if drop >> q & 1):
-                    for q in g.stabilizer_neighbors(s):
-                        zdeg[q] += (b >> q & 1) - 2 * (drop >> q & 1)
-                    rows[s] ^= b
-                    lighter = True
-    active = {(q, s): 1 for s in range(g.m) for q in g.stabilizer_neighbors(s) if rows[s] >> q & 1}
-    return active, paulis
 
 
 def _luby(x: int) -> int:
@@ -898,36 +746,36 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     cfg = cfg or SolverConfig()
     stats = SolverStats()
     params = cs.params
+    g, dq = cs.graph, params.min_qubit_degree
     # The kernel probe runs once, first, unless stabilizer degree bounds make
-    # it hopeless (its empty and concentrated rows break them).  Slice k gets
-    # seed cfg.seed + k and twice the work of slice k - 1, cut at the budget;
-    # its limit is taken before the engine loads, so level-0 units enqueued
-    # at load count towards it.
-    warm_phases = None
-    if params.min_qubit_degree:
+    # it hopeless (its empty and concentrated rows break them).  Its hit, or
+    # on a miss the greedy candidate, is completed once: the model or the
+    # saved phases.  Slice k gets seed cfg.seed + k and twice the work of
+    # slice k - 1, cut at the budget; its limit is taken before the engine
+    # loads, so level-0 units enqueued at load count towards it.
+    hit = phases = None
+    if dq:
         if not params.min_stab_degree and params.max_stab_degree is None:
-            model = _kernel_probe(cs, cfg.seed, stats)
-            if model is not None:
-                return SolveResult(SAT, model, stats)
-        warm_phases = _greedy_phases(cs)
+            hit, stats.propagations = kernel_candidate(g, dq, cfg.seed)
+        phases = consistent_completion(cs, *(hit or greedy_candidate(g, dq, params.balanced)))
     elif not params.min_stab_degree:
-        model = consistent_completion(cs, {}, [0] * cs.graph.m)
+        model = consistent_completion(cs, {}, [0] * g.m)
         if check(cs, model):
             return SolveResult(SAT, model, stats)
     budget = int(cfg.time_budget * PROPS_PER_SECOND)
     work = max(_MIN_SLICE, int(budget * _FIRST_SLICE_FRACTION))
     seed = cfg.seed
-    verdict = UNKNOWN
+    verdict, model = (SAT, phases) if hit else (UNKNOWN, None)
     while verdict == UNKNOWN and stats.propagations < budget:
         limit = min(stats.propagations + work, budget)
-        engine = _Engine(cs, seed, warm_phases, stats)
+        engine = _Engine(cs, seed, phases, stats)
         verdict = engine.search(limit)
+        model = engine.assignment()
         work *= 2
         seed += 1
 
     if verdict != SAT:
         return SolveResult(verdict, None, stats)
-    model = engine.assignment()
     if not check(cs, model):
         raise RuntimeError("internal error: solver produced an invalid model")
     return SolveResult(SAT, model, stats)

@@ -597,7 +597,8 @@ class TestSweepAndDensity:
         assert run(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
 
     @pytest.mark.parametrize("field,value", [
-        ("workers", 0), ("qubit_counts", [5, 0]), ("ratio", -1), ("ratio", float("inf")),
+        ("workers", 0), ("qubit_counts", [5, 0]), ("qubit_counts", [8.5]), ("qubit_counts", ["8"]),
+        ("qubit_counts", [True]), ("ratio", -1), ("ratio", float("inf")),
         ("solved_threshold", 7), ("solved_threshold", 0), ("gamma_min", -0.5), ("gamma_max", 1.5),
     ])
     def test_out_of_range_config_is_validation_error(self, field, value, tmp_path, capsys):

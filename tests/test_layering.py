@@ -1,5 +1,5 @@
 """Module seams: the stages downstream of the solver do not depend on it,
-the sweep reaches the solver's probes only through solve(), and importing
+the sweep reaches the kernel probe only through solve(), and importing
 one stage loads only what that stage imports."""
 
 import ast
@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import stabsearch
-from stabsearch import solver
 
 SRC = Path(stabsearch.__file__).parent
 
@@ -36,19 +35,24 @@ def test_module_does_not_import_the_solver(module):
     assert not {".solver", "stabsearch.solver"} & imported, imported
 
 
-def test_harness_reaches_the_kernel_probe_only_through_solve():
-    # probe work stays inside the solve() call that perfbench traces as solver.solve
-    tree = ast.parse((SRC / "harness.py").read_text())
-    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    referenced |= {alias.name for node in ast.walk(tree)
-                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-    private = {name for name in vars(solver) if name.startswith("_") and not name.startswith("__")}
-    assert {"_kernel_probe", "_kernel_try"} <= private
-    assert not referenced & private, referenced & private
+@pytest.mark.parametrize("module, banned", [
+    ("probe", {"constraints", "solver"}),  # candidates come from the graph alone
+    ("solver", {"gf2", "rng"}),  # the GF(2) work and its seeding live in probe.py
+    ("harness", {"probe", "gf2.kernel"}),
+    ("cli", {"probe", "gf2.kernel"}),
+], ids=["probe", "solver", "harness", "cli"])
+def test_module_does_not_import(module, banned):
+    # The sweep and the CLI reach the probe only through solve(), inside the span
+    # perfbench traces as solver.solve.  On the band_sweep grid the probe and the
+    # completion and check of its three hits take 0.076 s a round (0.018 s + 0.058 s,
+    # about 5%); outside that span no traced layer would claim the time, and
+    # trace.self_coverage (0.979) would fall below its 0.97 gate.
+    tree = ast.parse((SRC / f"{module}.py").read_text())
     imported = imported_names(tree)
-    assert not {".gf2.kernel", "stabsearch.gf2.kernel"} & imported, imported
-    assert not any(isinstance(node, ast.Attribute) and node.attr == "kernel" for node in ast.walk(tree))
+    assert not {prefix + name for name in banned for prefix in (".", "stabsearch.")} & imported, imported
+    if "probe" in banned:  # nor through a module attribute, as in gf2.kernel(...)
+        attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not {"kernel", "kernel_candidate", "greedy_candidate"} & attributes
 
 
 @pytest.mark.parametrize("module", ["erasure", "graphs"])

@@ -30,3 +30,14 @@ def test_shor_erasure_curve(tmp_path):
         p = float(row[0])
         assert p == round(0.05 * i, 2)
         assert float(row[1]) == exact_failure_rate(code, p)
+
+
+def test_readme_library_example_prints_a_code_and_a_report():
+    # the "Library use" block of README.md, run as written
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    out = subprocess.run([sys.executable, "-c", block], check=True, capture_output=True,
+                         text=True, env=env, timeout=300).stdout
+    assert "CodeStats(" in out and "DecodingReport(" in out, out

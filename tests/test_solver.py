@@ -20,7 +20,7 @@ from stabsearch.constraints import (
 from stabsearch.css import extract_code, satisfies_degree_bounds, stats as code_stats
 from stabsearch.gf2 import kernel, rank_int_rows
 from stabsearch.graphs import SupportGraph, sample_support_graph
-from stabsearch import harness, solver
+from stabsearch import harness, probe, solver
 from stabsearch.rng import RngSpec, stable_hash64
 from stabsearch.solver import (
     SAT,
@@ -532,15 +532,19 @@ class TestActivityRescale:
 
 
 def record_calls(monkeypatch, owner, name, log):
-    """Append (name, stats.propagations before, after) to log on every call of owner.name,
-    which is solver._kernel_probe(cs, seed, stats) or solver._Engine.search(engine, limit)."""
+    """Append an entry to log on every call of owner.name: (name, work returned) for
+    solver.kernel_candidate(g, dq, seed), and (name, stats.propagations before, after)
+    for solver._Engine.search(engine, limit)."""
     original = getattr(owner, name)
 
     def recorded(*args):
-        stats = args[-1] if name == "_kernel_probe" else args[0].stats
-        before = stats.propagations
+        if name == "kernel_candidate":
+            result = original(*args)
+            log.append((name, result[1]))
+            return result
+        before = args[0].stats.propagations
         result = original(*args)
-        log.append((name, before, stats.propagations))
+        log.append((name, before, args[0].stats.propagations))
         return result
 
     monkeypatch.setattr(owner, name, recorded)
@@ -566,16 +570,15 @@ class TestKernelProbe:
             assert rank_int_rows(basis) == len(basis) == len(cols) - rank_int_rows([r & mask for r in rows])
 
     def test_same_seed_same_model_and_work(self):
-        cs = encode(band_graph(40, 0.6), EncodingParams(min_qubit_degree=3))
-        runs = []
-        for seed in (6, 6, 7):
-            stats = solver.SolverStats()
-            runs.append((solver._kernel_probe(cs, seed, stats), stats.propagations))
-        assert runs[0] == runs[1] and runs[0][0] is not None
+        g = band_graph(40, 0.6)
+        runs = [probe.kernel_candidate(g, 3, seed) for seed in (6, 6, 7)]
+        assert runs[0] == runs[1] and runs[0][0] is not None and runs[0][1] > 0
         assert runs[2][0] is not None and runs[2][0] != runs[0][0]
 
     def test_every_hit_is_a_checked_code_within_its_degree_bounds(self):
-        hits = 0
+        # without stabilizer bounds every candidate completes to a model; under them none of
+        # the eight candidates meets the bounds, which is why solve() skips the probe there
+        hits = bounded_hits = 0
         for n, gamma, params in [
             (30, 0.7, EncodingParams(min_qubit_degree=3)),
             (30, 0.7, EncodingParams(min_qubit_degree=3, min_stab_degree=4, max_stab_degree=14)),
@@ -584,13 +587,18 @@ class TestKernelProbe:
         ]:
             g = band_graph(n, gamma)
             cs = encode(g, params)
+            bounded = params.min_stab_degree > 0 or params.max_stab_degree is not None
             for seed in range(3):
-                model = solver._kernel_probe(cs, seed, solver.SolverStats())
-                if model is not None:
+                candidate, _ = probe.kernel_candidate(g, params.min_qubit_degree, seed)
+                if candidate is None:
+                    continue
+                model = consistent_completion(cs, *candidate)
+                assert bounded or check(cs, model)
+                if check(cs, model):
                     hits += 1
-                    assert check(cs, model)
+                    bounded_hits += bounded
                     assert satisfies_degree_bounds(extract_code(g, model), params)
-        assert hits == 7  # under stabilizer bounds only the n=20 graph's seed 0 hits
+        assert (hits, bounded_hits) == (6, 0)
 
     def test_band_sample_ends_sat_before_the_first_slice(self):
         # band_sweep's n=40, gamma=0.6 sample: unknown at budget 1 without the probe
@@ -600,11 +608,11 @@ class TestKernelProbe:
 
     def test_balanced_hit_meets_the_balance_row(self):
         g = band_graph(30, 0.7)  # m = 27, so 13 X stabilizers
-        params = EncodingParams(min_qubit_degree=3, balanced=True)
-        cs = encode(g, params)
-        model = solver._kernel_probe(cs, 1, solver.SolverStats())
-        assert model is not None and check(cs, model)
-        assert extract_code(g, model).hx.num_rows == g.m // 2 == 13
+        candidate, _ = probe.kernel_candidate(g, 3, 1)
+        assert candidate is not None and sum(candidate[1]) == g.m // 2 == 13
+        cs = encode(g, EncodingParams(min_qubit_degree=3, balanced=True))
+        model = consistent_completion(cs, *candidate)
+        assert check(cs, model) and extract_code(g, model).hx.num_rows == 13
 
     @pytest.mark.parametrize("params, calls", [
         (EncodingParams(min_qubit_degree=3), 1),
@@ -615,19 +623,19 @@ class TestKernelProbe:
     def test_entered_once_and_only_with_a_qubit_degree_and_probes(self, monkeypatch, params, calls):
         one_propagation_first_slice(monkeypatch)
         log = []
-        record_calls(monkeypatch, solver, "_kernel_probe", log)
+        record_calls(monkeypatch, solver, "kernel_candidate", log)
         record_calls(monkeypatch, solver._Engine, "search", log)
         cs = encode(band_graph(20, 0.5), params)
         solve(cs, SolverConfig(time_budget=0.05, seed=3))
-        names = [name for name, _, _ in log]
+        names = [entry[0] for entry in log]
         assert names.count("search") > 3
-        assert names.count("_kernel_probe") == calls
+        assert names.count("kernel_candidate") == calls
         if calls:
-            assert names[:2] == ["_kernel_probe", "search"]
+            assert names[:2] == ["kernel_candidate", "search"]
 
     def test_runs_before_any_engine_and_a_hit_builds_none(self, monkeypatch):
         log = []
-        record_calls(monkeypatch, solver, "_kernel_probe", log)
+        record_calls(monkeypatch, solver, "kernel_candidate", log)
         original_init = solver._Engine.__init__
 
         def logged_init(engine, *args):
@@ -635,31 +643,37 @@ class TestKernelProbe:
             original_init(engine, *args)
 
         monkeypatch.setattr(solver._Engine, "__init__", logged_init)
-        original_phases = solver._greedy_phases
+        original_greedy = solver.greedy_candidate
 
-        def logged_phases(cs):
+        def logged_greedy(*args):
             log.append(("greedy",))
-            return original_phases(cs)
+            return original_greedy(*args)
 
         # a hit builds neither the greedy phases nor an engine
-        monkeypatch.setattr(solver, "_greedy_phases", logged_phases)
+        monkeypatch.setattr(solver, "greedy_candidate", logged_greedy)
         params = EncodingParams(min_qubit_degree=3)
         hit = solve(encode(band_graph(40, 0.6), params), band_config(40, 0.6))
-        assert hit.verdict == SAT and [entry[0] for entry in log] == ["_kernel_probe"]
+        assert hit.verdict == SAT and [entry[0] for entry in log] == ["kernel_candidate"]
         log.clear()
         # band_sweep's n=30, gamma=0.5 sample: the probe misses, then the slices decide
         miss = solve(encode(band_graph(30, 0.5), params), band_config(30, 0.5))
         assert miss.verdict == SAT and miss.stats.decisions > 0
-        assert [entry[0] for entry in log] == ["_kernel_probe", "greedy", "engine", "engine"]
-        assert log[0][1] == 0 < log[0][2]
+        assert [entry[0] for entry in log] == ["kernel_candidate", "greedy", "engine", "engine"]
+        assert log[0][1] > 0
+
+    def test_a_hit_that_fails_the_check_is_an_internal_error(self, monkeypatch):
+        # a kernel hit leaves through the same check as a CDCL model
+        monkeypatch.setattr(solver, "kernel_candidate", lambda g, dq, seed: (({}, [0] * g.m), 0))
+        with pytest.raises(RuntimeError, match="invalid model"):
+            solve(band_system(), SolverConfig(time_budget=1.0))
 
     def test_unknown_after_a_missed_probe_ends_at_the_budget(self, monkeypatch):
         # band_sweep's n=40, gamma=0.4 sample: the probe misses and the budget runs out
         log = []
-        record_calls(monkeypatch, solver, "_kernel_probe", log)
+        record_calls(monkeypatch, solver, "kernel_candidate", log)
         cfg = band_config(40, 0.4)
         result = solve(encode(band_graph(40, 0.4), EncodingParams(min_qubit_degree=3)), cfg)
-        assert [name for name, _, _ in log] == ["_kernel_probe"] and log[0][2] > 0
+        assert [entry[0] for entry in log] == ["kernel_candidate"] and log[0][1] > 0
         assert result.verdict == UNKNOWN
         assert result.stats.propagations >= int(cfg.time_budget * solver.PROPS_PER_SECOND)
         assert work_row(result) == PINNED_BAND_SWEEP[5]
@@ -669,53 +683,47 @@ class TestKernelProbe:
         hits = 0
         for n, gamma in [(30, 0.6), (30, 0.7), (40, 0.5), (40, 0.6)]:
             g = band_graph(n, gamma)
-            cs = encode(g, EncodingParams(min_qubit_degree=dq))
             for seed in range(3):
-                model = solver._kernel_probe(cs, seed, solver.SolverStats())
-                if model is None:
+                candidate, _ = probe.kernel_candidate(g, dq, seed)
+                if candidate is None:
                     continue
                 hits += 1
+                active, paulis = candidate
                 rows = [0] * g.m
-                for i, (q, s) in enumerate(g.edges):
-                    rows[s] |= model[i] << q
-                paulis = model[len(g.edges):len(g.edges) + g.m]
+                for q, s in active:
+                    rows[s] |= 1 << q
                 hx = [rows[s] for s in range(g.m) if paulis[s]]
                 assert all(sum(r >> q & 1 for r in hx) == dq for q in range(g.n))
                 assert 0 in hx  # the X side fills its stabilizers in order and leaves the last ones empty
                 zdeg = [sum(rows[s] >> q & 1 for s in range(g.m) if not paulis[s]) for q in range(g.n)]
+                assert min(zdeg) >= dq
                 for s in range(g.m):
                     if paulis[s]:
                         continue
                     for b in (rows[s], *kernel(hx, g.stabilizer_neighbors(s))[0]):  # emptying included
                         lighter = (rows[s] ^ b).bit_count() < rows[s].bit_count()
                         assert not lighter or any(zdeg[q] == dq for q in range(g.n) if (rows[s] & b) >> q & 1)
-                assert code_stats(extract_code(g, model)).k > g.n - g.m  # empty rows add no rank
+                # extract_code's layout (activators in edge order, then Pauli types); it checks commutation
+                code = extract_code(g, tuple(active.get(e, 0) for e in g.edges) + tuple(paulis))
+                assert code_stats(code).k > g.n - g.m  # empty rows add no rank
         assert hits == 12
 
     def test_degree_infeasible_graph_charges_nothing_and_falls_through(self, monkeypatch):
         g = band_graph(40, 0.6)
         cut = [(q, s) for q, s in g.edges if q != 0] + [(0, s) for s in g.qubit_neighbors(0)[:5]]
-        cs = encode(SupportGraph(g.n, g.m, g.gamma, g.seed, tuple(cut)), EncodingParams(min_qubit_degree=3))
-        stats = solver.SolverStats()
-        assert solver._kernel_probe(cs, 0, stats) is None and stats.propagations == 0
+        cut = SupportGraph(g.n, g.m, g.gamma, g.seed, tuple(cut))
+        assert probe.kernel_candidate(cut, 3, 0) == (None, 0)
         one_propagation_first_slice(monkeypatch)
         log = []
-        record_calls(monkeypatch, solver, "_kernel_probe", log)
+        record_calls(monkeypatch, solver, "kernel_candidate", log)
         record_calls(monkeypatch, solver._Engine, "search", log)
-        solve(cs, SolverConfig(time_budget=0.05, seed=3))
-        assert [name for name, _, _ in log[:2]] == ["_kernel_probe", "search"]
-        assert log[0][1:] == (0, 0) and log[1][1] == 0
+        solve(encode(cut, EncodingParams(min_qubit_degree=3)), SolverConfig(time_budget=0.05, seed=3))
+        assert log[0] == ("kernel_candidate", 0) and log[1][:2] == ("search", 0)
 
     def test_no_slice_after_a_probe_that_spends_the_budget(self, monkeypatch):
         cfg = SolverConfig(time_budget=0.05, seed=3)
         budget = int(cfg.time_budget * solver.PROPS_PER_SECOND)
-        after_probe = []
-
-        def spending_probe(cs, seed, stats):
-            stats.propagations = budget + 5
-            after_probe.append(stats.propagations)
-
-        monkeypatch.setattr(solver, "_kernel_probe", spending_probe)
+        monkeypatch.setattr(solver, "kernel_candidate", lambda g, dq, seed: (None, budget + 5))
         original_init = solver._Engine.__init__
         built = []
 
@@ -725,18 +733,18 @@ class TestKernelProbe:
 
         monkeypatch.setattr(solver._Engine, "__init__", counted_init)
         result = solve(encode(band_graph(20, 0.5), EncodingParams(min_qubit_degree=3)), cfg)
-        assert built == [] and after_probe  # no slice at all
-        assert result.verdict == UNKNOWN and result.stats.propagations == after_probe[0]
+        assert built == []  # no slice at all
+        assert result.verdict == UNKNOWN and result.stats.propagations == budget + 5
 
     def test_first_slice_verdicts_are_unchanged(self, monkeypatch):
         # samples the probe misses keep the first slice's verdict, search and model;
         # their work is the first slice's plus the probe's charge
         log = []
-        record_calls(monkeypatch, solver, "_kernel_probe", log)
+        record_calls(monkeypatch, solver, "kernel_candidate", log)
         got = [work_row(solve(encode(band_graph(n, gamma), EncodingParams(min_qubit_degree=3)),
                               band_config(n, gamma)))
                for n, gamma in [(20, 0.6), (40, 0.3)]]
-        charges = [after - before for _, before, after in log]
+        charges = [work for _, work in log]
         assert len(charges) == 2 and charges[0] > 0
         first_slice = [("sat", 678, 232, 39540, 1, 232, "6a3c28439a2e8d88"),
                        ("unsat", 366, 26, 7859, 0, 21, None)]
