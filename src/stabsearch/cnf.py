@@ -2,34 +2,36 @@
 
 XOR constraints are chain-decomposed with fresh auxiliaries (direct
 truth-table expansion at width <= 3), and cardinality constraints are
-expanded through sequential-counter networks (an at-least bound is an
-at-most bound on the negated literals).  Original variable v maps to
-DIMACS variable v + 1; auxiliaries come after num_orig.  The map is
-embedded as comment lines, and assignment_from_model pulls a model
-found by an external solver back onto the original variables.
+expanded through sequential-counter networks (Sinz 2005; an at-least
+bound is an at-most bound on the negated literals).  Original variable
+v maps to DIMACS variable v + 1; auxiliaries come after num_orig.  The
+map is embedded as comment lines.
+
+CnfExport keeps text, num_orig, num_vars and num_clauses: the clause
+list is the body of text after its "p cnf" header, num_clauses lines.
+assignment_from_model pulls a model found by an external solver back
+onto the original variables.  Each variable's two literal strings are
+built once; an OR clause is one join over them, and an XOR or
+cardinality row is one % format of its shape's clauses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .constraints import ConstraintSystem, OrClause, XorClause, gc_paused
-
-# (width, parity) -> the sign patterns a width <= 3 parity forbids, one clause each
-_PARITY_SIGNS = {(w, p): [tuple(-1 if bits >> i & 1 else 1 for i in range(w))
-                          for bits in range(1 << w) if bits.bit_count() & 1 != p]
-                 for w in range(4) for p in (0, 1)}
 
 
 @dataclass(frozen=True)
 class CnfExport:
+    """DIMACS text, whose clauses are the num_clauses lines after its header."""
+
     text: str
     num_orig: int  # original variable v is DIMACS variable v + 1
     num_vars: int
     num_clauses: int
-    clauses: tuple[tuple[int, ...], ...]
 
     def assignment_from_model(self, model: Iterable[int]) -> tuple[int, ...]:
         """Map a DIMACS model (signed literals) back to original variables.
@@ -44,42 +46,42 @@ class CnfExport:
         return tuple(truth.get(v + 1, 0) for v in range(self.num_orig))
 
 
-class _CnfBuilder:
-    def __init__(self, n_orig: int):
-        self.next_var = n_orig + 1
+class _Network:
+    """The clauses of one row shape over slots: the row's variables are
+    1..width and its auxiliaries are numbered after them."""
+
+    def __init__(self, width: int):
+        self.top = width
         self.clauses: list[tuple[int, ...]] = []
 
     def fresh(self) -> int:
-        v = self.next_var
-        self.next_var += 1
-        return v
+        self.top += 1
+        return self.top
 
     def emit(self, *lits: int):
-        self.clauses.append(tuple(lits))
+        self.clauses.append(lits)
 
     def contradiction(self):
         t = self.fresh()
         self.emit(t)
         self.emit(-t)
 
-    def parity_direct(self, dvars: list[int], parity: int):
-        """Truth-table expansion of XOR(dvars) = parity, width <= 3."""
-        self.clauses.extend([tuple(map(mul, signs, dvars))
-                             for signs in _PARITY_SIGNS[len(dvars), parity]])
-
     def parity(self, dvars: list[int], parity: int):
-        if len(dvars) <= 3:
-            self.parity_direct(dvars, parity)
-            return
-        acc = dvars[0]
-        for nxt in dvars[1:-1]:
-            t = self.fresh()
-            self.parity_direct([acc, nxt, t], 0)  # t = acc xor nxt
-            acc = t
-        self.parity_direct([acc, dvars[-1]], parity)
+        """XOR(dvars) = parity: chained through fresh auxiliaries above width 3,
+        and at width <= 3 one clause per forbidden pattern."""
+        if len(dvars) > 3:
+            acc = dvars[0]
+            for nxt in dvars[1:-1]:
+                t = self.fresh()
+                self.parity([acc, nxt, t], 0)  # t = acc xor nxt
+                acc = t
+            dvars = [acc, dvars[-1]]
+        for bits in range(1 << len(dvars)):
+            if bits.bit_count() & 1 != parity:
+                self.emit(*[-d if bits >> i & 1 else d for i, d in enumerate(dvars)])
 
     def at_most(self, lits: list[int], k: int):
-        """Sequential-counter at-most-k over DIMACS literals."""
+        """Sequential-counter at-most-k over slot literals."""
         w = len(lits)
         if k >= w:
             return
@@ -107,37 +109,54 @@ class _CnfBuilder:
                 self.emit(-lits[i], -s[i - 1][k])
         self.emit(-lits[w - 1], -s[w - 2][k])
 
-    def at_least(self, lits: list[int], b: int):
-        self.at_most([-l for l in lits], len(lits) - b)
+
+def _shape(key: tuple) -> tuple[str, Callable, int, int]:
+    """(format, getter, auxiliaries, clauses) of an XOR key (parity, width) or a
+    cardinality key (cmp, bound, width).  The format joins the clauses with
+    " 0\\n", one %s per literal; the getter picks the fields from the row's
+    literal strings, laid out (negative, positive) per slot."""
+    *rule, width = key
+    net = _Network(width)
+    slots = list(range(1, width + 1))
+    if len(rule) == 1:
+        net.parity(slots, rule[0])
+    else:
+        cmp, bound = rule
+        if cmp in (">=", "=="):  # at least bound: at most width - bound of the negations
+            net.at_most([-l for l in slots], width - bound)
+        if cmp in ("<=", "=="):
+            net.at_most(slots, bound)
+    fields = [2 * abs(l) - 2 + (l > 0) for clause in net.clauses for l in clause]
+    fmt = " 0\n".join([" ".join(["%s"] * len(clause)) for clause in net.clauses])
+    # with one field the getter returns that string, which % takes as its one argument
+    return fmt, itemgetter(*fields) if fields else lambda flat: (), net.top - width, len(net.clauses)
 
 
 @gc_paused
 def export_cnf(cs: ConstraintSystem) -> CnfExport:
     """Render a constraint system as DIMACS CNF with a variable side-table."""
-    n_orig = cs.num_vars
-    b = _CnfBuilder(n_orig)
-
+    n_orig = top = cs.num_vars
+    lit = [(str(-v - 1), str(v + 1)) for v in range(n_orig)]  # per variable, indexed by polarity
+    bodies: list[str] = []  # clause lines without their " 0", one or more per entry
+    num_clauses = 0
+    shapes: dict[tuple, tuple[str, Callable, int, int]] = {}
     for c in cs.constraints:
         if isinstance(c, OrClause):
-            b.clauses.append(tuple([v + 1 if pos else -v - 1 for v, pos in c.lits]))
-        elif isinstance(c, XorClause):
-            b.parity([v + 1 for v in c.vars], c.parity)
-        else:
-            lits = [v + 1 for v in c.vars]
-            if c.cmp in (">=", "=="):
-                b.at_least(lits, c.bound)
-            if c.cmp in ("<=", "=="):
-                b.at_most(lits, c.bound)
-
-    num_vars = b.next_var - 1
-    lines = ["c stabsearch constraint system export"]
-    lines.extend(f"c map {v} {v + 1}" for v in range(n_orig))
-    lines.append(f"p cnf {num_vars} {len(b.clauses)}")
-    lines.extend([" ".join(map(str, clause)) + " 0" for clause in b.clauses])
-    return CnfExport(
-        text="\n".join(lines) + "\n",
-        num_orig=n_orig,
-        num_vars=num_vars,
-        num_clauses=len(b.clauses),
-        clauses=tuple(b.clauses),
-    )
+            bodies.append(" ".join([lit[v][pos] for v, pos in c.lits]))
+            num_clauses += 1
+            continue
+        key = (c.parity, len(c.vars)) if isinstance(c, XorClause) else (c.cmp, c.bound, len(c.vars))
+        fmt, get, n_aux, n_clauses = shapes.get(key) or shapes.setdefault(key, _shape(key))
+        flat = [s for v in c.vars for s in lit[v]]
+        if n_aux:  # the row's auxiliaries are the next n_aux DIMACS variables
+            flat += [s for d in range(top + 1, top + n_aux + 1) for s in (str(-d), str(d))]
+            top += n_aux
+        if n_clauses:
+            bodies.append(fmt % get(flat))
+            num_clauses += n_clauses
+    head = ["c stabsearch constraint system export\n"]
+    head += ["c map %d %s\n" % (v, lit[v][1]) for v in range(n_orig)]
+    head.append("p cnf %d %d\n" % (top, num_clauses))
+    if bodies:
+        head += [" 0\n".join(bodies), " 0\n"]
+    return CnfExport("".join(head), n_orig, top, num_clauses)

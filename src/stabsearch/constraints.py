@@ -172,11 +172,12 @@ class ConstraintSystem:
     def to_json(self) -> str:
         """json.dumps(document, sort_keys=True), with each constraint written directly."""
         tags: dict[str, str] = {}
+        lit = [(f"[{v}, 0]", f"[{v}, 1]") for v in range(self.num_vars)]  # per variable, indexed by polarity
         out = []
         for c in self.constraints:
             tag = tags.get(c.tag) or tags.setdefault(c.tag, json.dumps(c.tag))
             if isinstance(c, OrClause):
-                lits = ", ".join(["[%d, %d]" % lit for lit in c.lits])
+                lits = ", ".join([lit[v][pos] for v, pos in c.lits])
                 out.append('{"lits": [%s], "tag": %s, "type": "or"}' % (lits, tag))
             elif isinstance(c, XorClause):
                 out.append('{"parity": %d, "tag": %s, "type": "xor", "vars": [%s]}'
@@ -246,12 +247,35 @@ class ConstraintSystem:
                     raise ValueError(f"tag {con.tag!r} is not a string")
                 constraints.append(con)
         except (KeyError, TypeError, ValueError) as exc:
-            where = (f"constraints[{len(constraints)}]" if len(variables) == len(doc["variables"])
-                     else f"variables[{len(variables)}]")
-            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            if len(variables) < len(doc["variables"]):
+                where, entry = f"variables[{len(variables)}]", doc["variables"][len(variables)]
+                what = f"entry {entry!r} is not a [kind, index] pair" if _not_pair(entry) else exc
+            else:
+                where = f"constraints[{len(constraints)}]"
+                what = _constraint_fault(doc["constraints"][len(constraints)], exc)
             raise ValueError(f"constraint system: {where}: {what}") from None
         params = EncodingParams.from_dict(doc["params"])
         return cls(graph, variables, constraints, params)
+
+
+def _not_pair(entry) -> bool:
+    return type(entry) is not list or len(entry) != 2
+
+
+def _constraint_fault(c, exc: Exception) -> str:
+    """What a constraint entry that failed to load must be, if its shape is at fault,
+    else exc's text.  Only a failed entry comes here: valid documents pay nothing."""
+    if type(c) is not dict:
+        return f"entry {c!r} is not an object"
+    if isinstance(exc, KeyError):
+        return f"missing key {exc}"
+    if c["type"] == "or" and type(c["lits"]) is not list:
+        return f"lits {c['lits']!r} is not an array of [variable, sign] pairs"
+    if c["type"] == "or" and (bad := [lit for lit in c["lits"] if _not_pair(lit)]):
+        return f"literal {bad[0]!r} is not a [variable, sign] pair"
+    if c["type"] in ("xor", "linear") and type(c["vars"]) is not list:
+        return f"vars {c['vars']!r} is not an array of ids"
+    return str(exc)
 
 
 def intersecting_pairs(g: SupportGraph) -> list[tuple[int, int, tuple[int, ...]]]:

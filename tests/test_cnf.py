@@ -10,16 +10,26 @@ from stabsearch.rng import RngSpec
 from stabsearch.solver import SAT, SolverConfig, check, solve
 
 import test_constraints
-from oracles import brute_force_verdict, reference_dimacs
+from oracles import brute_force_verdict, reference_dimacs, reference_system_json
 from test_solver import random_system, raw_system
+
+
+def dimacs_clauses(export):
+    """The clauses of an exported CNF, read from the body of its text."""
+    body = export.text.split("\n")[export.num_orig + 2:-1]  # title, map lines, header
+    assert len(body) == export.num_clauses and export.text.endswith("\n")
+    clauses = [tuple(map(int, line.split())) for line in body]
+    assert all(clause[-1] == 0 for clause in clauses)
+    return [clause[:-1] for clause in clauses]
 
 
 def cnf_models(export):
     """Enumerate all satisfying assignments of an exported CNF."""
+    clauses = dimacs_clauses(export)
     models = []
     for bits in product((0, 1), repeat=export.num_vars):
         ok = True
-        for clause in export.clauses:
+        for clause in clauses:
             if not any(bits[abs(l) - 1] == (1 if l > 0 else 0) for l in clause):
                 ok = False
                 break
@@ -115,7 +125,7 @@ def test_var_map_comments_present():
     assert "c map 2 3" in export.text
 
 
-@pytest.mark.parametrize("width", range(1, 6))
+@pytest.mark.parametrize("width", range(1, 10))
 @pytest.mark.parametrize("parity", (0, 1))
 def test_xor_text_matches_reference(width, parity):
     cs = raw_system(width + 1, [XorClause(tuple(range(width, 0, -1)), parity, "t"),
@@ -125,8 +135,8 @@ def test_xor_text_matches_reference(width, parity):
 
 @pytest.mark.parametrize("cmp_", (">=", "<=", "=="))
 def test_cardinality_text_matches_reference(cmp_):
-    rows = [Linear(tuple(range(w)), cmp_, bound, "t") for w in range(6) for bound in range(-1, w + 2)]
-    cs = raw_system(5, rows)
+    rows = [Linear(tuple(range(w)), cmp_, bound, "t") for w in range(9) for bound in range(-1, w + 2)]
+    cs = raw_system(8, rows)
     assert export_cnf(cs).text == reference_dimacs(cs)
 
 
@@ -138,3 +148,31 @@ def test_random_and_encoded_text_matches_reference():
     systems.append(encode(g, EncodingParams()))
     for cs in systems:
         assert export_cnf(cs).text == reference_dimacs(cs)
+
+
+def test_empty_rows_text_matches_reference():
+    rows = [OrClause((), "t"), XorClause((), 1, "t"), XorClause((), 0, "t"),
+            Linear((), ">=", 1, "t"), Linear((), "<=", 0, "t"), OrClause(((0, True),), "t")]
+    for cut in range(len(rows) + 1):
+        cs = raw_system(2, rows[:cut])
+        export = export_cnf(cs)
+        assert export.text == reference_dimacs(cs)
+        assert len(dimacs_clauses(export)) == export.num_clauses
+    # an empty OR and an odd empty parity are each the empty clause; an even one is no clause
+    assert dimacs_clauses(export_cnf(raw_system(1, rows[:3]))) == [(), ()]
+
+
+def test_int_literal_signs_write_the_bool_text():
+    ints = raw_system(3, [OrClause(((0, 1), (1, 0), (2, 1)), "t"), OrClause(((2, 0),), "t")])
+    bools = raw_system(3, [OrClause(((0, True), (1, False), (2, True)), "t"), OrClause(((2, False),), "t")])
+    assert export_cnf(ints).text == export_cnf(bools).text == reference_dimacs(ints)
+    assert ints.to_json() == bools.to_json() == reference_system_json(ints)
+
+
+@pytest.mark.parametrize("params", [EncodingParams(), EncodingParams(min_qubit_degree=2),
+                                    EncodingParams(min_stab_degree=2, max_stab_degree=12)],
+                         ids=["commutation", "delta_q=2", "delta_s=2..12"])
+def test_mid_size_system_text_matches_reference(params):
+    cs = encode(sample_support_graph(60, 54, 0.17, RngSpec(20240808, 1)), params)
+    assert export_cnf(cs).text == reference_dimacs(cs)
+    assert cs.to_json() == reference_system_json(cs)

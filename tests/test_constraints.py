@@ -306,6 +306,34 @@ class TestSystemValidation:
             self.load({"type": "or", "lits": [[0, 1]], "tag": "t"},
                       {"type": "or", "lits": [[1, 1]], "tag": tag})
 
+    @pytest.mark.parametrize("entries, message", [
+        ([{"type": "or", "lits": [[1, 1, 5]], "tag": "t"}],
+         r"constraints\[0\]: literal \[1, 1, 5\] is not a \[variable, sign\] pair$"),
+        ([{"type": "or", "lits": [[0, 1], 3], "tag": "t"}],
+         r"constraints\[0\]: literal 3 is not a \[variable, sign\] pair$"),
+        ([{"type": "or", "lits": [{"v": 0, "s": 1}], "tag": "t"}],
+         r"constraints\[0\]: literal \{'v': 0, 's': 1\} is not a \[variable, sign\] pair$"),
+        ([{"type": "or", "lits": 5, "tag": "t"}],
+         r"constraints\[0\]: lits 5 is not an array of \[variable, sign\] pairs$"),
+        ([{"type": "or", "lits": [[0, 1]], "tag": "t"}, 5],
+         r"constraints\[1\]: entry 5 is not an object$"),
+        ([["or", [[0, 1]]]], r"constraints\[0\]: entry \['or', \[\[0, 1\]\]\] is not an object$"),
+        ([{"type": "xor", "vars": 5, "parity": 1, "tag": "t"}],
+         r"constraints\[0\]: vars 5 is not an array of ids$"),
+        ([{"type": "linear", "vars": "01", "cmp": "<=", "bound": 1, "tag": "t"}],
+         r"constraints\[0\]: vars '01' is not an array of ids$"),
+    ])
+    def test_malformed_entry_named_with_its_shape(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            self.load(*entries)
+
+    @pytest.mark.parametrize("entry", [5, ["a"], ["a", [0, 0], 1], {"a": [0, 0]}])
+    def test_malformed_variable_named_with_its_shape(self, entry):
+        doc = json.loads(encode(sample_support_graph(3, 1, 1.0, RngSpec(0))).to_json())
+        doc["variables"][2] = entry
+        with pytest.raises(ValueError, match=r"variables\[2\]: entry .* is not a \[kind, index\] pair$"):
+            ConstraintSystem.from_json(doc)
+
     def test_empty_linear_allowed(self):
         # an empty sum is a legitimate (vacuous or unsatisfiable) bound
         cs = self.load({"type": "linear", "vars": [], "cmp": ">=", "bound": 1, "tag": "t"})
