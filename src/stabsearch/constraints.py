@@ -31,7 +31,7 @@ import gc
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
-from operator import contains
+from operator import attrgetter, contains, itemgetter
 from typing import Iterable, NamedTuple
 
 from .documents import fields_shape, read_document
@@ -52,7 +52,8 @@ _INDEX_ROLES = {ACTIVATOR: "qs", PAULI: "s", SAME: "ss", EVEN: "ss", BOTH: "qss"
 
 
 class VarRef(NamedTuple):
-    id: int
+    """An entry of the variable table; a variable's id is its position there."""
+
     kind: str
     index: tuple[int, ...]
 
@@ -79,7 +80,7 @@ Constraint = OrClause | XorClause | Linear
 # A variable's literal pair ((v, False), (v, True)), indexed by polarity
 Lits = tuple[tuple[int, bool], tuple[int, bool]]
 
-# Tags, used for the census and for warm starts; one per constraint family.
+# Tags, one per constraint family; the census counts by them.
 TAG_COMMUTE = "commute-or"
 TAG_SAME = "same-xor"
 TAG_EVEN = "even-xor"
@@ -214,7 +215,7 @@ class ConstraintSystem:
                 if len(index) != len(fits) or not all(map(contains, fits, index)):
                     raise ValueError(f"index {index!r} does not fit kind {kind!r} "
                                      f"on {graph.n} qubits and {graph.m} stabilizers")
-                variables.append(VarRef(len(variables), kind, tuple(index)))
+                variables.append(VarRef(kind, tuple(index)))
             nv = len(variables)
             for c in doc["constraints"]:
                 ctype = c["type"]
@@ -316,7 +317,7 @@ def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintS
 
     def new_var(kind: str, index: tuple[int, ...]) -> int:
         vid = len(variables)
-        variables.append(VarRef(vid, kind, index))
+        variables.append(VarRef(kind, index))
         lits.append(((vid, False), (vid, True)))
         return vid
 
@@ -364,52 +365,79 @@ def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintS
     return ConstraintSystem(g, variables, constraints, params)
 
 
-@dataclass(frozen=True)
-class CategoryStats:
-    count: int
-    mean_width: float
-    width_counts: dict
+def consistent_completion(cs: ConstraintSystem, rows: list[int], paulis: list[int]) -> tuple[int, ...]:
+    """The total assignment a candidate determines, in one pass over the variable table.
+
+    rows[s] is the qubit bitmask of stabilizer s's active edges, read only
+    on its candidate qubits, and paulis[s] its type (1 for X).  Every other
+    variable is a function of these: same is type equality, even the parity
+    of two rows' overlap, both one bit of that overlap, and x / z an active
+    edge of an X or a Z row.
+    """
+    g = cs.graph
+    rows = [rows[s] & sum(1 << q for q in g.stabilizer_neighbors(s)) for s in range(g.m)]
+    values = []
+    put = values.append
+    for kind, index in cs.variables:
+        if kind == BOTH:
+            q, s1, s2 = index
+            put((rows[s1] & rows[s2]) >> q & 1)
+        elif kind == ACTIVATOR:
+            q, s = index
+            put(rows[s] >> q & 1)
+        elif kind == XIND:
+            q, s = index
+            put(rows[s] >> q & paulis[s])
+        elif kind == ZIND:
+            q, s = index
+            put(rows[s] >> q & (1 - paulis[s]))
+        elif kind == SAME:
+            s1, s2 = index
+            put(1 ^ paulis[s1] ^ paulis[s2])
+        elif kind == EVEN:
+            s1, s2 = index
+            put(1 ^ ((rows[s1] & rows[s2]).bit_count() & 1))
+        else:
+            put(paulis[index[0]])
+    return tuple(values)
 
 
 @dataclass(frozen=True)
 class Census:
-    """Constraint counts and widths, overall and per constraint family."""
+    """Constraint counts keyed by (constraint class, tag, width)."""
 
-    or_count: int
-    xor_count: int
-    linear_count: int
-    by_tag: dict
+    counts: Counter
+
+    def _widths(self, cls=None, tag=None) -> list[tuple[int, int]]:
+        """(width, count) pairs of the constraints that match cls and tag (None matches any)."""
+        return [(w, n) for (c, t, w), n in self.counts.items() if cls in (None, c) and tag in (None, t)]
+
+    @property
+    def or_count(self) -> int:
+        return sum(n for _, n in self._widths(OrClause))
+
+    @property
+    def xor_count(self) -> int:
+        return sum(n for _, n in self._widths(XorClause))
+
+    @property
+    def linear_count(self) -> int:
+        return sum(n for _, n in self._widths(Linear))
 
     def tag_count(self, tag: str) -> int:
-        stats = self.by_tag.get(tag)
-        return stats.count if stats else 0
-
-    def tag_mean_width(self, tag: str) -> float:
-        stats = self.by_tag.get(tag)
-        return stats.mean_width if stats else 0.0
+        return sum(n for _, n in self._widths(tag=tag))
 
     def tag_width_count(self, tag: str, width: int) -> int:
-        stats = self.by_tag.get(tag)
-        return stats.width_counts.get(width, 0) if stats else 0
+        return sum(n for w, n in self._widths(tag=tag) if w == width)
+
+    def tag_mean_width(self, tag: str) -> float:
+        widths = self._widths(tag=tag)
+        count = sum(n for _, n in widths)
+        return sum(w * n for w, n in widths) / count if count else 0.0
 
 
 def constraint_census(cs: ConstraintSystem) -> Census:
-    or_count = xor_count = linear_count = 0
-    widths: dict[str, list[int]] = {}
-    for c in cs.constraints:
-        if isinstance(c, OrClause):
-            or_count += 1
-            w = len(c.lits)
-        elif isinstance(c, XorClause):
-            xor_count += 1
-            w = len(c.vars)
-        else:
-            linear_count += 1
-            w = len(c.vars)
-        widths.setdefault(c.tag, []).append(w)
-
-    by_tag = {
-        tag: CategoryStats(len(ws), sum(ws) / len(ws), dict(Counter(ws)))
-        for tag, ws in widths.items()
-    }
-    return Census(or_count, xor_count, linear_count, by_tag)
+    """One counting pass over the constraints."""
+    cons = cs.constraints
+    widths = map(len, map(itemgetter(0), cons))  # field 0 holds the literals or the variables
+    return Census(Counter(zip(map(type, cons), map(attrgetter("tag"), cons), widths)))

@@ -1,8 +1,9 @@
 """Candidate codes built from the support graph alone, before any search.
 
-A Candidate is (activators, paulis): the active edges as {(q, s): 1} and
-each stabilizer's Pauli type (1 for X).  Nothing here reads a constraint
-system: solver.solve completes each candidate and checks a kernel hit.
+A Candidate is (rows, paulis): rows[s] is the qubit bitmask of
+stabilizer s's active edges and paulis[s] its Pauli type (1 for X).
+Nothing here reads a constraint system: solver.solve completes each
+candidate with constraints.consistent_completion and checks a kernel hit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ _KERNEL_TRIES = 16
 _KERNEL_STEPS = 200
 _KERNEL_NOISE = 0.3
 
-Candidate = tuple[dict, list[int]]
+Candidate = tuple[list[int], list[int]]
 
 
 def greedy_candidate(g: SupportGraph, dq: int, balanced: bool) -> Candidate:
@@ -28,17 +29,17 @@ def greedy_candidate(g: SupportGraph, dq: int, balanced: bool) -> Candidate:
     commutation outright but lands near a feasible region."""
     n_x = g.m // 2 if balanced else (g.m + 1) // 2
     paulis = [1 if s < n_x else 0 for s in range(g.m)]
-    active: dict[tuple[int, int], int] = {}
+    rows = [0] * g.m
     for q in range(g.n):
         x_left = z_left = dq
         for s in g.qubit_neighbors(q):
             if paulis[s] and x_left > 0:
-                active[(q, s)] = 1
+                rows[s] |= 1 << q
                 x_left -= 1
             elif not paulis[s] and z_left > 0:
-                active[(q, s)] = 1
+                rows[s] |= 1 << q
                 z_left -= 1
-    return active, paulis
+    return rows, paulis
 
 
 def kernel_candidate(g: SupportGraph, dq: int, seed: int) -> tuple[Candidate | None, int]:
@@ -148,5 +149,4 @@ def _kernel_try(g: SupportGraph, dq: int, rng: random.Random) -> tuple[Candidate
                         zdeg[q] += (b >> q & 1) - 2 * (drop >> q & 1)
                     rows[s] ^= b
                     lighter = True
-    active = {(q, s): 1 for s in range(g.m) for q in g.stabilizer_neighbors(s) if rows[s] >> q & 1}
-    return (active, paulis), work
+    return (rows, paulis), work

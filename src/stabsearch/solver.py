@@ -20,8 +20,9 @@ satisfiable, the same assignment, on any machine and at any speed.
 A system with a minimum qubit degree but no stabilizer degree bounds
 first takes a kernel-probe candidate (stabsearch.probe), and on a miss
 starts the search from a greedy candidate's saved phases; without a
-qubit degree the all-inactive coloring is tried.  Each is completed
-here, and a probe hit leaves through the same check as a CDCL model.
+qubit degree the all-inactive coloring is tried.  Each candidate
+becomes a total assignment through constraints.consistent_completion,
+and a probe hit leaves through the same check as a CDCL model.
 """
 
 from __future__ import annotations
@@ -31,20 +32,7 @@ import random
 from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
 
-from .constraints import (
-    ACTIVATOR,
-    BOTH,
-    EVEN,
-    PAULI,
-    SAME,
-    XIND,
-    ZIND,
-    ConstraintSystem,
-    Linear,
-    OrClause,
-    XorClause,
-    gc_paused,
-)
+from .constraints import ConstraintSystem, Linear, OrClause, XorClause, consistent_completion, gc_paused
 from .probe import greedy_candidate, kernel_candidate
 
 SAT = "sat"
@@ -135,44 +123,6 @@ def check(cs: ConstraintSystem, values: tuple[int, ...]) -> bool:
             elif total != c.bound:
                 return False
     return True
-
-
-def consistent_completion(
-    cs: ConstraintSystem, activators: dict[tuple[int, int], int], paulis: list[int]
-) -> tuple[int, ...]:
-    """Fill auxiliary variables from activator/pauli choices.
-
-    same/even/both and the type indicators are functionally determined
-    by the activators and Pauli types; this computes the unique
-    consistent values, yielding a total assignment.
-    """
-    values = [0] * cs.num_vars
-    both_parity: dict[tuple[int, int], int] = {}
-    for var in cs.variables:
-        kind = var.kind
-        if kind == ACTIVATOR:
-            values[var.id] = activators.get(var.index, 0)
-        elif kind == PAULI:
-            values[var.id] = paulis[var.index[0]]
-        elif kind == BOTH:
-            q, s1, s2 = var.index
-            b = activators.get((q, s1), 0) & activators.get((q, s2), 0)
-            values[var.id] = b
-            key = (s1, s2)
-            both_parity[key] = both_parity.get(key, 0) ^ b
-        elif kind == XIND:
-            q, s = var.index
-            values[var.id] = activators.get((q, s), 0) & paulis[s]
-        elif kind == ZIND:
-            q, s = var.index
-            values[var.id] = activators.get((q, s), 0) & (paulis[s] ^ 1)
-    for var in cs.variables:
-        if var.kind == SAME:
-            s1, s2 = var.index
-            values[var.id] = 1 ^ paulis[s1] ^ paulis[s2]
-        elif var.kind == EVEN:
-            values[var.id] = 1 ^ both_parity.get(var.index, 0)
-    return tuple(values)
 
 
 def _luby(x: int) -> int:
@@ -759,7 +709,7 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
             hit, stats.propagations = kernel_candidate(g, dq, cfg.seed)
         phases = consistent_completion(cs, *(hit or greedy_candidate(g, dq, params.balanced)))
     elif not params.min_stab_degree:
-        model = consistent_completion(cs, {}, [0] * g.m)
+        model = consistent_completion(cs, [0] * g.m, [0] * g.m)
         if check(cs, model):
             return SolveResult(SAT, model, stats)
     budget = int(cfg.time_budget * PROPS_PER_SECOND)

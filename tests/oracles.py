@@ -97,6 +97,15 @@ def assignment_bits(index: int, num_vars: int) -> tuple[int, ...]:
     return tuple((index >> v) & 1 for v in range(num_vars))
 
 
+def edge_rows(g, bits) -> list[int]:
+    """A candidate's rows from one activator bit per edge, in g.edges order:
+    rows[s] has bit q set when edge (q, s) is active."""
+    rows = [0] * g.m
+    for bit, (q, s) in zip(bits, g.edges):
+        rows[s] |= bit << q
+    return rows
+
+
 def naive_rank(bits: list[list[int]]) -> int:
     """Dense cubic-time elimination over GF(2), row/column lists."""
     mat = [row[:] for row in bits]

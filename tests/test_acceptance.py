@@ -27,6 +27,7 @@ from stabsearch.constraints import (
     TAG_ZDEG,
     TAG_ZIND,
     EncodingParams,
+    consistent_completion,
     constraint_census,
     encode,
 )
@@ -49,12 +50,13 @@ from stabsearch.harness import (
     satisfiable_records,
 )
 from stabsearch.rng import RngSpec, stable_hash64
-from stabsearch.solver import SAT, SolverConfig, check, consistent_completion, solve
+from stabsearch.solver import SAT, SolverConfig, check, solve
 
 from oracles import (
     assignment_bits,
     brute_force_class_log2,
     brute_force_verdict,
+    edge_rows,
     satisfying_set,
 )
 from test_constraints import semantic_commutes
@@ -111,7 +113,7 @@ def test_criterion_01_encoder_soundness():
             bits = assignment_bits(idx, cs.num_vars)
             activators = {edge: bits[i] for i, edge in enumerate(g.edges)}
             paulis = [bits[n_edges + s] for s in range(g.m)]
-            aux_ok = bits == consistent_completion(cs, activators, paulis)
+            aux_ok = bits == consistent_completion(cs, edge_rows(g, bits), paulis)
             expected = aux_ok and semantic_commutes(g, activators, paulis)
             assert bool((sat_set >> idx) & 1) == expected
         done += 1
@@ -155,7 +157,7 @@ def test_criterion_03_trivial_satisfiability():
         assert r.verdict == SAT
         assert elapsed < 1.0, f"solve took {elapsed:.2f}s at n={n}, gamma={gamma:.2f}"
         assert check(cs, r.assignment)
-        all_inactive = consistent_completion(cs, {}, [0] * g.m)
+        all_inactive = consistent_completion(cs, [0] * g.m, [0] * g.m)
         assert check(cs, all_inactive)
 
 

@@ -129,7 +129,7 @@ FIRST_XOR = next(i for i, c in enumerate(encode(GRAPH).constraints) if isinstanc
 FIRST_OR = next(i for i, c in enumerate(encode(GRAPH).constraints) if isinstance(c, OrClause))
 DEGREE_CS = encode(GRAPH, EncodingParams(min_qubit_degree=1))
 DEGREE_SYSTEM = DEGREE_CS.to_json()
-FIRST_PAULI = next(v.id for v in DEGREE_CS.variables if v.kind == PAULI)
+FIRST_PAULI = next(i for i, v in enumerate(DEGREE_CS.variables) if v.kind == PAULI)
 FIRST_LINEAR = next(i for i, c in enumerate(DEGREE_CS.constraints) if isinstance(c, Linear))
 
 # (name, argv builder, exit code, words of the error line); each builder

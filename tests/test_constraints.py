@@ -29,14 +29,16 @@ from stabsearch.constraints import (
     Linear,
     OrClause,
     XorClause,
+    consistent_completion,
     constraint_census,
     encode,
 )
+from stabsearch.css import CommutationError, extract_code
 from stabsearch.graphs import SupportGraph, sample_support_graph, shared_qubits
 from stabsearch.rng import RngSpec
-from stabsearch.solver import check, consistent_completion
+from stabsearch.solver import check
 
-from oracles import assignment_bits, reference_system_json, satisfying_set
+from oracles import assignment_bits, edge_rows, reference_system_json, satisfying_set
 from test_graphs import fig_two_stabilizers_graph
 from test_solver import free_variables
 
@@ -102,7 +104,7 @@ class TestCommutationEncoding:
             g = sample_support_graph(10, 9, 0.5, RngSpec(seed))
             cs = encode(g)
             for paulis in ([0] * g.m, [s % 2 for s in range(g.m)]):
-                a = consistent_completion(cs, {}, paulis)
+                a = consistent_completion(cs, [0] * g.m, paulis)
                 assert check(cs, a)
 
     def test_reencoding_is_byte_identical(self):
@@ -136,7 +138,7 @@ class TestCommutationEncoding:
             bits = assignment_bits(idx, cs.num_vars)
             activators = {edge: bits[i] for i, edge in enumerate(g.edges)}
             paulis = [bits[n_edges + s] for s in range(g.m)]
-            expected_aux = consistent_completion(cs, activators, paulis)
+            expected_aux = consistent_completion(cs, edge_rows(g, bits), paulis)
             semantically_ok = (
                 bits == expected_aux and semantic_commutes(g, activators, paulis)
             )
@@ -229,6 +231,36 @@ class TestLayout:
         cs = encode(g, self.FAMILIES["all"][0])
         head = [(v.kind, v.index) for v in cs.variables[: len(g.edges) + g.m]]
         assert head == [(ACTIVATOR, e) for e in g.edges] + [(PAULI, (s,)) for s in range(g.m)]
+
+    @given(st.data())
+    def test_completion_round_trips_the_masked_rows(self, data):
+        # random rows, with bits off each stabilizer's candidate qubits and past n,
+        # complete to the rows masked to the graph's edges, and back out of extract_code
+        n, m = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 5))
+        gamma = data.draw(st.sampled_from([0.3, 0.6, 1.0]))
+        g = sample_support_graph(n, m, gamma, RngSpec(data.draw(st.integers(0, 10**6))))
+        rows = data.draw(st.lists(st.integers(0, (1 << n + 2) - 1), min_size=m, max_size=m))
+        paulis = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+        masked = [sum(1 << q for q in range(n) if rows[s] >> q & 1 and (q, s) in g.edges) for s in range(m)]
+        a = consistent_completion(encode(g), rows, paulis)
+        n_edges = len(g.edges)
+        assert edge_rows(g, a[:n_edges]) == masked and list(a[n_edges:n_edges + m]) == paulis
+        commute = all(paulis[s1] == paulis[s2] or (masked[s1] & masked[s2]).bit_count() % 2 == 0
+                      for s1 in range(m) for s2 in range(s1 + 1, m))
+        assert check(encode(g), a) == commute
+        degree = all(any(masked[s] >> q & 1 and paulis[s] == t for s in range(m)) for q in range(n) for t in (0, 1))
+        cs = encode(g, EncodingParams(min_qubit_degree=1))
+        typed = consistent_completion(cs, rows, paulis)
+        assert check(cs, typed) == (commute and degree)
+        indicators = [c for c in cs.constraints if c.tag in (TAG_XIND, TAG_ZIND)]
+        assert check(ConstraintSystem(g, cs.variables, indicators), typed)
+        if not commute:
+            with pytest.raises(CommutationError):
+                extract_code(g, a)
+            return
+        code = extract_code(g, a)
+        assert code.hx.rows == tuple(masked[s] for s in range(m) if paulis[s])
+        assert code.hz.rows == tuple(masked[s] for s in range(m) if not paulis[s])
 
 
 class TestSystemDocument:

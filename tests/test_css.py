@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from stabsearch.constraints import EncodingParams, encode
+from stabsearch.constraints import EncodingParams, consistent_completion, encode
 from stabsearch.css import (
     CommutationError,
     CssCode,
@@ -24,7 +24,6 @@ from stabsearch.solver import (
     SAT,
     SolverConfig,
     check,
-    consistent_completion,
     solve,
 )
 
@@ -113,7 +112,7 @@ class TestExtraction:
     def test_all_inactive_gives_zero_code_full_k(self):
         g = sample_support_graph(10, 9, 0.5, RngSpec(3))
         cs = encode(g)
-        a = consistent_completion(cs, {}, [s % 2 for s in range(g.m)])
+        a = consistent_completion(cs, [0] * g.m, [s % 2 for s in range(g.m)])
         code = extract_code(g, a)
         assert code.hx.total_weight() == 0 and code.hz.total_weight() == 0
         assert stats(code).k == 10
@@ -121,9 +120,8 @@ class TestExtraction:
     def test_extract_rejects_anticommuting_assignment(self):
         g = sample_support_graph(3, 2, 1.0, RngSpec(0))
         # activate exactly one shared qubit on both stabilizers, opposite types
-        activators = {(0, 0): 1, (0, 1): 1}
         cs = encode(g)
-        a = consistent_completion(cs, activators, [1, 0])
+        a = consistent_completion(cs, [0b1, 0b1], [1, 0])
         with pytest.raises(CommutationError):
             extract_code(g, a)
 
@@ -161,7 +159,7 @@ class TestExtraction:
             edges.extend((q, s + offset) for q in range(9) if (row >> q) & 1)
         g = SupportGraph(n=9, m=8, gamma=1.0, seed=0, edges=tuple(sorted(edges)))
         cs = encode(g)
-        a = consistent_completion(cs, {e: 1 for e in g.edges}, paulis)
+        a = consistent_completion(cs, [(1 << g.n) - 1] * g.m, paulis)
         assert check(cs, a)
         code = extract_code(g, a)
         assert code == reference

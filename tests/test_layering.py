@@ -1,6 +1,7 @@
 """Module seams: the stages downstream of the solver do not depend on it,
-the sweep reaches the kernel probe only through solve(), and importing
-one stage loads only what that stage imports."""
+the solver does not read the variable layout, the sweep reaches the
+kernel probe only through solve(), and importing one stage loads only
+what that stage imports."""
 
 import ast
 import os
@@ -53,6 +54,18 @@ def test_module_does_not_import(module, banned):
     if "probe" in banned:  # nor through a module attribute, as in gf2.kernel(...)
         attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not {"kernel", "kernel_candidate", "greedy_candidate"} & attributes
+
+
+def test_solver_does_not_read_the_variable_layout():
+    # The variable table's layout is known to constraints.py alone: encode writes it
+    # and consistent_completion reads a candidate's (rows, paulis) back into it, so
+    # the search sees a variable only by its id.  A solver that dispatched on kinds
+    # again would be a second reader to keep in step with encode.
+    kinds = {"ACTIVATOR", "PAULI", "SAME", "EVEN", "BOTH", "XIND", "ZIND"}
+    tree = ast.parse((SRC / "solver.py").read_text())
+    names = {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not kinds & names, kinds & names
 
 
 @pytest.mark.parametrize("module", ["erasure", "graphs"])

@@ -15,6 +15,7 @@ from stabsearch.constraints import (
     OrClause,
     VarRef,
     XorClause,
+    consistent_completion,
     encode,
 )
 from stabsearch.css import extract_code, satisfies_degree_bounds, stats as code_stats
@@ -28,7 +29,6 @@ from stabsearch.solver import (
     UNSAT,
     SolverConfig,
     check,
-    consistent_completion,
     solve,
 )
 
@@ -38,7 +38,7 @@ from oracles import assignment_bits, brute_force_verdict, satisfying_set
 def free_variables(nv: int):
     """nv independent booleans, hosted on a complete-bipartite dummy graph."""
     g = sample_support_graph(nv, 1, 1.0, RngSpec(0))
-    return g, [VarRef(i, ACTIVATOR, (i, 0)) for i in range(nv)]
+    return g, [VarRef(ACTIVATOR, (i, 0)) for i in range(nv)]
 
 
 def raw_system(nv: int, constraints) -> ConstraintSystem:
@@ -78,13 +78,13 @@ class TestCheck:
     def test_check_accepts_consistent_all_inactive(self):
         g = sample_support_graph(8, 6, 0.5, RngSpec(4))
         cs = encode(g)
-        a = consistent_completion(cs, {}, [0] * g.m)
+        a = consistent_completion(cs, [0] * g.m, [0] * g.m)
         assert check(cs, a)
 
     def test_check_rejects_flipped_aux(self):
         cs = encode(sample_support_graph(8, 6, 0.9, RngSpec(4)))
-        a = consistent_completion(cs, {}, [0] * 6)
-        both_ids = [v.id for v in cs.variables if v.kind == "both"]
+        a = consistent_completion(cs, [0] * 6, [0] * 6)
+        both_ids = [i for i, v in enumerate(cs.variables) if v.kind == "both"]
         assert both_ids
         values = list(a)
         values[both_ids[0]] ^= 1
@@ -148,7 +148,7 @@ class TestProbes:
         # a positive minimum qubit degree rules the all-inactive probe out; the
         # band grid's n=20, gamma=0.6 sample ends sat in its slices, whose model is checked
         cs = encode(band_graph(20, 0.6), EncodingParams(min_qubit_degree=3))
-        zero = consistent_completion(cs, {}, [0] * cs.graph.m)
+        zero = consistent_completion(cs, [0] * cs.graph.m, [0] * cs.graph.m)
         checked = []
 
         def recording_check(cs_, a):
@@ -186,7 +186,7 @@ class TestWarmStart:
         for i in range(20):
             g = sample_support_graph(20, 18, 0.3 + 0.02 * i, RngSpec(7, i))
             cs = encode(g)
-            self.first_descent(cs, consistent_completion(cs, {}, [0] * g.m), i)
+            self.first_descent(cs, consistent_completion(cs, [0] * g.m, [0] * g.m), i)
 
 
 class TestOracleAgreement:
@@ -663,7 +663,7 @@ class TestKernelProbe:
 
     def test_a_hit_that_fails_the_check_is_an_internal_error(self, monkeypatch):
         # a kernel hit leaves through the same check as a CDCL model
-        monkeypatch.setattr(solver, "kernel_candidate", lambda g, dq, seed: (({}, [0] * g.m), 0))
+        monkeypatch.setattr(solver, "kernel_candidate", lambda g, dq, seed: (([0] * g.m, [0] * g.m), 0))
         with pytest.raises(RuntimeError, match="invalid model"):
             solve(band_system(), SolverConfig(time_budget=1.0))
 
@@ -688,10 +688,8 @@ class TestKernelProbe:
                 if candidate is None:
                     continue
                 hits += 1
-                active, paulis = candidate
-                rows = [0] * g.m
-                for q, s in active:
-                    rows[s] |= 1 << q
+                rows, paulis = candidate
+                assert all(rows[s] & ~sum(1 << q for q in g.stabilizer_neighbors(s)) == 0 for s in range(g.m))
                 hx = [rows[s] for s in range(g.m) if paulis[s]]
                 assert all(sum(r >> q & 1 for r in hx) == dq for q in range(g.n))
                 assert 0 in hx  # the X side fills its stabilizers in order and leaves the last ones empty
@@ -704,7 +702,7 @@ class TestKernelProbe:
                         lighter = (rows[s] ^ b).bit_count() < rows[s].bit_count()
                         assert not lighter or any(zdeg[q] == dq for q in range(g.n) if (rows[s] & b) >> q & 1)
                 # extract_code's layout (activators in edge order, then Pauli types); it checks commutation
-                code = extract_code(g, tuple(active.get(e, 0) for e in g.edges) + tuple(paulis))
+                code = extract_code(g, tuple(rows[s] >> q & 1 for q, s in g.edges) + tuple(paulis))
                 assert code_stats(code).k > g.n - g.m  # empty rows add no rank
         assert hits == 12
 
