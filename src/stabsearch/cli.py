@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .constraints import ConstraintSystem, EncodingParams, constraint_census, encode
+from .constraints import ConstraintSystem, EncodingParams, constraint_census, encode, gc_paused
 from .cnf import export_cnf
 from .css import CssCode
 from .graphs import SupportGraph, sample_support_graph
@@ -64,6 +64,7 @@ def _add_param_args(p: argparse.ArgumentParser):
     p.add_argument("--balance", action="store_true", help="force floor(m/2) X-type stabilizers")
 
 
+@gc_paused
 def _cmd_sample(args) -> int:
     g = sample_support_graph(args.n, args.m, args.gamma, RngSpec(args.seed, args.stream))
     Path(args.out).write_text(g.to_json() + "\n")
@@ -71,6 +72,7 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+@gc_paused
 def _cmd_encode(args) -> int:
     params = _params_from_args(args)
     cs = encode(SupportGraph.from_json(Path(args.graph).read_text()), params)
@@ -83,6 +85,7 @@ def _cmd_encode(args) -> int:
     return EXIT_OK
 
 
+@gc_paused
 def _cmd_solve(args) -> int:
     cs = ConstraintSystem.from_json(Path(args.system).read_text())
     result = solve(cs, SolverConfig(time_budget=args.budget, seed=args.solver_seed))
@@ -96,6 +99,7 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+@gc_paused
 def _cmd_find_code(args) -> int:
     params = _params_from_args(args)
     result, record = find_code(
@@ -190,6 +194,7 @@ def _cmd_decode(args) -> int:
     return EXIT_OK
 
 
+@gc_paused
 def _cmd_export_cnf(args) -> int:
     export = export_cnf(ConstraintSystem.from_json(Path(args.system).read_text()))
     Path(args.out).write_text(export.text)

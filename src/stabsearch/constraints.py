@@ -34,8 +34,8 @@ from dataclasses import asdict, dataclass
 from operator import attrgetter, contains, itemgetter
 from typing import Iterable, NamedTuple
 
-from .documents import fields_shape, read_document
-from .graphs import SupportGraph, shared_qubits
+from .documents import check_fields, fields_shape, read_document
+from .graphs import SupportGraph
 
 SYSTEM_FORMAT_VERSION = 1
 
@@ -77,8 +77,9 @@ class Linear(NamedTuple):
 
 
 Constraint = OrClause | XorClause | Linear
-# A variable's literal pair ((v, False), (v, True)), indexed by polarity
-Lits = tuple[tuple[int, bool], tuple[int, bool]]
+# Row builders, one C call per row: tuple.__new__ on the type, where a
+# namedtuple's own __new__ runs a Python frame.
+_var, _or, _xor = (functools.partial(tuple.__new__, cls) for cls in (VarRef, OrClause, XorClause))
 
 # Tags, one per constraint family; the census counts by them.
 TAG_COMMUTE = "commute-or"
@@ -111,6 +112,7 @@ class EncodingParams:
     balanced: bool = False
 
     def __post_init__(self):
+        check_fields("encoding params", self)
         if self.min_qubit_degree < 0 or self.min_stab_degree < 0:
             raise ValueError("degree bounds must be non-negative")
         if self.max_stab_degree is not None and self.max_stab_degree < self.min_stab_degree:
@@ -126,10 +128,10 @@ class EncodingParams:
 
 
 def gc_paused(fn):
-    """fn with the cyclic collector paused while it runs (the builders create no
-    reference cycles).  If this call disabled it, one young pass over what fn
-    left alive runs here, not at the caller's next allocation, and the
-    collector is re-enabled."""
+    """fn with the collector paused, safe as the pipeline makes no reference cycles.
+    Builders and jobs (one sample, one CLI document command) pause it, never a sweep,
+    whose pool workers would inherit the pause.  The outermost pause ends with one
+    young pass, over only what fn keeps alive, and re-enables the collector."""
     @functools.wraps(fn)
     def paused(*args, **kwargs):
         was_enabled = gc.isenabled()
@@ -215,17 +217,24 @@ class ConstraintSystem:
                 if len(index) != len(fits) or not all(map(contains, fits, index)):
                     raise ValueError(f"index {index!r} does not fit kind {kind!r} "
                                      f"on {graph.n} qubits and {graph.m} stabilizers")
-                variables.append(VarRef(kind, tuple(index)))
+                variables.append(_var((kind, tuple(index))))
             nv = len(variables)
+            lit = [((v, False), (v, True)) for v in range(nv)]  # per variable, indexed by sign
             for c in doc["constraints"]:
                 ctype = c["type"]
-                if ctype == "or":
-                    con = OrClause(tuple((v, pos == 1) for v, pos in c["lits"]), c["tag"])
-                    if bad := [pos for _, pos in c["lits"] if type(pos) is not int or pos not in (0, 1)]:
+                if ctype == "or":  # checked as it is converted; an entry that fails is checked again below
+                    lits = c["lits"]
+                    con = _or((tuple([lit[v][pos] for v, pos in lits if type(v) is type(pos) is int
+                                      and -1 < v < nv and -1 < pos < 2]), c["tag"]))
+                    if (0 < len(con.lits) == len(lits) == len(set(map(itemgetter(0), con.lits)))
+                            and len(c) == 3 and type(con.tag) is str):
+                        constraints.append(con)
+                        continue
+                    if bad := [pos for _, pos in lits if type(pos) is not int or pos not in (0, 1)]:
                         raise ValueError(f"literal sign {bad[0]!r} is not 0 or 1")
-                    ids = [v for v, _ in con.lits]
+                    ids = [v for v, _ in lits]
                 elif ctype == "xor":
-                    con = XorClause(ids := tuple(c["vars"]), c["parity"], c["tag"])
+                    con = _xor((ids := tuple(c["vars"]), c["parity"], c["tag"]))
                     if type(con.parity) is not int or con.parity not in (0, 1):
                         raise ValueError(f"XOR parity {con.parity!r} is not 0 or 1")
                 elif ctype == "linear":
@@ -283,22 +292,13 @@ def intersecting_pairs(g: SupportGraph) -> list[tuple[int, int, tuple[int, ...]]
     """Stabilizer pairs (s1 < s2) with their shared qubits, lexicographic."""
     out = []
     for s1 in range(g.m):
-        for s2 in range(s1 + 1, g.m):
-            shared = shared_qubits(g, s1, s2)
-            if shared:
-                out.append((s1, s2, tuple(shared)))
+        shared: dict[int, list[int]] = {}  # s2 -> the qubits s1 shares with it, ascending
+        for q in g.stabilizer_neighbors(s1):
+            for s2 in g.qubit_neighbors(q):
+                if s2 > s1:
+                    shared.setdefault(s2, []).append(q)
+        out += [(s1, s2, tuple(shared[s2])) for s2 in sorted(shared)]
     return out
-
-
-def _and_definition(target: Lits, in1: Lits, in2: Lits, tag: str, pos2: bool = True) -> list[OrClause]:
-    """target <-> (in1 AND in2) as the standard three clauses, over each
-    variable's literal pair; with pos2=False the second input is negated:
-    target <-> (in1 AND NOT in2)."""
-    return [
-        OrClause((target[0], in1[1]), tag),
-        OrClause((target[0], in2[pos2]), tag),
-        OrClause((target[1], in1[0], in2[not pos2]), tag),
-    ]
 
 
 @gc_paused
@@ -309,60 +309,57 @@ def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintS
     same/even/both auxiliaries only for pairs that actually intersect.
     The degree and balance constraints that params asks for follow the
     commutation constraints, and type indicators follow the pair
-    auxiliaries.
+    auxiliaries.  Ids are positions in that order, so they are computed,
+    and every OR clause reuses its variables' literal tuples.
     """
     params = params or EncodingParams()
-    variables: list[VarRef] = []
-    lits: list[Lits] = []  # every OR clause reuses these tuples: fewer objects to build and free
-
-    def new_var(kind: str, index: tuple[int, ...]) -> int:
-        vid = len(variables)
-        variables.append(VarRef(kind, index))
-        lits.append(((vid, False), (vid, True)))
-        return vid
-
-    a_id = {edge: new_var(ACTIVATOR, edge) for edge in g.edges}
-    p_id = [new_var(PAULI, (s,)) for s in range(g.m)]
-
-    constraints: list[Constraint] = []
-    for s1, s2, shared in intersecting_pairs(g):
-        same = new_var(SAME, (s1, s2))
-        even = new_var(EVEN, (s1, s2))
-        both = [new_var(BOTH, (q, s1, s2)) for q in shared]
-        constraints.append(OrClause((lits[same][1], lits[even][1]), TAG_COMMUTE))
-        constraints.append(XorClause((same, p_id[s1], p_id[s2]), 1, TAG_SAME))
-        constraints.append(XorClause((even, *both), 1, TAG_EVEN))
-        for q, b in zip(shared, both):
-            constraints.extend(_and_definition(lits[b], lits[a_id[(q, s1)]], lits[a_id[(q, s2)]], TAG_BOTH))
+    edges, ne, pairs = g.edges, len(g.edges), intersecting_pairs(g)
+    first_x = ne + g.m + sum(2 + len(shared) for _, _, shared in pairs)  # x(e) = first_x + 2e, z(e) next
+    lits = [((v, False), (v, True)) for v in range(first_x + 2 * ne * (params.min_qubit_degree > 0))]
+    col: list[dict[int, int]] = [{} for _ in range(g.m)]  # col[s][q]: id of activator (q, s)
+    for a, (q, s) in enumerate(edges):
+        col[s][q] = a
+    variables = [_var((ACTIVATOR, edge)) for edge in edges] + [_var((PAULI, (s,))) for s in range(g.m)]
+    cons: list[Constraint] = []
+    same = ne + g.m  # id of the pair's same(s1, s2); even(s1, s2) and the both(q, s1, s2) follow it
+    for s1, s2, shared in pairs:
+        both = range(same + 2, same + 2 + len(shared))
+        variables += [_var((SAME, (s1, s2))), _var((EVEN, (s1, s2)))]
+        variables += [_var((BOTH, (q, s1, s2))) for q in shared]
+        cons += [_or(((lits[same][1], lits[same + 1][1]), TAG_COMMUTE)),
+                 _xor(((same, ne + s1, ne + s2), 1, TAG_SAME)), _xor(((same + 1, *both), 1, TAG_EVEN))]
+        c1, c2 = col[s1], col[s2]
+        for q, b in zip(shared, both):  # b <-> a(q, s1) AND a(q, s2)
+            (nb, pb), (n1, p1), (n2, p2) = lits[b], lits[c1[q]], lits[c2[q]]
+            cons += [_or(((nb, p1), TAG_BOTH)), _or(((nb, p2), TAG_BOTH)), _or(((pb, n1, n2), TAG_BOTH))]
+        same = both.stop
 
     if params.min_qubit_degree > 0:
-        x_id = {}
-        z_id = {}
-        for edge in g.edges:
-            x_id[edge] = new_var(XIND, edge)
-            z_id[edge] = new_var(ZIND, edge)
-        for edge in g.edges:
-            a, p = lits[a_id[edge]], lits[p_id[edge[1]]]
-            constraints.extend(_and_definition(lits[x_id[edge]], a, p, TAG_XIND))
-            constraints.extend(_and_definition(lits[z_id[edge]], a, p, TAG_ZIND, pos2=False))
-        for q in range(g.n):
-            xs = tuple(x_id[(q, s)] for s in g.qubit_neighbors(q))
-            zs = tuple(z_id[(q, s)] for s in g.qubit_neighbors(q))
-            constraints.append(Linear(xs, ">=", params.min_qubit_degree, TAG_XDEG))
-            constraints.append(Linear(zs, ">=", params.min_qubit_degree, TAG_ZDEG))
+        for a, edge in enumerate(edges):  # x <-> a AND p, z <-> a AND NOT p
+            (nx, px), (nz, pz) = lits[first_x + 2 * a], lits[first_x + 2 * a + 1]
+            (na, pa), (nt, pt) = lits[a], lits[ne + edge[1]]  # a(e) and p(s), the type of e's stabilizer
+            variables += [_var((XIND, edge)), _var((ZIND, edge))]
+            cons += [_or(((nx, pa), TAG_XIND)), _or(((nx, pt), TAG_XIND)), _or(((px, na, nt), TAG_XIND)),
+                     _or(((nz, pa), TAG_ZIND)), _or(((nz, nt), TAG_ZIND)), _or(((pz, na, pt), TAG_ZIND))]
+        x = first_x
+        for q in range(g.n):  # a qubit's edges are consecutive in edges
+            end = x + 2 * len(g.qubit_neighbors(q))
+            cons.append(Linear(tuple(range(x, end, 2)), ">=", params.min_qubit_degree, TAG_XDEG))
+            cons.append(Linear(tuple(range(x + 1, end, 2)), ">=", params.min_qubit_degree, TAG_ZDEG))
+            x = end
 
     if params.min_stab_degree > 0 or params.max_stab_degree is not None:
         for s in range(g.m):
-            acts = tuple(a_id[(q, s)] for q in g.stabilizer_neighbors(s))
+            acts = tuple(col[s].values())  # ascending q, as edges are row-major
             if params.min_stab_degree > 0:
-                constraints.append(Linear(acts, ">=", params.min_stab_degree, TAG_SDEG_MIN))
+                cons.append(Linear(acts, ">=", params.min_stab_degree, TAG_SDEG_MIN))
             if params.max_stab_degree is not None and acts:
-                constraints.append(Linear(acts, "<=", params.max_stab_degree, TAG_SDEG_MAX))
+                cons.append(Linear(acts, "<=", params.max_stab_degree, TAG_SDEG_MAX))
 
     if params.balanced:
-        constraints.append(Linear(tuple(p_id), "==", g.m // 2, TAG_BALANCE))
+        cons.append(Linear(tuple(range(ne, ne + g.m)), "==", g.m // 2, TAG_BALANCE))
 
-    return ConstraintSystem(g, variables, constraints, params)
+    return ConstraintSystem(g, variables, cons, params)
 
 
 def consistent_completion(cs: ConstraintSystem, rows: list[int], paulis: list[int]) -> tuple[int, ...]:

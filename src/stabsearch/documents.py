@@ -43,6 +43,13 @@ def read_document(kind: str, source: str | dict, shape: dict, optional: frozense
     return {key: doc[key] for key in shape if key in doc}
 
 
+def check_fields(kind: str, obj) -> None:
+    """Raise as read_document would on the document of a dataclass instance, for
+    the fields that the document holds as JSON scalars."""
+    shape = {key: want for key, want in fields_shape(type(obj))[0].items() if not {list, dict} & {*want}}
+    read_document(kind, {key: getattr(obj, key) for key in shape}, shape)
+
+
 @functools.cache
 def fields_shape(cls) -> tuple[dict, frozenset]:
     """(shape, optional keys) of a dataclass's init fields, from their annotations."""

@@ -21,10 +21,10 @@ from itertools import islice
 from multiprocessing import Pool
 from pathlib import Path
 
-from .constraints import EncodingParams, encode
+from .constraints import EncodingParams, encode, gc_paused
 from .css import CssCode, CodeStats, check_commutation, extract_code
 from .css import satisfies_degree_bounds, stats as code_stats
-from .documents import fields_shape, read_document
+from .documents import check_fields, fields_shape, read_document
 from .erasure import failure_rate
 from .graphs import sample_support_graph
 from .rng import RngSpec, stable_hash64
@@ -104,6 +104,7 @@ class SweepConfig:
     out_dir: str = "sweep_out"
 
     def __post_init__(self):
+        check_fields("sweep config", self)
         if not self.qubit_counts or not all(type(n) is int and n >= 1 for n in self.qubit_counts):
             raise ValueError(f"qubit_counts must be non-empty integers >= 1, got {self.qubit_counts!r}")
         if self.samples < 1:
@@ -194,6 +195,7 @@ def code_content_id(code: CssCode) -> str:
     return hashlib.sha256(code.to_json().encode("utf-8")).hexdigest()[:16]
 
 
+@gc_paused
 def find_code(
     n: int,
     m: int,

@@ -13,7 +13,9 @@ evaluation code with the package's solver or rank-based fast paths:
   qubit and four dense ranks per trial;
 - the system document and the DIMACS text in their original form: a
   dict per constraint through json.dumps, and a clause per forbidden
-  parity pattern found by enumeration.
+  parity pattern found by enumeration;
+- the encoder in its original form: one namedtuple call per variable and
+  per constraint, ids handed out by a counter as variables are made.
 """
 
 from __future__ import annotations
@@ -21,9 +23,35 @@ from __future__ import annotations
 import json
 import math
 
-from stabsearch.constraints import ConstraintSystem, OrClause, XorClause
+from stabsearch.constraints import (
+    ACTIVATOR,
+    BOTH,
+    EVEN,
+    PAULI,
+    SAME,
+    TAG_BALANCE,
+    TAG_BOTH,
+    TAG_COMMUTE,
+    TAG_EVEN,
+    TAG_SAME,
+    TAG_SDEG_MAX,
+    TAG_SDEG_MIN,
+    TAG_XDEG,
+    TAG_XIND,
+    TAG_ZDEG,
+    TAG_ZIND,
+    XIND,
+    ZIND,
+    ConstraintSystem,
+    EncodingParams,
+    Linear,
+    OrClause,
+    VarRef,
+    XorClause,
+)
 from stabsearch.css import CssCode
 from stabsearch.erasure import Z95, DecodingReport
+from stabsearch.graphs import SupportGraph, shared_qubits
 from stabsearch.rng import CounterStream, RngSpec
 
 
@@ -317,3 +345,73 @@ def reference_dimacs(cs: ConstraintSystem) -> str:
     lines.append(f"p cnf {top[0]} {len(clauses)}")
     lines += [" ".join(str(l) for l in clause) + " 0" for clause in clauses]
     return "\n".join(lines) + "\n"
+
+
+def _and_definition(target, in1, in2, tag: str, pos2: bool = True) -> list[OrClause]:
+    """target <-> (in1 AND in2) as the standard three clauses, over each
+    variable's literal pair; with pos2=False the second input is negated."""
+    return [
+        OrClause((target[0], in1[1]), tag),
+        OrClause((target[0], in2[pos2]), tag),
+        OrClause((target[1], in1[0], in2[not pos2]), tag),
+    ]
+
+
+def reference_encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintSystem:
+    """constraints.encode in its original form, one new_var call per variable."""
+    params = params or EncodingParams()
+    variables: list[VarRef] = []
+    lits: list = []
+
+    def new_var(kind: str, index: tuple[int, ...]) -> int:
+        vid = len(variables)
+        variables.append(VarRef(kind, index))
+        lits.append(((vid, False), (vid, True)))
+        return vid
+
+    a_id = {edge: new_var(ACTIVATOR, edge) for edge in g.edges}
+    p_id = [new_var(PAULI, (s,)) for s in range(g.m)]
+
+    constraints: list = []
+    for s1 in range(g.m):
+        for s2 in range(s1 + 1, g.m):
+            shared = shared_qubits(g, s1, s2)
+            if not shared:
+                continue
+            same = new_var(SAME, (s1, s2))
+            even = new_var(EVEN, (s1, s2))
+            both = [new_var(BOTH, (q, s1, s2)) for q in shared]
+            constraints.append(OrClause((lits[same][1], lits[even][1]), TAG_COMMUTE))
+            constraints.append(XorClause((same, p_id[s1], p_id[s2]), 1, TAG_SAME))
+            constraints.append(XorClause((even, *both), 1, TAG_EVEN))
+            for q, b in zip(shared, both):
+                constraints.extend(_and_definition(lits[b], lits[a_id[(q, s1)]], lits[a_id[(q, s2)]], TAG_BOTH))
+
+    if params.min_qubit_degree > 0:
+        x_id = {}
+        z_id = {}
+        for edge in g.edges:
+            x_id[edge] = new_var(XIND, edge)
+            z_id[edge] = new_var(ZIND, edge)
+        for edge in g.edges:
+            a, p = lits[a_id[edge]], lits[p_id[edge[1]]]
+            constraints.extend(_and_definition(lits[x_id[edge]], a, p, TAG_XIND))
+            constraints.extend(_and_definition(lits[z_id[edge]], a, p, TAG_ZIND, pos2=False))
+        for q in range(g.n):
+            xs = tuple(x_id[(q, s)] for s in g.qubit_neighbors(q))
+            zs = tuple(z_id[(q, s)] for s in g.qubit_neighbors(q))
+            constraints.append(Linear(xs, ">=", params.min_qubit_degree, TAG_XDEG))
+            constraints.append(Linear(zs, ">=", params.min_qubit_degree, TAG_ZDEG))
+
+    if params.min_stab_degree > 0 or params.max_stab_degree is not None:
+        for s in range(g.m):
+            acts = tuple(a_id[(q, s)] for q in g.stabilizer_neighbors(s))
+            if params.min_stab_degree > 0:
+                constraints.append(Linear(acts, ">=", params.min_stab_degree, TAG_SDEG_MIN))
+            if params.max_stab_degree is not None and acts:
+                constraints.append(Linear(acts, "<=", params.max_stab_degree, TAG_SDEG_MAX))
+
+    if params.balanced:
+        constraints.append(Linear(tuple(p_id), "==", g.m // 2, TAG_BALANCE))
+
+    return ConstraintSystem(g, variables, constraints, params)

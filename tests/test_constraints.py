@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -32,15 +33,16 @@ from stabsearch.constraints import (
     consistent_completion,
     constraint_census,
     encode,
+    intersecting_pairs,
 )
 from stabsearch.css import CommutationError, extract_code
 from stabsearch.graphs import SupportGraph, sample_support_graph, shared_qubits
 from stabsearch.rng import RngSpec
 from stabsearch.solver import check
 
-from oracles import assignment_bits, edge_rows, reference_system_json, satisfying_set
+from oracles import assignment_bits, edge_rows, reference_encode, reference_system_json, satisfying_set
 from test_graphs import fig_two_stabilizers_graph
-from test_solver import free_variables
+from test_solver import free_variables, random_system
 
 
 def semantic_commutes(g, activators, paulis):
@@ -193,6 +195,20 @@ class TestDegreeAndBalance:
         with pytest.raises(ValueError):
             EncodingParams(min_stab_degree=5, max_stab_degree=3)
 
+    @pytest.mark.parametrize("field, value, want", [
+        ("min_qubit_degree", 1.5, "an integer, got a number"),
+        ("min_qubit_degree", True, "an integer, got a boolean"),
+        ("min_stab_degree", True, "an integer, got a boolean"),
+        ("max_stab_degree", 3.5, "an integer or null, got a number"),
+        ("balanced", 1, "a boolean, got an integer"),
+    ])
+    def test_wrong_typed_params_rejected_as_their_document_is(self, field, value, want):
+        message = re.escape(f"encoding params: key '{field}' must be {want}")
+        with pytest.raises(ValueError, match=message):
+            EncodingParams(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            EncodingParams.from_dict({field: value})
+
 
 class TestLayout:
     """The variable and constraint order that extract_code and stored systems rely on."""
@@ -263,6 +279,39 @@ class TestLayout:
         assert code.hz.rows == tuple(masked[s] for s in range(m) if not paulis[s])
 
 
+class TestReferenceEncoder:
+    """encode builds, field for field, what the original encoder built with one
+    namedtuple call per row and ids handed out as variables were made."""
+
+    @staticmethod
+    def assert_same(g, params):
+        cs, ref = encode(g, params), reference_encode(g, params)
+        assert vars(cs) == vars(ref)
+        assert list(map(type, cs.constraints)) == list(map(type, ref.constraints))
+
+    @pytest.mark.parametrize("family", sorted(TestLayout.FAMILIES))
+    def test_every_family(self, family):
+        for seed in range(3):
+            self.assert_same(sample_support_graph(10, 9, 0.4, RngSpec(seed)), TestLayout.FAMILIES[family][0])
+
+    def test_odd_m_balanced(self):
+        for seed in range(3):
+            g = sample_support_graph(8, 7, 0.5, RngSpec(seed))
+            self.assert_same(g, EncodingParams(balanced=True))
+            self.assert_same(g, EncodingParams(1, 1, 3, True))
+
+    def test_graph_with_no_intersecting_pair(self):
+        g = SupportGraph(n=5, m=3, gamma=0.5, seed=0, edges=((0, 0), (1, 1), (2, 0), (4, 2)))
+        assert intersecting_pairs(g) == []
+        for params, _ in TestLayout.FAMILIES.values():
+            self.assert_same(g, params)
+
+    def test_n60_graph(self):
+        g = sample_support_graph(60, 54, 0.17, RngSpec(20240808, 1))
+        self.assert_same(g, EncodingParams())
+        self.assert_same(g, TestLayout.FAMILIES["all"][0])
+
+
 class TestSystemDocument:
     """to_json writes the bytes of json.dumps over one dict per constraint."""
 
@@ -289,6 +338,14 @@ class TestSystemDocument:
         assert ConstraintSystem.from_json(cs.to_json()).to_json() == cs.to_json()
         empty = ConstraintSystem(g, variables, [])
         assert empty.to_json() == reference_system_json(empty)
+
+    def test_random_systems_round_trip(self):
+        rng = random.Random(11)
+        for nv in range(1, 16):
+            cs = random_system(rng, nv)
+            again = ConstraintSystem.from_json(cs.to_json())
+            assert vars(again) == vars(cs)
+            assert list(map(type, again.constraints)) == list(map(type, cs.constraints))
 
 
 class TestSystemValidation:
@@ -331,6 +388,29 @@ class TestSystemValidation:
             self.load({"type": "xor", "vars": [0, 1], "parity": True, "tag": "t"})
         with pytest.raises(ValueError, match="comparator '>'"):
             self.load({"type": "linear", "vars": [0, 1], "cmp": ">", "bound": 1, "tag": "t"})
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"lits": [[0, 2]], "tag": "t"}, "literal sign 2 is not 0 or 1"),
+        ({"lits": [[0, True]], "tag": "t"}, "literal sign True is not 0 or 1"),
+        ({"lits": [[0, -1]], "tag": "t"}, "literal sign -1 is not 0 or 1"),
+        ({"lits": [[0, 1], [1, 1.0]], "tag": "t"}, "literal sign 1.0 is not 0 or 1"),
+        ({"lits": [[True, 1]], "tag": "t"}, "variable id True is not an integer in [0, 4)"),
+        ({"lits": [[-1, 1]], "tag": "t"}, "variable id -1 is not an integer in [0, 4)"),
+        ({"lits": [[1.0, 1]], "tag": "t"}, "variable id 1.0 is not an integer in [0, 4)"),
+        ({"lits": [[4, 0]], "tag": "t"}, "variable id 4 is not an integer in [0, 4)"),
+        ({"lits": [[0, 1], [0, 0]], "tag": "t"}, "constraint variable lists must be duplicate-free"),
+        ({"lits": [[0, 1]], "tag": "t", "x": 1}, "unknown key 'x'"),
+        # the order of the checks: tag present, signs, keys, ids, non-empty, distinct, tag type
+        ({"lits": [[0, 2]]}, "missing key 'tag'"),
+        ({"lits": [[9, 1], [1, 5]], "tag": "t", "x": 1}, "literal sign 5 is not 0 or 1"),
+        ({"lits": [[9, 1]], "tag": 5, "x": 1}, "unknown key 'x'"),
+        ({"lits": [[9, 1], [9, 1]], "tag": 5}, "variable id 9 is not an integer in [0, 4)"),
+        ({"lits": [], "tag": 5}, "OR/XOR constraints must be non-empty"),
+        ({"lits": [[1, 1], [1, 0]], "tag": 5}, "constraint variable lists must be duplicate-free"),
+    ])
+    def test_bad_or_entry_named(self, entry, message):
+        with pytest.raises(ValueError, match=re.escape(f"constraints[1]: {message}") + "$"):
+            self.load({"type": "or", "lits": [[0, 1]], "tag": "t"}, {"type": "or", **entry})
 
     @pytest.mark.parametrize("tag", [5, [1], None, b"t"])
     def test_non_string_tag_rejected(self, tag):

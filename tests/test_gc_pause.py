@@ -1,20 +1,24 @@
-"""The bulk builders run with the cyclic collector paused.
+"""The bulk builders and the single jobs run with the cyclic collector paused.
 
-constraints.gc_paused pauses it for encode, ConstraintSystem.to_json and
-from_json, cnf.export_cnf and solver.solve, which is only safe because
-the pipeline creates no reference cycles: the collector would have
-nothing to free.
+constraints.gc_paused pauses it at two levels.  Per builder: encode,
+ConstraintSystem.to_json and from_json, cnf.export_cnf and solver.solve.
+Per job: harness.find_code (one sample) and each CLI command that works
+on one document (sample, encode, solve, export-cnf, find-code); the
+builder pauses inside a job are nested and leave the closing pass to it.
+A sweep is never paused as a whole.  This is only safe because the
+pipeline creates no reference cycles: the collector would have nothing
+to free.
 """
 
 import gc
 
 import pytest
 
-from stabsearch.cli import main
+from stabsearch.cli import build_parser, main
 from stabsearch.cnf import export_cnf
 from stabsearch.constraints import ConstraintSystem, EncodingParams, encode, gc_paused
 from stabsearch.graphs import sample_support_graph
-from stabsearch.harness import SweepConfig, run_phase_sweep
+from stabsearch.harness import SweepConfig, find_code, run_phase_sweep
 from stabsearch.rng import RngSpec
 from stabsearch.solver import SAT, SolverConfig, solve
 
@@ -28,7 +32,29 @@ CALLS = {
     "from_json": lambda: ConstraintSystem.from_json(TEXT),
     "export_cnf": lambda: export_cnf(CS),
     "solve": lambda: solve(CS, SolverConfig(time_budget=0.2)),
+    "find_code": lambda: find_code(12, 10, 0.6, PARAMS, RngSpec(3), SolverConfig(time_budget=0.2)),
 }
+SAMPLE = ["sample", "--n", "12", "--m", "10", "--gamma", "0.6", "--seed", "3", "--out", "g.json"]
+# Each document command, and an argument list that makes it exit 4
+COMMANDS = {
+    "sample": (SAMPLE, ["sample", "--n", "12", "--m", "10", "--gamma", "2", "--out", "bad.json"]),
+    "encode": (["encode", "--graph", "g.json", "--delta-q", "1", "--out", "s.json"],
+               ["encode", "--graph", "s.json", "--out", "bad.json"]),
+    "solve": (["solve", "--system", "s.json", "--budget", "0.2", "--out", "r.json"],
+              ["solve", "--system", "g.json"]),
+    "export-cnf": (["export-cnf", "--system", "s.json", "--out", "c.cnf"], ["export-cnf", "--system", "g.json"]),
+    "find-code": (["find-code", "--n", "12", "--m", "10", "--gamma", "0.6", "--delta-q", "1", "--seed", "3",
+                   "--budget", "0.2", "--out", "code.json"],
+                  ["find-code", "--n", "12", "--m", "10", "--gamma", "2", "--out", "bad.json"]),
+}
+
+
+@pytest.fixture
+def documents(tmp_path, monkeypatch, capsys):
+    """A working directory holding the graph and system the commands read."""
+    monkeypatch.chdir(tmp_path)
+    assert main(SAMPLE) == 0 and main(COMMANDS["encode"][0]) == 0
+    capsys.readouterr()
 
 
 @pytest.fixture
@@ -84,6 +110,23 @@ def test_raising_call_keeps_the_callers_collector_state(enabled, collector):
     assert gc.isenabled() == enabled
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_runs_without_collections(command, documents, collector):
+    args = build_parser().parse_args(COMMANDS[command][0])
+    gc.enable()
+    assert collections_during(lambda: args.fn(args)) <= 2  # one at entry, and the job's closing pass
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", [0, 4], ids=["ok", "exit4"])
+def test_command_keeps_the_callers_collector_state(command, enabled, outcome, documents, collector, capsys):
+    (gc.enable if enabled else gc.disable)()
+    assert main(COMMANDS[command][outcome > 0]) == outcome
+    assert ("error:" in capsys.readouterr().err) == (outcome > 0)
+    assert gc.isenabled() == enabled
+
+
 def test_bad_system_document_leaves_the_collector_enabled(tmp_path, collector, capsys):
     gc.enable()
     path = tmp_path / "s.json"
@@ -93,9 +136,14 @@ def test_bad_system_document_leaves_the_collector_enabled(tmp_path, collector, c
     assert gc.isenabled()
 
 
-def test_pipeline_creates_no_reference_cycles(tmp_path, collector):
+def test_pipeline_creates_no_reference_cycles(tmp_path, monkeypatch, collector):
+    monkeypatch.chdir(tmp_path)
+    jobs = [build_parser().parse_args(ok) for ok, _ in COMMANDS.values()]  # argparse itself makes cycles
     gc.collect()
     gc.disable()
+    for args in jobs:
+        assert args.fn(args) == 0
+    assert find_code(16, 14, 0.6, EncodingParams(min_qubit_degree=2), RngSpec(7))[0].verdict == SAT
     g = sample_support_graph(16, 14, 0.5, RngSpec(7))
     cs = encode(g, EncodingParams(min_qubit_degree=2))
     assert solve(cs, SolverConfig(time_budget=1.0)).verdict == SAT

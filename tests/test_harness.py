@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -179,6 +180,17 @@ class TestFindCode:
         hx[i] = hx[i][::-1]
         with pytest.raises(RecordValidationError):
             CodeRecord.from_json(json.dumps(doc2)).validate()
+
+
+@pytest.mark.parametrize("field, value, got", [("samples", True, "a boolean"), ("samples", 2.5, "a number"),
+                                               ("workers", 1.5, "a number")])
+def test_wrong_typed_config_rejected_as_its_document_is(field, value, got, tmp_path):
+    message = re.escape(f"sweep config: key '{field}' must be an integer, got {got}")
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(tiny_config(tmp_path / "s"), **{field: value})
+    with pytest.raises(ValueError, match=message):
+        SweepConfig.from_dict(json.dumps({**tiny_config(tmp_path / "s").to_dict(), field: value}))
+    assert not (tmp_path / "s").exists()
 
 
 class TestSweep:
