@@ -301,6 +301,25 @@ def intersecting_pairs(g: SupportGraph) -> list[tuple[int, int, tuple[int, ...]]
     return out
 
 
+def degree_obstruction(g: SupportGraph, params: EncodingParams) -> tuple[str, int] | None:
+    """The first vertex, ("qubit", q) or ("stabilizer", s), whose candidate edges
+    cannot meet params' degree minima, or None.
+
+    An active edge is X or Z type, never both, so a qubit needs 2 * min_qubit_degree
+    candidate edges; a stabilizer needs min_stab_degree.  Where a vertex falls short,
+    encode(g, params) is unsatisfiable.
+    """
+    need = 2 * params.min_qubit_degree
+    for q in range(g.n):
+        if len(g.qubit_neighbors(q)) < need:
+            return ("qubit", q)
+    need = params.min_stab_degree
+    for s in range(g.m):
+        if len(g.stabilizer_neighbors(s)) < need:
+            return ("stabilizer", s)
+    return None
+
+
 @gc_paused
 def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintSystem:
     """Build the constraint system for a support graph in one pass.

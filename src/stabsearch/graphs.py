@@ -94,18 +94,3 @@ def sample_support_graph(n: int, m: int, gamma: float, rng: RngSpec) -> SupportG
     edges = [divmod(i, m) for i in compress(count(), bits.translate(_FLAGS))]
     return SupportGraph(n=n, m=m, gamma=gamma, seed=rng.key(), edges=tuple(edges))
 
-
-def shared_qubits(g: SupportGraph, s1: int, s2: int) -> list[int]:
-    """Qubits adjacent to both stabilizers, ascending.
-
-    Ascending order keeps downstream constraint construction reproducible.
-    """
-    if s1 == s2:
-        raise ValueError("stabilizer indices must differ")
-    if not (0 <= s1 < g.m and 0 <= s2 < g.m):
-        raise ValueError(f"stabilizer index out of range for m={g.m}")
-    small, large = g.stabilizer_neighbors(s1), g.stabilizer_neighbors(s2)
-    if len(large) < len(small):
-        small, large = large, small
-    other = set(large)
-    return [q for q in small if q in other]

@@ -21,14 +21,14 @@ from itertools import islice
 from multiprocessing import Pool
 from pathlib import Path
 
-from .constraints import EncodingParams, encode, gc_paused
+from .constraints import EncodingParams, degree_obstruction, encode, gc_paused
 from .css import CssCode, CodeStats, check_commutation, extract_code
 from .css import satisfies_degree_bounds, stats as code_stats
 from .documents import check_fields, fields_shape, read_document
 from .erasure import failure_rate
 from .graphs import sample_support_graph
 from .rng import RngSpec, stable_hash64
-from .solver import SAT, SolverConfig, solve
+from .solver import SAT, UNSAT, SolveResult, SolverConfig, SolverStats, solve
 
 PIXEL_FORMAT_VERSION = 1
 RECORD_FORMAT_VERSION = 1
@@ -204,9 +204,16 @@ def find_code(
     rng: RngSpec,
     solver_cfg: SolverConfig | None = None,
 ):
-    """Sample one graph, encode, solve; return (verdict, record or None)."""
+    """Sample one graph, encode, solve; return (result, record or None).
+
+    A graph where some vertex has too few candidate edges for params' degree
+    minima (constraints.degree_obstruction) is unsat without an encode or a
+    search, and its result counts no work.
+    """
     solver_cfg = solver_cfg or SolverConfig()
     graph = sample_support_graph(n, m, gamma, rng)
+    if degree_obstruction(graph, params) is not None:
+        return SolveResult(UNSAT, None, SolverStats()), None
     cs = encode(graph, params)
     result = solve(cs, solver_cfg)
     record = None

@@ -59,6 +59,8 @@ _VAR_ACT_DECAY = 1.0 / 0.95
 _CLA_ACT_DECAY = 1.0 / 0.999
 _RANDOM_BRANCH_FREQ = 0.02
 
+_BITS = frozenset((0, 1))  # the values check accepts
+
 
 @dataclass
 class SolverStats:
@@ -100,20 +102,25 @@ def check(cs: ConstraintSystem, values: tuple[int, ...]) -> bool:
     """
     if len(values) != cs.num_vars:
         raise ValueError(f"assignment covers {len(values)} of {cs.num_vars} variables")
-    if any(v not in (0, 1) for v in values):
+    if not _BITS.issuperset(values):
         raise ValueError("assignment values must all be 0 or 1")
+    value = values.__getitem__
     for c in cs.constraints:
-        if isinstance(c, OrClause):
-            if not any(values[v] == (1 if pos else 0) for v, pos in c.lits):
+        kind = type(c)
+        if kind is OrClause:
+            for v, pos in c.lits:
+                if values[v] == pos:
+                    break
+            else:
                 return False
-        elif isinstance(c, XorClause):
-            acc = 0
+        elif kind is XorClause:
+            acc = c.parity  # the parity XOR the values: 0 exactly when they match it
             for v in c.vars:
                 acc ^= values[v]
-            if acc != c.parity:
+            if acc:
                 return False
         else:
-            total = sum(values[v] for v in c.vars)
+            total = sum(map(value, c.vars))
             if c.cmp == ">=":
                 if total < c.bound:
                     return False
@@ -156,9 +163,11 @@ class _Engine:
       binary clause (below).  An XOR implication's is (0, row_vars) and a
       cardinality implication's is (1, lits), with lits the row's false
       literals at firing time, shared by every literal that firing forces.
-      _reason_of builds the clause only when analysis reads it; each of
-      its literals precedes v on the trail, so it keeps its value while v
-      stays assigned.
+      _reason_of builds the clause only when analysis reads it, and
+      minimization reads the stored form in place; each of its literals
+      precedes v on the trail, so it keeps its value while v stays
+      assigned.  reason[v] is read only while v is assigned, so
+      _backtrack leaves it stale.
     - An original binary clause (l0, l1) is the int l1 in watches[l0] and
       l0 in watches[l1], and an implication from it has the falsified
       literal (an int) as its reason: _reason_of reads [implied,
@@ -272,7 +281,6 @@ class _Engine:
         trail = self.trail
         values = self.values
         phase = self.phase
-        reason = self.reason
         locc = self.locc
         limit = self.trail_lim[target_level]
         var_act = self.var_act
@@ -283,7 +291,6 @@ class _Engine:
             old = values[v]
             phase[v] = old
             values[v] = -1
-            reason[v] = None
             for entry in locc[v]:
                 entry[3] -= old
                 entry[4] += 1
@@ -552,13 +559,22 @@ class _Engine:
             for q in learnt[1:]:
                 seen[q >> 1] = 1
             kept = [learnt[0]]
-            for q in learnt[1:]:
-                r = self._reason_of(q >> 1)
+            for q in learnt[1:]:  # q's reason read as stored; q's own variable is seen
+                r = reason[q >> 1]
                 if r is None:
                     kept.append(q)
                     continue
-                for other in r:  # q's own literal is seen
-                    ov = other >> 1
+                if type(r) is int:  # binary clause: the falsified literal
+                    ov = r >> 1
+                    if not seen[ov] and level[ov] > 0:
+                        kept.append(q)
+                    continue
+                if type(r) is list:
+                    shift, lits = 1, r
+                else:  # an XOR row lists variables (shift 0), a cardinality row literals
+                    shift, lits = r
+                for other in lits:
+                    ov = other >> shift
                     if not seen[ov] and level[ov] > 0:
                         kept.append(q)
                         break

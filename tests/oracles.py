@@ -15,7 +15,11 @@ evaluation code with the package's solver or rank-based fast paths:
   dict per constraint through json.dumps, and a clause per forbidden
   parity pattern found by enumeration;
 - the encoder in its original form: one namedtuple call per variable and
-  per constraint, ids handed out by a counter as variables are made.
+  per constraint, ids handed out by a counter as variables are made, and
+  each stabilizer pair's shared qubits found by a set intersection;
+- the model checker in its original form: isinstance dispatch, a
+  generator per OR clause and per cardinality sum, and a tuple test per
+  value.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from stabsearch.constraints import (
 )
 from stabsearch.css import CssCode
 from stabsearch.erasure import Z95, DecodingReport
-from stabsearch.graphs import SupportGraph, shared_qubits
+from stabsearch.graphs import SupportGraph
 from stabsearch.rng import CounterStream, RngSpec
 
 
@@ -357,6 +361,22 @@ def _and_definition(target, in1, in2, tag: str, pos2: bool = True) -> list[OrCla
     ]
 
 
+def shared_qubits(g: SupportGraph, s1: int, s2: int) -> list[int]:
+    """Qubits adjacent to both stabilizers, ascending.
+
+    Ascending order keeps downstream constraint construction reproducible.
+    """
+    if s1 == s2:
+        raise ValueError("stabilizer indices must differ")
+    if not (0 <= s1 < g.m and 0 <= s2 < g.m):
+        raise ValueError(f"stabilizer index out of range for m={g.m}")
+    small, large = g.stabilizer_neighbors(s1), g.stabilizer_neighbors(s2)
+    if len(large) < len(small):
+        small, large = large, small
+    other = set(large)
+    return [q for q in small if q in other]
+
+
 def reference_encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintSystem:
     """constraints.encode in its original form, one new_var call per variable."""
     params = params or EncodingParams()
@@ -415,3 +435,32 @@ def reference_encode(g: SupportGraph, params: EncodingParams | None = None) -> C
         constraints.append(Linear(tuple(p_id), "==", g.m // 2, TAG_BALANCE))
 
     return ConstraintSystem(g, variables, constraints, params)
+
+
+def reference_check(cs: ConstraintSystem, values: tuple[int, ...]) -> bool:
+    """solver.check in its original form."""
+    if len(values) != cs.num_vars:
+        raise ValueError(f"assignment covers {len(values)} of {cs.num_vars} variables")
+    if any(v not in (0, 1) for v in values):
+        raise ValueError("assignment values must all be 0 or 1")
+    for c in cs.constraints:
+        if isinstance(c, OrClause):
+            if not any(values[v] == (1 if pos else 0) for v, pos in c.lits):
+                return False
+        elif isinstance(c, XorClause):
+            acc = 0
+            for v in c.vars:
+                acc ^= values[v]
+            if acc != c.parity:
+                return False
+        else:
+            total = sum(values[v] for v in c.vars)
+            if c.cmp == ">=":
+                if total < c.bound:
+                    return False
+            elif c.cmp == "<=":
+                if total > c.bound:
+                    return False
+            elif total != c.bound:
+                return False
+    return True

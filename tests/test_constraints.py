@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -32,15 +33,23 @@ from stabsearch.constraints import (
     XorClause,
     consistent_completion,
     constraint_census,
+    degree_obstruction,
     encode,
     intersecting_pairs,
 )
 from stabsearch.css import CommutationError, extract_code
-from stabsearch.graphs import SupportGraph, sample_support_graph, shared_qubits
+from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch.rng import RngSpec
-from stabsearch.solver import check
+from stabsearch.solver import UNSAT, SolverConfig, check, solve
 
-from oracles import assignment_bits, edge_rows, reference_encode, reference_system_json, satisfying_set
+from oracles import (
+    assignment_bits,
+    edge_rows,
+    reference_encode,
+    reference_system_json,
+    satisfying_set,
+    shared_qubits,
+)
 from test_graphs import fig_two_stabilizers_graph
 from test_solver import free_variables, random_system
 
@@ -210,6 +219,37 @@ class TestDegreeAndBalance:
             EncodingParams.from_dict({field: value})
 
 
+class TestDegreeScreen:
+    """degree_obstruction names a vertex only where the encoded system is unsat."""
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_screened_graphs_are_unsat(self, seed):
+        rng = random.Random(seed)
+        g = sample_support_graph(rng.randint(3, 8), rng.randint(2, 7), rng.uniform(0.2, 0.7), RngSpec(seed))
+        params = EncodingParams(min_qubit_degree=rng.randint(1, 2), min_stab_degree=rng.choice([0, 0, 2, 3]))
+        if degree_obstruction(g, params) is not None:
+            assert solve(encode(g, params), SolverConfig(time_budget=30, seed=seed)).verdict == UNSAT
+
+    def test_screen_fires_on_random_small_graphs(self):
+        # the property above is not vacuous: its draws screen graphs of both kinds
+        kinds = Counter()
+        for seed in range(40):
+            g = sample_support_graph(6, 5, 0.4, RngSpec(seed))
+            obstruction = degree_obstruction(g, EncodingParams(min_qubit_degree=1, min_stab_degree=3))
+            kinds[obstruction and obstruction[0]] += 1
+        assert kinds["qubit"] and kinds["stabilizer"] and kinds[None]
+
+    def test_exact_minimum_is_not_screened(self):
+        # qubit 0 has exactly 4 candidates and stabilizer 4 exactly 2; every other vertex has more
+        g = SupportGraph(n=3, m=5, gamma=1.0, seed=0,
+                         edges=tuple((q, s) for q in range(3) for s in range(5) if (q, s) != (0, 4)))
+        assert degree_obstruction(g, EncodingParams(min_qubit_degree=2, min_stab_degree=2)) is None
+        assert degree_obstruction(g, EncodingParams(min_qubit_degree=3)) == ("qubit", 0)
+        assert degree_obstruction(g, EncodingParams(min_stab_degree=3)) == ("stabilizer", 4)
+        assert degree_obstruction(g, EncodingParams(min_qubit_degree=3, min_stab_degree=3)) == ("qubit", 0)
+        assert degree_obstruction(g, EncodingParams()) is None
+
+
 class TestLayout:
     """The variable and constraint order that extract_code and stored systems rely on."""
 
@@ -310,6 +350,38 @@ class TestReferenceEncoder:
         g = sample_support_graph(60, 54, 0.17, RngSpec(20240808, 1))
         self.assert_same(g, EncodingParams())
         self.assert_same(g, TestLayout.FAMILIES["all"][0])
+
+
+class TestSharedQubits:
+    """The oracle encoder's shared_qubits, and intersecting_pairs against it."""
+
+    def test_validation(self):
+        g = fig_two_stabilizers_graph()
+        with pytest.raises(ValueError):
+            shared_qubits(g, 0, 0)
+        with pytest.raises(ValueError):
+            shared_qubits(g, 0, 5)
+
+    def test_disjoint(self):
+        g = SupportGraph(n=4, m=2, gamma=0.0, seed=0, edges=((0, 0), (1, 0), (2, 1), (3, 1)))
+        assert shared_qubits(g, 0, 1) == []
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_matches_set_intersection(self, seed):
+        g = sample_support_graph(50, 10, 0.3, RngSpec(seed, 0))
+        for s1, s2 in [(0, 1), (2, 7), (4, 9)]:
+            expected = sorted(
+                set(g.stabilizer_neighbors(s1)) & set(g.stabilizer_neighbors(s2))
+            )
+            assert shared_qubits(g, s1, s2) == expected
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_intersecting_pairs_match_shared_qubits(self, seed):
+        rng = random.Random(seed)
+        g = sample_support_graph(rng.randint(1, 30), rng.randint(1, 20), rng.uniform(0.0, 0.6), RngSpec(seed))
+        expected = [(s1, s2, tuple(shared)) for s1 in range(g.m) for s2 in range(s1 + 1, g.m)
+                    if (shared := shared_qubits(g, s1, s2))]
+        assert intersecting_pairs(g) == expected
 
 
 class TestSystemDocument:

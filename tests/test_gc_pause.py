@@ -136,13 +136,13 @@ def test_bad_system_document_leaves_the_collector_enabled(tmp_path, collector, c
     assert gc.isenabled()
 
 
-def test_pipeline_creates_no_reference_cycles(tmp_path, monkeypatch, collector):
+def test_pipeline_creates_no_reference_cycles(tmp_path, monkeypatch, collector, capsys):
     monkeypatch.chdir(tmp_path)
-    jobs = [build_parser().parse_args(ok) for ok, _ in COMMANDS.values()]  # argparse itself makes cycles
+    assert main(SAMPLE) == 0  # main's first call builds its parser, which is a reference cycle
     gc.collect()
     gc.disable()
-    for args in jobs:
-        assert args.fn(args) == 0
+    for ok, _ in COMMANDS.values():
+        assert main(ok) == 0
     assert find_code(16, 14, 0.6, EncodingParams(min_qubit_degree=2), RngSpec(7))[0].verdict == SAT
     g = sample_support_graph(16, 14, 0.5, RngSpec(7))
     cs = encode(g, EncodingParams(min_qubit_degree=2))

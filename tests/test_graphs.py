@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from stabsearch.graphs import SupportGraph, sample_support_graph, shared_qubits
+from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch.rng import CounterStream, RngSpec
+
+from oracles import shared_qubits
 
 
 def fig_two_stabilizers_graph():
@@ -93,29 +95,6 @@ def test_fig_style_pair_graph_counts():
     g = fig_two_stabilizers_graph()
     assert len(g.edges) == 6
     assert shared_qubits(g, 0, 1) == [0, 1, 2]
-
-
-def test_shared_qubits_validation():
-    g = fig_two_stabilizers_graph()
-    with pytest.raises(ValueError):
-        shared_qubits(g, 0, 0)
-    with pytest.raises(ValueError):
-        shared_qubits(g, 0, 5)
-
-
-def test_shared_qubits_disjoint():
-    g = SupportGraph(n=4, m=2, gamma=0.0, seed=0, edges=((0, 0), (1, 0), (2, 1), (3, 1)))
-    assert shared_qubits(g, 0, 1) == []
-
-
-@given(st.integers(min_value=0, max_value=2**32))
-def test_shared_qubits_matches_set_intersection(seed):
-    g = sample_support_graph(50, 10, 0.3, RngSpec(seed, 0))
-    for s1, s2 in [(0, 1), (2, 7), (4, 9)]:
-        expected = sorted(
-            set(g.stabilizer_neighbors(s1)) & set(g.stabilizer_neighbors(s2))
-        )
-        assert shared_qubits(g, s1, s2) == expected
 
 
 def test_json_round_trip_is_bit_exact():

@@ -42,7 +42,7 @@ from stabsearch.harness import (
     write_csv,
 )
 from stabsearch.rng import RngSpec, stable_hash64
-from stabsearch.solver import SAT, SolverConfig
+from stabsearch.solver import SAT, SolverConfig, SolverStats
 
 
 def tiny_config(out_dir, workers=1, master_seed=77):
@@ -164,6 +164,16 @@ class TestFindCode:
         )
         assert result.verdict == "unsat"
         assert record is None
+
+    def test_degree_screened_sample_is_neither_encoded_nor_solved(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a screened sample reached the encoder or the solver")
+
+        monkeypatch.setattr(harness, "encode", never)
+        monkeypatch.setattr(harness, "solve", never)
+        result, record = find_code(6, 5, 0.05, EncodingParams(min_qubit_degree=2), RngSpec(5, 1))
+        assert (result.verdict, result.assignment, record) == ("unsat", None, None)
+        assert result.stats == SolverStats()
 
     def test_validation_detects_tampering(self):
         _, record = find_code(

@@ -32,7 +32,7 @@ from stabsearch.solver import (
     solve,
 )
 
-from oracles import assignment_bits, brute_force_verdict, satisfying_set
+from oracles import assignment_bits, brute_force_verdict, reference_check, satisfying_set
 
 
 def free_variables(nv: int):
@@ -110,6 +110,40 @@ class TestCheck:
         )
         assert check(cs, (1, 0, 0))
         assert not check(cs, (1, 1, 1))  # violates xor and <= and ==
+
+    @staticmethod
+    def outcome(fn, cs, values):
+        """fn's verdict on values, or the class of the exception it raises."""
+        try:
+            return fn(cs, values)
+        except Exception as exc:  # any class: the two must raise the same one
+            return type(exc)
+
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_check_matches_reference(self, seed):
+        rng = random.Random(seed)
+        cs = random_system(rng, rng.randint(2, 12))
+        g = sample_support_graph(rng.randint(4, 9), rng.randint(3, 7), rng.uniform(0.3, 0.9), RngSpec(seed))
+        band = encode(g, EncodingParams(min_qubit_degree=rng.randint(0, 1), min_stab_degree=rng.randint(0, 2)))
+        model = solve(cs, SolverConfig(time_budget=0.1, seed=seed)).assignment
+        cases = [
+            (cs, tuple(rng.randint(0, 1) for _ in range(cs.num_vars))),
+            (band, consistent_completion(band, [0] * g.m, [0] * g.m)),
+            (band, consistent_completion(band, [rng.getrandbits(g.n) for _ in range(g.m)],
+                                         [rng.randint(0, 1) for _ in range(g.m)])),
+        ] + [(cs, model)] * (model is not None)
+        for system, values in list(cases):  # and every single-bit flip of each
+            cases += [(system, values[:v] + (values[v] ^ 1,) + values[v + 1:]) for v in range(len(values))]
+        verdicts = [self.outcome(check, *case) for case in cases]
+        assert verdicts == [self.outcome(reference_check, *case) for case in cases]
+        assert all(type(v) is bool for v in verdicts)
+        assert model is None or verdicts[3] is True
+
+        values = cases[0][1]
+        for bad in [values[:-1], values + (0,), values[:-1] + (2,), (-1,) + values[1:],
+                    values[:-1] + (0.5,), values[:-1] + (None,)]:
+            raised = self.outcome(check, cs, bad)
+            assert raised is self.outcome(reference_check, cs, bad) is ValueError
 
 
 class TestSolveBasics:
@@ -277,13 +311,14 @@ class TestDeterminism:
 
 
 # (verdict, decisions, conflicts, propagations, restarts, learned, model hash)
+SCREENED = ("unsat", 0, 0, 0, 0, 0, None)  # settled by the degree screen, before any encode
 PINNED_BAND = [
-    ("unsat", 0, 0, 6, 0, 0, None),
-    ("unsat", 0, 1, 12, 0, 0, None),
+    SCREENED,
+    SCREENED,
     ("sat", 1358, 627, 125196, 2, 627, "a67c09a3451bbcae"),
     ("sat", 678, 232, 39632, 1, 232, "6a3c28439a2e8d88"),
-    ("unsat", 0, 0, 6, 0, 0, None),
-    ("unsat", 0, 1, 12, 0, 0, None),
+    SCREENED,
+    SCREENED,
     ("unknown", 1405, 737, 150049, 3, 737, None),
     ("unknown", 2034, 851, 150161, 4, 851, None),
 ]
@@ -316,11 +351,11 @@ PINNED_RANDOM = [
 ]
 # band_sweep's own grid: n=30 and 40, gamma 0.3-0.6, delta_q=3, budget 1.0
 PINNED_BAND_SWEEP = [
-    ("unsat", 0, 1, 12, 0, 0, None),
+    SCREENED,
     ("sat", 1782, 547, 129957, 2, 547, "adec86a7c966facb"),
     ("sat", 2209, 409, 106703, 2, 409, "d153121a06bfbe6f"),
     ("sat", 0, 0, 1187, 0, 0, "7e0b657718710de3"),
-    ("unsat", 366, 26, 7859, 0, 21, None),
+    SCREENED,
     ("unknown", 2680, 390, 150023, 1, 390, None),
     ("sat", 0, 0, 2064, 0, 0, "695b77057b26e558"),
     ("sat", 0, 0, 1461, 0, 0, "98e29372a2e34bac"),
@@ -345,14 +380,19 @@ class TestPinnedWork:
 
     @staticmethod
     def sweep(monkeypatch, out_dir, qubit_counts, params) -> list[tuple]:
-        """work_row of every solve of a serial band sweep (gamma 0.3-0.6, budget 1.0)."""
+        """work_row of every sample of a serial band sweep (gamma 0.3-0.6, budget 1.0).
+
+        A sample that the degree screen settles is an unsat row with no work.
+        """
         results = []
+        find_code = harness.find_code
 
-        def recording_solve(cs, cfg):
-            results.append(solve(cs, cfg))
-            return results[-1]
+        def recording_find_code(*args):
+            result, record = find_code(*args)
+            results.append(result)
+            return result, record
 
-        monkeypatch.setattr(harness, "solve", recording_solve)
+        monkeypatch.setattr(harness, "find_code", recording_find_code)
         harness.run_phase_sweep(harness.SweepConfig(
             qubit_counts, 0.3, 0.6, 0.1, samples=1, params=params, time_budget=1.0,
             master_seed=20240808, out_dir=str(out_dir),
