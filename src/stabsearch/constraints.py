@@ -31,7 +31,7 @@ import gc
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
-from operator import attrgetter, contains, itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple
 
 from .documents import check_fields, fields_shape, read_document
@@ -47,8 +47,6 @@ EVEN = "even"
 BOTH = "both"
 XIND = "x"
 ZIND = "z"
-# What each position of a kind's index counts: q a qubit, s a stabilizer
-_INDEX_ROLES = {ACTIVATOR: "qs", PAULI: "s", SAME: "ss", EVEN: "ss", BOTH: "qss", XIND: "qs", ZIND: "qs"}
 
 
 class VarRef(NamedTuple):
@@ -151,8 +149,9 @@ class ConstraintSystem:
     Variable ids are dense and assigned in a canonical order (activators
     row-major, then paulis, then pair auxiliaries, then type indicators),
     so re-encoding a graph reproduces the system exactly.  The constructor
-    stores its parts as given; from_json, where documents enter, checks
-    every variable and constraint.
+    stores its parts as given.  A document enters through from_json, which
+    re-encodes its graph and params, so only encode and to_json know the
+    constraint format.
     """
 
     def __init__(
@@ -200,92 +199,36 @@ class ConstraintSystem:
     @classmethod
     @gc_paused
     def from_json(cls, source: str | dict) -> "ConstraintSystem":
+        """encode(graph, params) for a document's graph and params.  The document is
+        accepted only if its canonical JSON, json.dumps(doc, sort_keys=True), is that
+        system's to_json(); else the error names the first key or entry that differs."""
         shape = dict(graph=(dict,), params=(dict,), variables=(list,), constraints=(list,))
         doc = read_document("constraint system", source, shape, version=SYSTEM_FORMAT_VERSION)
-        graph = SupportGraph.from_json(doc["graph"])
-        ranges = {kind: [range(graph.n if r == "q" else graph.m) for r in roles]
-                  for kind, roles in _INDEX_ROLES.items()}
-        variables: list[VarRef] = []
-        constraints: list[Constraint] = []
-        try:  # on failure, the entry at fault is the first one not yet built
-            for kind, index in doc["variables"]:
-                if type(kind) is not str or kind not in _INDEX_ROLES:
-                    raise ValueError(f"unknown kind {kind!r}")
-                if type(index) is not list or not all(type(i) is int for i in index):
-                    raise ValueError(f"index {index!r} is not a list of integers")
-                fits = ranges[kind]
-                if len(index) != len(fits) or not all(map(contains, fits, index)):
-                    raise ValueError(f"index {index!r} does not fit kind {kind!r} "
-                                     f"on {graph.n} qubits and {graph.m} stabilizers")
-                variables.append(_var((kind, tuple(index))))
-            nv = len(variables)
-            lit = [((v, False), (v, True)) for v in range(nv)]  # per variable, indexed by sign
-            for c in doc["constraints"]:
-                ctype = c["type"]
-                if ctype == "or":  # checked as it is converted; an entry that fails is checked again below
-                    lits = c["lits"]
-                    con = _or((tuple([lit[v][pos] for v, pos in lits if type(v) is type(pos) is int
-                                      and -1 < v < nv and -1 < pos < 2]), c["tag"]))
-                    if (0 < len(con.lits) == len(lits) == len(set(map(itemgetter(0), con.lits)))
-                            and len(c) == 3 and type(con.tag) is str):
-                        constraints.append(con)
-                        continue
-                    if bad := [pos for _, pos in lits if type(pos) is not int or pos not in (0, 1)]:
-                        raise ValueError(f"literal sign {bad[0]!r} is not 0 or 1")
-                    ids = [v for v, _ in lits]
-                elif ctype == "xor":
-                    con = _xor((ids := tuple(c["vars"]), c["parity"], c["tag"]))
-                    if type(con.parity) is not int or con.parity not in (0, 1):
-                        raise ValueError(f"XOR parity {con.parity!r} is not 0 or 1")
-                elif ctype == "linear":
-                    con = Linear(ids := tuple(c["vars"]), c["cmp"], c["bound"], c["tag"])
-                    if con.cmp not in (">=", "<=", "=="):
-                        raise ValueError(f"unknown comparator {con.cmp!r}")
-                    if type(con.bound) is not int:
-                        raise ValueError(f"bound {con.bound!r} is not an integer")
-                else:
-                    raise ValueError(f"unknown 'type' {ctype!r}")
-                if len(c) != len(con) + 1:  # the keys are 'type' and the fields of con
-                    raise ValueError(f"unknown key {min(c.keys() - {'type', *con._fields})!r}")
-                if bad := [v for v in ids if type(v) is not int or not 0 <= v < nv]:
-                    raise ValueError(f"variable id {bad[0]!r} is not an integer in [0, {nv})")
-                if not ids and ctype != "linear":  # an empty sum is a legitimate bound
-                    raise ValueError("OR/XOR constraints must be non-empty")
-                if len(set(ids)) != len(ids):
-                    raise ValueError("constraint variable lists must be duplicate-free")
-                if type(con.tag) is not str:
-                    raise ValueError(f"tag {con.tag!r} is not a string")
-                constraints.append(con)
-        except (KeyError, TypeError, ValueError) as exc:
-            if len(variables) < len(doc["variables"]):
-                where, entry = f"variables[{len(variables)}]", doc["variables"][len(variables)]
-                what = f"entry {entry!r} is not a [kind, index] pair" if _not_pair(entry) else exc
-            else:
-                where = f"constraints[{len(constraints)}]"
-                what = _constraint_fault(doc["constraints"][len(constraints)], exc)
-            raise ValueError(f"constraint system: {where}: {what}") from None
-        params = EncodingParams.from_dict(doc["params"])
-        return cls(graph, variables, constraints, params)
+        graph, params = SupportGraph.from_json(doc["graph"]), EncodingParams.from_dict(doc["params"])
+        del doc  # the parsed constraints are not kept while the system is built
+        cs = encode(graph, params)
+        text = cs.to_json()
+        if isinstance(source, str) and source.removesuffix("\n") == text:  # what to_json wrote
+            return cs
+        doc = json.loads(source) if isinstance(source, str) else source
+        if _canonical(doc) != text:
+            raise ValueError(f"constraint system: {_first_difference(doc, json.loads(text))} is not "
+                             "what encode writes for the document's graph and params")
+        return cs
 
 
-def _not_pair(entry) -> bool:
-    return type(entry) is not list or len(entry) != 2
+# Canonical JSON text, as to_json writes it; a value JSON cannot hold reads as its repr
+_canonical = functools.partial(json.dumps, sort_keys=True, default=repr)
 
 
-def _constraint_fault(c, exc: Exception) -> str:
-    """What a constraint entry that failed to load must be, if its shape is at fault,
-    else exc's text.  Only a failed entry comes here: valid documents pay nothing."""
-    if type(c) is not dict:
-        return f"entry {c!r} is not an object"
-    if isinstance(exc, KeyError):
-        return f"missing key {exc}"
-    if c["type"] == "or" and type(c["lits"]) is not list:
-        return f"lits {c['lits']!r} is not an array of [variable, sign] pairs"
-    if c["type"] == "or" and (bad := [lit for lit in c["lits"] if _not_pair(lit)]):
-        return f"literal {bad[0]!r} is not a [variable, sign] pair"
-    if c["type"] in ("xor", "linear") and type(c["vars"]) is not list:
-        return f"vars {c['vars']!r} is not an array of ids"
-    return str(exc)
+def _first_difference(doc: dict, want: dict) -> str:
+    """The first key, or entry of an array, whose canonical text differs between doc and want."""
+    got, exp, key = next((doc.get(k), want.get(k), k) for k in sorted(doc.keys() | want.keys())
+                         if _canonical(doc.get(k)) != _canonical(want.get(k)))
+    if type(got) is not list or type(exp) is not list:
+        return key
+    diff = (i for i, (a, b) in enumerate(zip(got, exp)) if _canonical(a) != _canonical(b))
+    return f"{key}[{next(diff, min(len(got), len(exp)))}]"
 
 
 def intersecting_pairs(g: SupportGraph) -> list[tuple[int, int, tuple[int, ...]]]:

@@ -31,6 +31,7 @@ class CssCode:
     hz: BitMatrix
 
     def __post_init__(self):
+        _check_n(self.n)
         if self.hx.cols != self.n or self.hz.cols != self.n:
             raise ValueError("check matrices must have n columns")
 
@@ -47,7 +48,7 @@ class CssCode:
     def from_json(cls, source: str | dict) -> "CssCode":
         shape = {"n": (int,), "hx": (list,), "hz": (list,)}  # matrices as bitstring rows
         doc = read_document("CSS code", source, shape, version=CODE_FORMAT_VERSION)
-        n = doc["n"]
+        n = _check_n(doc["n"])  # before the matrices, which cannot take a negative n
         for key in ("hx", "hz"):
             for i, row in enumerate(doc[key]):
                 if type(row) is not str or len(row) != n or row.strip("01"):
@@ -58,6 +59,12 @@ class CssCode:
             hx=BitMatrix.from_strings(doc["hx"], cols=n),
             hz=BitMatrix.from_strings(doc["hz"], cols=n),
         )
+
+
+def _check_n(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"CSS code: n must be at least 1, got {n}")
+    return n
 
 
 def check_commutation(c: CssCode) -> bool:

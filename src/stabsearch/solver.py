@@ -187,7 +187,7 @@ class _Engine:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.watches: list[list] = [[] for _ in range(2 * nv)]
-        self.clauses: list[list[int]] = []
+        self.num_clauses = 0  # original clauses of width 2 or more
         self.learnts: list[list[int]] = []
         self.cla_act: dict[int, float] = {}
         self.cla_inc = 1.0
@@ -219,7 +219,7 @@ class _Engine:
                 if len(lits) == 1:
                     self.ok = self._enqueue(lits[0], None)
                     continue
-                self.clauses.append(lits)
+                self.num_clauses += 1
                 if len(lits) == 2:
                     watches[lits[0]].append(lits[1])
                     watches[lits[1]].append(lits[0])
@@ -660,7 +660,7 @@ class _Engine:
             return UNSAT
         restart_num = 0
         conflict_countdown = _LUBY_BASE * _luby(restart_num + 1)
-        max_learnts = max(4000, len(self.clauses) // 3)
+        max_learnts = max(4000, self.num_clauses // 3)
 
         while True:
             conflict = self._propagate()

@@ -132,6 +132,17 @@ DEGREE_SYSTEM = DEGREE_CS.to_json()
 FIRST_PAULI = next(i for i, v in enumerate(DEGREE_CS.variables) if v.kind == PAULI)
 FIRST_LINEAR = next(i for i, c in enumerate(DEGREE_CS.constraints) if isinstance(c, Linear))
 
+
+def rejected(where):
+    """The words of the error for a system document that differs from encode's first at where."""
+    return ["constraint system", f"{where} is not what encode writes for the document's graph and params"]
+
+
+def drop_degree_rows_and_balance(doc):
+    """A coherent system, but not the one its params describe."""
+    doc["constraints"] = [c for c in doc["constraints"] if c["type"] != "linear"]
+    doc["params"]["balanced"] = True
+
 # (name, argv builder, exit code, words of the error line); each builder
 # gets tmp_path and the shared sweep, and a callable word gets the sweep
 BAD_INPUTS = [
@@ -214,7 +225,7 @@ BAD_INPUTS = [
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][0].update(type="xr"))],
-     4, ["constraint system", "'type'", "'xr'"]),
+     4, rejected("constraints[0]")),
     ("sweep-resume-pixel-missing-sat",
      lambda t, s: ["sweep", "--config", str(s.parent / "sweep.json"), "--out",
                    sweep_copy(t, s, "pixels/*.json",
@@ -242,121 +253,138 @@ BAD_INPUTS = [
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][-1].pop("tag"))],
-     4, ["constraint system", f"constraints[{LAST_CONSTRAINT}]", "missing key 'tag'"]),
+     4, rejected(f"constraints[{LAST_CONSTRAINT}]")),
     ("solve-xor-parity-7",
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][FIRST_XOR].update(parity=7))],
-     4, ["constraint system", f"constraints[{FIRST_XOR}]", "parity"]),
+     4, rejected(f"constraints[{FIRST_XOR}]")),
     ("solve-variable-one-field",
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["variables"].__setitem__(2, ["act"]))],
-     4, ["constraint system", "variables[2]"]),
+     4, rejected("variables[2]")),
     ("export-cnf-xor-var-not-integer",
      lambda t, s: ["export-cnf", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][FIRST_XOR]["vars"].__setitem__(0, 20.5)),
                    "--out", str(t / "x.cnf")],
-     4, ["constraint system", f"constraints[{FIRST_XOR}]", "20.5", "integer"]),
+     4, rejected(f"constraints[{FIRST_XOR}]")),
     ("solve-xor-var-not-integer",
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][FIRST_XOR]["vars"].__setitem__(0, 20.5))],
-     4, ["constraint system", f"constraints[{FIRST_XOR}]", "20.5", "integer"]),
+     4, rejected(f"constraints[{FIRST_XOR}]")),
     ("solve-xor-var-boolean",
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][FIRST_XOR]["vars"].__setitem__(0, True))],
-     4, ["constraint system", f"constraints[{FIRST_XOR}]", "True", "integer"]),
+     4, rejected(f"constraints[{FIRST_XOR}]")),
     ("export-cnf-xor-extra-key",
      lambda t, s: ["export-cnf", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][FIRST_XOR].update(lits=[[0, 1]])),
                    "--out", str(t / "x.cnf")],
-     4, ["constraint system", f"constraints[{FIRST_XOR}]", "unknown key 'lits'"]),
+     4, rejected(f"constraints[{FIRST_XOR}]")),
     ("solve-variable-kind-unknown",
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["variables"][2].__setitem__(0, "zzz"))],
-     4, ["constraint system", "variables[2]", "'zzz'"]),
+     4, rejected("variables[2]")),
     ("export-cnf-variable-index-not-integers",
      lambda t, s: ["export-cnf", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["variables"][3].__setitem__(1, ["q", 0.5])),
                    "--out", str(t / "x.cnf")],
-     4, ["constraint system", "variables[3]", "integers"]),
+     4, rejected("variables[3]")),
     ("solve-pauli-index-past-graph",
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", DEGREE_SYSTEM,
                                 lambda d: d["variables"][FIRST_PAULI].__setitem__(1, [99]))],
-     4, ["constraint system", f"variables[{FIRST_PAULI}]", "[99]", "'p'", "4 stabilizers"]),
+     4, rejected(f"variables[{FIRST_PAULI}]")),
     ("export-cnf-pauli-index-past-graph",
      lambda t, s: ["export-cnf", "--system",
                    write_edited(t / "s.json", DEGREE_SYSTEM,
                                 lambda d: d["variables"][FIRST_PAULI].__setitem__(1, [99])),
                    "--out", str(t / "x.cnf")],
-     4, ["constraint system", f"variables[{FIRST_PAULI}]", "[99]", "'p'"]),
+     4, rejected(f"variables[{FIRST_PAULI}]")),
     ("solve-pauli-index-empty",
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", DEGREE_SYSTEM,
                                 lambda d: d["variables"][FIRST_PAULI].__setitem__(1, []))],
-     4, ["constraint system", f"variables[{FIRST_PAULI}]", "[]", "'p'"]),
+     4, rejected(f"variables[{FIRST_PAULI}]")),
     ("export-cnf-activator-qubit-past-graph",
      lambda t, s: ["export-cnf", "--system",
                    write_edited(t / "s.json", DEGREE_SYSTEM,
                                 lambda d: d["variables"][0].__setitem__(1, [5, 0])),
                    "--out", str(t / "x.cnf")],
-     4, ["constraint system", "variables[0]", "[5, 0]", "5 qubits"]),
+     4, rejected("variables[0]")),
     ("solve-linear-bound-not-integer",
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", DEGREE_SYSTEM,
                                 lambda d: d["constraints"][FIRST_LINEAR].update(bound=1.5))],
-     4, ["constraint system", f"constraints[{FIRST_LINEAR}]", "1.5", "integer"]),
+     4, rejected(f"constraints[{FIRST_LINEAR}]")),
     ("export-cnf-linear-bound-boolean",
      lambda t, s: ["export-cnf", "--system",
                    write_edited(t / "s.json", DEGREE_SYSTEM,
                                 lambda d: d["constraints"][FIRST_LINEAR].update(bound=True)),
                    "--out", str(t / "x.cnf")],
-     4, ["constraint system", f"constraints[{FIRST_LINEAR}]", "True", "integer"]),
+     4, rejected(f"constraints[{FIRST_LINEAR}]")),
     ("solve-or-sign-2",
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][FIRST_OR]["lits"][1].__setitem__(1, 2))],
-     4, ["constraint system", f"constraints[{FIRST_OR}]", "sign 2"]),
+     4, rejected(f"constraints[{FIRST_OR}]")),
     ("export-cnf-or-sign-string",
      lambda t, s: ["export-cnf", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][FIRST_OR]["lits"][0].__setitem__(1, "x")),
                    "--out", str(t / "x.cnf")],
-     4, ["constraint system", f"constraints[{FIRST_OR}]", "sign 'x'"]),
+     4, rejected(f"constraints[{FIRST_OR}]")),
     ("solve-or-sign-boolean",
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][FIRST_OR]["lits"][0].__setitem__(1, True))],
-     4, ["constraint system", f"constraints[{FIRST_OR}]", "sign True"]),
+     4, rejected(f"constraints[{FIRST_OR}]")),
     ("export-cnf-xor-parity-boolean",
      lambda t, s: ["export-cnf", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][FIRST_XOR].update(parity=True)),
                    "--out", str(t / "x.cnf")],
-     4, ["constraint system", f"constraints[{FIRST_XOR}]", "parity True"]),
+     4, rejected(f"constraints[{FIRST_XOR}]")),
     ("solve-tag-integer",
      lambda t, s: ["solve", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][FIRST_XOR].update(tag=5))],
-     4, ["constraint system", f"constraints[{FIRST_XOR}]", "tag 5"]),
+     4, rejected(f"constraints[{FIRST_XOR}]")),
     ("export-cnf-tag-list",
      lambda t, s: ["export-cnf", "--system",
                    write_edited(t / "s.json", encode(GRAPH).to_json(),
                                 lambda d: d["constraints"][LAST_CONSTRAINT].update(tag=[1])),
                    "--out", str(t / "x.cnf")],
-     4, ["constraint system", f"constraints[{LAST_CONSTRAINT}]", "tag [1]"]),
+     4, rejected(f"constraints[{LAST_CONSTRAINT}]")),
     ("decode-record-degree-not-integer",
      lambda t, s: ["decode", "--code",
                    write_edited(t / "r.json", sweep_record(s),
                                 lambda d: d["stats"]["qubit_degree_hist"].update(x=1))],
      4, ["code stats", "'qubit_degree_hist'", "'x'"]),
+    ("solve-degree-rows-dropped",
+     lambda t, s: ["solve", "--system",
+                   write_edited(t / "s.json", DEGREE_SYSTEM, drop_degree_rows_and_balance)],
+     4, rejected(f"constraints[{FIRST_LINEAR}]")),
+    ("export-cnf-degree-rows-dropped",
+     lambda t, s: ["export-cnf", "--system",
+                   write_edited(t / "s.json", DEGREE_SYSTEM, drop_degree_rows_and_balance),
+                   "--out", str(t / "x.cnf")],
+     4, rejected(f"constraints[{FIRST_LINEAR}]")),
+    ("decode-code-n-zero",
+     lambda t, s: ["decode", "--code",
+                   write_edited(t / "c.json", '{"n": 0, "hx": [], "hz": []}', lambda d: None)],
+     4, ["CSS code", "n must be at least 1, got 0"]),
+    ("decode-code-n-negative",
+     lambda t, s: ["decode", "--code",
+                   write_edited(t / "c.json", '{"n": -3, "hx": [], "hz": []}', lambda d: None)],
+     4, ["CSS code", "n must be at least 1, got -3"]),
     ("decode-code-not-commuting",
      lambda t, s: ["decode", "--code", write_edited(t / "c.json", NON_COMMUTING, lambda d: None)],
      4, ["commut"]),

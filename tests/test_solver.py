@@ -459,14 +459,29 @@ def check_reasons(engine):
             assert position[q >> 1] < i
 
 
+def record_binaries(monkeypatch):
+    """Patch _Engine._load to keep the literal pairs of the system's binary OR clauses
+    as engine.binaries, or None where a conflict stopped the load before its end."""
+    load = solver._Engine._load
+
+    def recording(engine, cs):
+        load(engine, cs)
+        engine.binaries = [[2 * v + (0 if pos else 1) for v, pos in c.lits] for c in cs.constraints
+                           if isinstance(c, OrClause) and len(c.lits) == 2] if engine.ok else None
+
+    monkeypatch.setattr(solver._Engine, "_load", recording)
+
+
 def check_binary_watches(engine):
     """Each original binary clause (l0, l1) is the int l1 in watches[l0] and the int
-    l0 in watches[l1], once each, and no other int is in any watch list."""
+    l0 in watches[l1], once each, and no other int is in any watch list.  Needs
+    record_binaries."""
+    if engine.binaries is None:
+        return
     expected = [Counter() for _ in engine.watches]
-    for clause in engine.clauses:
-        if len(clause) == 2:
-            expected[clause[0]][clause[1]] += 1
-            expected[clause[1]][clause[0]] += 1
+    for l0, l1 in engine.binaries:
+        expected[l0][l1] += 1
+        expected[l1][l0] += 1
     for lit, wl in enumerate(engine.watches):
         assert Counter(c for c in wl if type(c) is int) == expected[lit]
 
@@ -516,6 +531,7 @@ class TestEngineInvariants:
         assert len(calls) > 800 and binary_reasons
 
     def test_binary_clauses_stay_watched_as_their_other_literal(self, monkeypatch):
+        record_binaries(monkeypatch)
         reduces = hook_engine(monkeypatch, "_reduce_db", after=check_binary_watches)
         slices = hook_engine(monkeypatch, "search", after=check_binary_watches)
         self.solve_all()
@@ -529,7 +545,7 @@ class TestEngineInvariants:
         # deciding x0 falsifies ~x0: (~x0 | x1) implies x1, then (~x0 | ~x1) is in conflict
         cs = raw_system(2, [OrClause(((0, False), (1, True)), "t"), OrClause(((0, False), (1, False)), "t")])
         engine = solver._Engine(cs, 0, None, solver.SolverStats())
-        assert engine.watches[1] == [2, 3] and len(engine.clauses) == 2
+        assert engine.watches[1] == [2, 3] and engine.num_clauses == 2
         engine.trail_lim.append(0)
         engine._enqueue(0, None)
         assert engine._propagate() == [3, 1]
