@@ -23,6 +23,7 @@ from pathlib import Path
 from .constraints import ConstraintSystem, EncodingParams, constraint_census, encode, gc_paused
 from .cnf import export_cnf
 from .css import CssCode
+from .documents import in_file
 from .graphs import SupportGraph, sample_support_graph
 from .harness import (
     DECODING_COLUMNS,
@@ -122,7 +123,7 @@ def _cmd_find_code(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig.from_dict(json.loads(Path(args.config).read_text()))
+    cfg = SweepConfig.from_dict(Path(args.config).read_text())
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     pixels = run_phase_sweep(cfg)
@@ -151,12 +152,13 @@ def _cmd_density(args) -> int:
 
 
 def _load_code_or_record(path: str) -> CodeRecord:
-    doc = json.loads(Path(path).read_text())
-    if isinstance(doc, dict) and "code" in doc:
-        record = CodeRecord.from_json(doc)
-        record.validate()
-        return record
-    code = CssCode.from_json(doc)
+    with in_file(path):  # a CSS code or a code record: the path names it
+        doc = json.loads(Path(path).read_text())
+        if isinstance(doc, dict) and "code" in doc:
+            record = CodeRecord.from_json(doc)
+            record.validate()
+            return record
+        code = CssCode.from_json(doc)
     return CodeRecord.build(code, provenance={"params": {}, "source": path})
 
 

@@ -10,9 +10,9 @@ map is embedded as comment lines.
 CnfExport keeps text, num_orig, num_vars and num_clauses: the clause
 list is the body of text after its "p cnf" header, num_clauses lines.
 assignment_from_model pulls a model found by an external solver back
-onto the original variables.  Each variable's two literal strings are
-built once; an OR clause is one join over them, and an XOR or
-cardinality row is one % format of its shape's clauses.
+onto the original variables.  Literal l's string is built once, at index
+l (2v: "v+1", 2v + 1: "-(v+1)"); an OR clause joins its literals' strings,
+and an XOR or cardinality row is one % format over its positive ones.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class _Network:
 def _shape(key: tuple) -> tuple[str, Callable, int, int]:
     """(format, getter, auxiliaries, clauses) of an XOR key (parity, width) or a
     cardinality key (cmp, bound, width).  The format joins the clauses with
-    " 0\\n", one %s per literal; the getter picks the fields from the row's
-    literal strings, laid out (negative, positive) per slot."""
+    " 0\\n", one %s per literal and -%s per negated one; the getter picks the
+    fields from the positive literal strings of the row's slots."""
     *rule, width = key
     net = _Network(width)
     slots = list(range(1, width + 1))
@@ -126,8 +126,8 @@ def _shape(key: tuple) -> tuple[str, Callable, int, int]:
             net.at_most([-l for l in slots], width - bound)
         if cmp in ("<=", "=="):
             net.at_most(slots, bound)
-    fields = [2 * abs(l) - 2 + (l > 0) for clause in net.clauses for l in clause]
-    fmt = " 0\n".join([" ".join(["%s"] * len(clause)) for clause in net.clauses])
+    fields = [abs(l) - 1 for clause in net.clauses for l in clause]
+    fmt = " 0\n".join([" ".join(["%s" if l > 0 else "-%s" for l in clause]) for clause in net.clauses])
     # with one field the getter returns that string, which % takes as its one argument
     return fmt, itemgetter(*fields) if fields else lambda flat: (), net.top - width, len(net.clauses)
 
@@ -136,26 +136,26 @@ def _shape(key: tuple) -> tuple[str, Callable, int, int]:
 def export_cnf(cs: ConstraintSystem) -> CnfExport:
     """Render a constraint system as DIMACS CNF with a variable side-table."""
     n_orig = top = cs.num_vars
-    lit = [(str(-v - 1), str(v + 1)) for v in range(n_orig)]  # per variable, indexed by polarity
+    lit = [text for v in range(n_orig) for text in (str(v + 1), str(-v - 1))]  # per literal
     bodies: list[str] = []  # clause lines without their " 0", one or more per entry
     num_clauses = 0
     shapes: dict[tuple, tuple[str, Callable, int, int]] = {}
     for c in cs.constraints:
         if isinstance(c, OrClause):
-            bodies.append(" ".join([lit[v][pos] for v, pos in c.lits]))
+            bodies.append(" ".join(map(lit.__getitem__, c.lits)))
             num_clauses += 1
             continue
         key = (c.parity, len(c.vars)) if isinstance(c, XorClause) else (c.cmp, c.bound, len(c.vars))
         fmt, get, n_aux, n_clauses = shapes.get(key) or shapes.setdefault(key, _shape(key))
-        flat = [s for v in c.vars for s in lit[v]]
+        flat = [lit[2 * v] for v in c.vars]
         if n_aux:  # the row's auxiliaries are the next n_aux DIMACS variables
-            flat += [s for d in range(top + 1, top + n_aux + 1) for s in (str(-d), str(d))]
+            flat += map(str, range(top + 1, top + n_aux + 1))
             top += n_aux
         if n_clauses:
             bodies.append(fmt % get(flat))
             num_clauses += n_clauses
     head = ["c stabsearch constraint system export\n"]
-    head += ["c map %d %s\n" % (v, lit[v][1]) for v in range(n_orig)]
+    head += ["c map %d %s\n" % (v, lit[2 * v]) for v in range(n_orig)]
     head.append("p cnf %d %d\n" % (top, num_clauses))
     if bodies:
         head += [" 0\n".join(bodies), " 0\n"]

@@ -21,7 +21,8 @@ qubit we emit:
 Pairs with no shared qubit commute vacuously and emit nothing.  Degree
 and balance requirements are integer cardinality constraints kept in
 native form; the solver propagates them directly and the CNF exporter
-expands them only on export.
+expands them only on export.  An OR clause holds the solver's literals,
+2v for variable v true and 2v + 1 for v false, written [v, 1] and [v, 0].
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class VarRef(NamedTuple):
 
 
 class OrClause(NamedTuple):
-    lits: tuple[tuple[int, bool], ...]  # (variable id, True for positive literal)
+    lits: tuple[int, ...]  # 2v: variable v is true, 2v + 1: v is false
     tag: str
 
 
@@ -174,12 +175,12 @@ class ConstraintSystem:
     def to_json(self) -> str:
         """json.dumps(document, sort_keys=True), with each constraint written directly."""
         tags: dict[str, str] = {}
-        lit = [(f"[{v}, 0]", f"[{v}, 1]") for v in range(self.num_vars)]  # per variable, indexed by polarity
+        lit = [text for v in range(self.num_vars) for text in (f"[{v}, 1]", f"[{v}, 0]")]  # per literal
         out = []
         for c in self.constraints:
             tag = tags.get(c.tag) or tags.setdefault(c.tag, json.dumps(c.tag))
             if isinstance(c, OrClause):
-                lits = ", ".join([lit[v][pos] for v, pos in c.lits])
+                lits = ", ".join(map(lit.__getitem__, c.lits))
                 out.append('{"lits": [%s], "tag": %s, "type": "or"}' % (lits, tag))
             elif isinstance(c, XorClause):
                 out.append('{"parity": %d, "tag": %s, "type": "xor", "vars": [%s]}'
@@ -272,12 +273,12 @@ def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintS
     The degree and balance constraints that params asks for follow the
     commutation constraints, and type indicators follow the pair
     auxiliaries.  Ids are positions in that order, so they are computed,
-    and every OR clause reuses its variables' literal tuples.
+    and every OR clause reuses its variables' literal ints.
     """
     params = params or EncodingParams()
     edges, ne, pairs = g.edges, len(g.edges), intersecting_pairs(g)
     first_x = ne + g.m + sum(2 + len(shared) for _, _, shared in pairs)  # x(e) = first_x + 2e, z(e) next
-    lits = [((v, False), (v, True)) for v in range(first_x + 2 * ne * (params.min_qubit_degree > 0))]
+    lits = [(2 * v + 1, 2 * v) for v in range(first_x + 2 * ne * (params.min_qubit_degree > 0))]
     col: list[dict[int, int]] = [{} for _ in range(g.m)]  # col[s][q]: id of activator (q, s)
     for a, (q, s) in enumerate(edges):
         col[s][q] = a

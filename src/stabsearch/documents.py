@@ -12,6 +12,7 @@ import functools
 import json
 import types
 import typing
+from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 
 _NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
@@ -41,6 +42,22 @@ def read_document(kind: str, source: str | dict, shape: dict, optional: frozense
     if missing := shape.keys() - doc.keys() - optional:
         raise ValueError(f"{kind}: missing key {min(missing)!r}")
     return {key: doc[key] for key in shape if key in doc}
+
+
+@contextmanager
+def in_file(path):
+    """Prefix the message of an error raised while reading path with the
+    path.  The exception keeps its class unless that class formats its
+    message from its own fields (UnicodeDecodeError), which becomes a
+    ValueError."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        message = f"{path}: {exc}"
+        exc.args = (message,)
+        if str(exc) != message:
+            raise ValueError(message) from exc
+        raise
 
 
 def check_fields(kind: str, obj) -> None:

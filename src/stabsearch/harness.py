@@ -15,7 +15,7 @@ import json
 import math
 import os
 import signal
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from multiprocessing import Pool
@@ -24,7 +24,7 @@ from pathlib import Path
 from .constraints import EncodingParams, degree_obstruction, encode, gc_paused
 from .css import CssCode, CodeStats, check_commutation, extract_code
 from .css import satisfies_degree_bounds, stats as code_stats
-from .documents import check_fields, fields_shape, read_document
+from .documents import check_fields, fields_shape, in_file, read_document
 from .erasure import failure_rate
 from .graphs import sample_support_graph
 from .rng import RngSpec, stable_hash64
@@ -262,26 +262,10 @@ def _pixel_path(out: Path, n: int, gamma_index: int) -> Path:
     return out / "pixels" / f"pixel_n{n}_g{gamma_index:03d}.json"
 
 
-@contextmanager
-def _in_file(path: Path):
-    """Prefix the message of an error raised while reading path with the
-    path.  The exception keeps its class unless that class formats its
-    message from its own fields (UnicodeDecodeError), which becomes a
-    ValueError."""
-    try:
-        yield
-    except (ValueError, TypeError) as exc:
-        message = f"{path}: {exc}"
-        exc.args = (message,)
-        if str(exc) != message:
-            raise ValueError(message) from exc
-        raise
-
-
 def _read_pixel(path: Path) -> PixelResult:
     """A pixel file: the PixelResult fields plus its verdicts and record ids."""
     shape = {**fields_shape(PixelResult)[0], "verdicts": (list,), "records": (list,)}
-    with _in_file(path):
+    with in_file(path):
         doc = read_document("pixel", path.read_text(), shape, version=PIXEL_FORMAT_VERSION)
     del doc["verdicts"], doc["records"]
     return PixelResult(**doc)
@@ -321,7 +305,7 @@ def run_phase_sweep(cfg: SweepConfig) -> list[PixelResult]:
 
     config_path = out / "config.json"
     if config_path.exists():
-        with _in_file(config_path):
+        with in_file(config_path):
             stored = SweepConfig.from_dict(config_path.read_text())
         if replace(stored, out_dir=cfg.out_dir, workers=cfg.workers) != cfg:
             raise ValueError(f"output directory {out} holds a sweep with a different config")
@@ -353,7 +337,7 @@ def sweep_records(out_dir: str | Path) -> list[CodeRecord]:
     out = Path(out_dir)
     records = []
     for path in sorted((out / "codes").glob("*.json")):
-        with _in_file(path):
+        with in_file(path):
             rec = CodeRecord.from_json(path.read_text())
             rec.validate()
         records.append(rec)

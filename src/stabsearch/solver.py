@@ -13,7 +13,8 @@ The search is CDCL over boolean variables with three native propagators:
 Branching is activity-driven with phase saving and seeded random
 tie-breaking; restarts follow a Luby schedule.  The budget is counted
 in deterministic work units (propagations, plus the kernel probe's
-GF(2) row XORs) derived from the configured time budget, so a given
+GF(2) row XORs and the vectors its repair step and lightening pass
+weigh) derived from the configured time budget, so a given
 (system, config) pair always reproduces the same verdict and, when
 satisfiable, the same assignment, on any machine and at any speed.
 
@@ -108,8 +109,8 @@ def check(cs: ConstraintSystem, values: tuple[int, ...]) -> bool:
     for c in cs.constraints:
         kind = type(c)
         if kind is OrClause:
-            for v, pos in c.lits:
-                if values[v] == pos:
+            for lit in c.lits:  # 2v holds when v is 1, 2v + 1 when v is 0
+                if values[lit >> 1] != lit & 1:
                     break
             else:
                 return False
@@ -200,7 +201,8 @@ class _Engine:
         self.stats = stats
         self.ok = True
 
-        # XOR rows [vars, parity, w0, w1], listed under their two watched variables
+        # XOR rows [vars, parity, w0, w1], listed under their two watched variables; vars,
+        # as in cardinality rows, is the system's own tuple, which the engine never changes
         self.xwatches: list[list] = [[] for _ in range(nv)]
         # cardinality rows [vars, bound, atleast, n_true, n_unassigned], under every variable
         self.locc: list[list] = [[] for _ in range(nv)]
@@ -215,7 +217,7 @@ class _Engine:
             if not self.ok:
                 return
             if isinstance(c, OrClause):
-                lits = [2 * v + (0 if pos else 1) for v, pos in c.lits]
+                lits = list(c.lits)
                 if len(lits) == 1:
                     self.ok = self._enqueue(lits[0], None)
                     continue
@@ -227,21 +229,18 @@ class _Engine:
                     watches[lits[0]].append(lits)
                     watches[lits[1]].append(lits)
             elif isinstance(c, XorClause):
-                self._add_xor(list(c.vars), c.parity)
+                vs = c.vars
+                if len(vs) == 1:
+                    self.ok = self._enqueue(2 * vs[0] + (c.parity ^ 1), None)
+                    continue
+                row = [vs, c.parity, 0, 1]
+                self.xwatches[vs[0]].append(row)
+                self.xwatches[vs[1]].append(row)
             else:
                 self._add_linear(c)
 
-    def _add_xor(self, vs: list[int], parity: int):
-        if len(vs) == 1:
-            if not self._enqueue(2 * vs[0] + (parity ^ 1), None):
-                self.ok = False
-            return
-        row = [vs, parity, 0, 1]
-        self.xwatches[vs[0]].append(row)
-        self.xwatches[vs[1]].append(row)
-
     def _add_linear(self, c: Linear):
-        vars_ = list(c.vars)
+        vars_ = c.vars
         values = self.values
         for atleast in (True, False):
             if c.cmp == ("<=" if atleast else ">="):
@@ -696,9 +695,6 @@ class _Engine:
             self.trail_lim.append(len(self.trail))
             self._enqueue(2 * v + (self.phase[v] ^ 1), None)
 
-    def assignment(self) -> tuple[int, ...]:
-        return tuple(self.values)
-
 
 @gc_paused
 def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
@@ -736,7 +732,7 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
         limit = min(stats.propagations + work, budget)
         engine = _Engine(cs, seed, phases, stats)
         verdict = engine.search(limit)
-        model = engine.assignment()
+        model = tuple(engine.values)
         work *= 2
         seed += 1
 

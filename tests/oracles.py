@@ -20,6 +20,9 @@ evaluation code with the package's solver or rank-based fast paths:
 - the model checker in its original form: isinstance dispatch, a
   generator per OR clause and per cardinality sum, and a tuple test per
   value.
+
+Each reader of an OR clause decodes its literals with its own arithmetic:
+literal l is variable l // 2, true when l is even.
 """
 
 from __future__ import annotations
@@ -75,8 +78,9 @@ def constraint_column(c, cols: list[int], full: int) -> int:
     """Bitset of assignments satisfying one constraint."""
     if isinstance(c, OrClause):
         acc = 0
-        for v, pos in c.lits:
-            acc |= cols[v] if pos else (full ^ cols[v])
+        for lit in c.lits:
+            v, negated = divmod(lit, 2)
+            acc |= (full ^ cols[v]) if negated else cols[v]
         return acc
     if isinstance(c, XorClause):
         acc = 0
@@ -253,7 +257,7 @@ def reference_system_json(cs: ConstraintSystem) -> str:
     """The v1 system document as json.dumps of one dict per constraint."""
     def cdoc(c) -> dict:
         if isinstance(c, OrClause):
-            return {"type": "or", "lits": [[v, int(pos)] for v, pos in c.lits], "tag": c.tag}
+            return {"type": "or", "lits": [[lit // 2, 1 - lit % 2] for lit in c.lits], "tag": c.tag}
         if isinstance(c, XorClause):
             return {"type": "xor", "vars": list(c.vars), "parity": c.parity, "tag": c.tag}
         return {"type": "linear", "vars": list(c.vars), "cmp": c.cmp, "bound": c.bound, "tag": c.tag}
@@ -335,7 +339,7 @@ def reference_dimacs(cs: ConstraintSystem) -> str:
 
     for c in cs.constraints:
         if isinstance(c, OrClause):
-            clauses.append(tuple(v + 1 if pos else -(v + 1) for v, pos in c.lits))
+            clauses.append(tuple(-(lit // 2 + 1) if lit % 2 else lit // 2 + 1 for lit in c.lits))
         elif isinstance(c, XorClause):
             parity_chain([v + 1 for v in c.vars], c.parity)
         else:
@@ -386,7 +390,7 @@ def reference_encode(g: SupportGraph, params: EncodingParams | None = None) -> C
     def new_var(kind: str, index: tuple[int, ...]) -> int:
         vid = len(variables)
         variables.append(VarRef(kind, index))
-        lits.append(((vid, False), (vid, True)))
+        lits.append((2 * vid + 1, 2 * vid))
         return vid
 
     a_id = {edge: new_var(ACTIVATOR, edge) for edge in g.edges}
@@ -445,7 +449,7 @@ def reference_check(cs: ConstraintSystem, values: tuple[int, ...]) -> bool:
         raise ValueError("assignment values must all be 0 or 1")
     for c in cs.constraints:
         if isinstance(c, OrClause):
-            if not any(values[v] == (1 if pos else 0) for v, pos in c.lits):
+            if not any(values[lit // 2] == (0 if lit % 2 else 1) for lit in c.lits):
                 return False
         elif isinstance(c, XorClause):
             acc = 0

@@ -76,9 +76,13 @@ def write_shor(path):
     return str(path)
 
 
-def write_not_an_object(path):
-    path.write_text("[1, 2]")
+def write_text(path, text):
+    path.write_text(text)
     return str(path)
+
+
+def write_not_an_object(path):
+    return write_text(path, "[1, 2]")
 
 
 def sweep_copy(tmp_path, sweep, pattern, edit_text):
@@ -199,6 +203,12 @@ BAD_INPUTS = [
     ("sweep-config-not-object",
      lambda t, s: ["sweep", "--config", write_not_an_object(t / "x.json")], 4,
      ["sweep config", "JSON object"]),
+    ("sweep-config-syntax",
+     lambda t, s: ["sweep", "--config", write_text(t / "x.json", "{,}")], 4,
+     ["sweep config", "Expecting property name"]),
+    ("decode-code-syntax",
+     lambda t, s: ["decode", "--code", write_text(t / "c.json", "{,}"), "--trials", "10",
+                   "--out", str(t / "d.csv")], 4, ["c.json", "Expecting property name"]),
     ("density-truncated-record",
      lambda t, s: ["density", "--sweep", sweep_copy(t, s, "codes/*.json", lambda x: x[:40]),
                    "--out", str(t / "d.csv")], 4, ["code record", first_name("codes/*.json")]),

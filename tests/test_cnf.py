@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -43,7 +44,7 @@ def model_lits(bits):
 
 
 def test_single_or_clause_header_and_line():
-    cs = raw_system(2, [OrClause(((0, True), (1, False)), "t")])
+    cs = raw_system(2, [OrClause((0, 3), "t")])
     export = export_cnf(cs)
     lines = [ln for ln in export.text.splitlines() if not ln.startswith("c")]
     assert lines[0] == "p cnf 2 1"
@@ -119,7 +120,7 @@ def test_solver_verdict_matches_cnf_satisfiability():
 
 
 def test_var_map_comments_present():
-    cs = raw_system(3, [OrClause(((0, True),), "t")])
+    cs = raw_system(3, [OrClause((0,), "t")])
     export = export_cnf(cs)
     assert "c map 0 1" in export.text
     assert "c map 2 3" in export.text
@@ -129,7 +130,7 @@ def test_var_map_comments_present():
 @pytest.mark.parametrize("parity", (0, 1))
 def test_xor_text_matches_reference(width, parity):
     cs = raw_system(width + 1, [XorClause(tuple(range(width, 0, -1)), parity, "t"),
-                                OrClause(((0, False), (width, True)), "t")])
+                                OrClause((1, 2 * width), "t")])
     assert export_cnf(cs).text == reference_dimacs(cs)
 
 
@@ -152,7 +153,7 @@ def test_random_and_encoded_text_matches_reference():
 
 def test_empty_rows_text_matches_reference():
     rows = [OrClause((), "t"), XorClause((), 1, "t"), XorClause((), 0, "t"),
-            Linear((), ">=", 1, "t"), Linear((), "<=", 0, "t"), OrClause(((0, True),), "t")]
+            Linear((), ">=", 1, "t"), Linear((), "<=", 0, "t"), OrClause((0,), "t")]
     for cut in range(len(rows) + 1):
         cs = raw_system(2, rows[:cut])
         export = export_cnf(cs)
@@ -163,10 +164,12 @@ def test_empty_rows_text_matches_reference():
 
 
 def test_int_literal_signs_write_the_bool_text():
-    ints = raw_system(3, [OrClause(((0, 1), (1, 0), (2, 1)), "t"), OrClause(((2, 0),), "t")])
-    bools = raw_system(3, [OrClause(((0, True), (1, False), (2, True)), "t"), OrClause(((2, False),), "t")])
-    assert export_cnf(ints).text == export_cnf(bools).text == reference_dimacs(ints)
-    assert ints.to_json() == bools.to_json() == reference_system_json(ints)
+    # literal 2v is v true, written [v, 1] and v+1; 2v + 1 is v false, written [v, 0] and -(v+1)
+    cs = raw_system(3, [OrClause((0, 3, 4), "t"), OrClause((5,), "t")])
+    assert dimacs_clauses(export_cnf(cs)) == [(1, -2, 3), (-3,)]
+    assert [c["lits"] for c in json.loads(cs.to_json())["constraints"]] == [[[0, 1], [1, 0], [2, 1]], [[2, 0]]]
+    assert export_cnf(cs).text == reference_dimacs(cs)
+    assert cs.to_json() == reference_system_json(cs)
 
 
 @pytest.mark.parametrize("params", [EncodingParams(), EncodingParams(min_qubit_degree=2),

@@ -400,10 +400,10 @@ class TestSystemDocument:
         tags = ['say "hi"', "back\\slash", "naïve ✓", "tab\tnew\nline", ""]
         g, variables = free_variables(4)
         cs = ConstraintSystem(g, variables, [
-            OrClause(((0, True), (3, False)), tags[0]),
+            OrClause((0, 7), tags[0]),
             XorClause((1, 2), 0, tags[1]),
             Linear((0, 1, 2), "==", 2, tags[2]),
-            OrClause(((2, 1),), tags[3]),
+            OrClause((4,), tags[3]),
             Linear((), "<=", 0, tags[4]),
         ])
         assert cs.to_json() == reference_system_json(cs)

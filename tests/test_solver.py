@@ -53,7 +53,7 @@ def random_system(rng: random.Random, nv: int) -> ConstraintSystem:
         if kind < 0.5:
             w = rng.randint(1, min(4, nv))
             vs = rng.sample(range(nv), w)
-            cons.append(OrClause(tuple((v, rng.random() < 0.5) for v in vs), "rnd"))
+            cons.append(OrClause(tuple(2 * v + (rng.random() >= 0.5) for v in vs), "rnd"))
         elif kind < 0.8:
             w = rng.randint(2, min(7, nv))
             vs = rng.sample(range(nv), w)
@@ -70,7 +70,7 @@ def random_3sat(seed: int, nv: int, ratio: float, n_binary: int) -> ConstraintSy
     rng = random.Random(seed)
     widths = [3] * round(ratio * nv) + [2] * n_binary
     return raw_system(nv, [
-        OrClause(tuple((v, rng.random() < 0.5) for v in rng.sample(range(nv), w)), "rnd") for w in widths
+        OrClause(tuple(2 * v + (rng.random() >= 0.5) for v in rng.sample(range(nv), w)), "rnd") for w in widths
     ])
 
 
@@ -101,7 +101,7 @@ class TestCheck:
         cs = raw_system(
             3,
             [
-                OrClause(((0, True), (1, False)), "t"),
+                OrClause((0, 3), "t"),
                 XorClause((0, 1, 2), 1, "t"),
                 Linear((0, 1, 2), ">=", 1, "t"),
                 Linear((0, 1, 2), "<=", 2, "t"),
@@ -202,7 +202,7 @@ class TestWarmStart:
         stats = solver.SolverStats()
         engine = solver._Engine(cs, seed, phases, stats)
         assert engine.search(solver.PROPS_PER_SECOND) == SAT
-        assert engine.assignment() == phases and stats.conflicts == 0
+        assert tuple(engine.values) == phases and stats.conflicts == 0
 
     def test_brute_force_model_as_phases(self):
         rng = random.Random(31)
@@ -249,7 +249,7 @@ class TestOracleAgreement:
             engine = solver._Engine(cs, trial, None, solver.SolverStats())
             assert engine.search(solver.PROPS_PER_SECOND) == expected
             if expected == SAT:
-                assert check(cs, engine.assignment())
+                assert check(cs, tuple(engine.values))
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60)
@@ -272,7 +272,7 @@ class TestOracleAgreement:
             for _ in range(4):
                 w = rng.randint(1, min(4, nv))
                 vs = rng.sample(range(nv), w)
-                constraints.append(OrClause(tuple((v, rng.random() < 0.5) for v in vs), "x"))
+                constraints.append(OrClause(tuple(2 * v + (rng.random() >= 0.5) for v in vs), "x"))
                 verdict = solve(ConstraintSystem(g, variables, constraints)).verdict
                 if seen_unsat:
                     assert verdict == UNSAT
@@ -308,6 +308,15 @@ class TestDeterminism:
         result = solve(encode(band_graph(30, 0.4), EncodingParams(min_qubit_degree=3)), band_config(30, 0.4))
         assert result.stats.propagations > solver._MIN_SLICE
         assert work_row(result) == PINNED_BAND_SWEEP[1]
+
+    def test_solving_twice_leaves_the_system_as_stored(self):
+        # every slice's engine loads the system's own literal and variable tuples
+        cs = encode(band_graph(30, 0.4), EncodingParams(min_qubit_degree=3))
+        text = cs.to_json()
+        first = solve(cs, band_config(30, 0.4))
+        assert first.stats.propagations > solver._MIN_SLICE  # more than one slice ran
+        assert solve(cs, band_config(30, 0.4)) == first
+        assert cs.to_json() == text
 
 
 # (verdict, decisions, conflicts, propagations, restarts, learned, model hash)
@@ -466,7 +475,7 @@ def record_binaries(monkeypatch):
 
     def recording(engine, cs):
         load(engine, cs)
-        engine.binaries = [[2 * v + (0 if pos else 1) for v, pos in c.lits] for c in cs.constraints
+        engine.binaries = [list(c.lits) for c in cs.constraints
                            if isinstance(c, OrClause) and len(c.lits) == 2] if engine.ok else None
 
     monkeypatch.setattr(solver._Engine, "_load", recording)
@@ -543,7 +552,7 @@ class TestEngineInvariants:
 
     def test_binary_conflict_is_other_then_falsified(self):
         # deciding x0 falsifies ~x0: (~x0 | x1) implies x1, then (~x0 | ~x1) is in conflict
-        cs = raw_system(2, [OrClause(((0, False), (1, True)), "t"), OrClause(((0, False), (1, False)), "t")])
+        cs = raw_system(2, [OrClause((1, 2), "t"), OrClause((1, 3), "t")])
         engine = solver._Engine(cs, 0, None, solver.SolverStats())
         assert engine.watches[1] == [2, 3] and engine.num_clauses == 2
         engine.trail_lim.append(0)
