@@ -33,7 +33,7 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 from operator import attrgetter, itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .documents import check_fields, fields_shape, read_document
 from .graphs import SupportGraph
@@ -360,6 +360,21 @@ def consistent_completion(cs: ConstraintSystem, rows: list[int], paulis: list[in
         else:
             put(paulis[index[0]])
     return tuple(values)
+
+
+def model_candidate(g: SupportGraph, values: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The candidate (rows, paulis) an assignment determines, the inverse of
+    consistent_completion: rows[s] holds the qubits of stabilizer s's true
+    activators and paulis[s] its Pauli value.  Reads only the activators,
+    first in edge order, and the Pauli variables that follow them."""
+    ne = len(g.edges)
+    if len(values) < ne + g.m:
+        raise ValueError("assignment does not cover the graph's activator and Pauli variables")
+    rows = [0] * g.m
+    for (q, s), active in zip(g.edges, values):
+        if active:
+            rows[s] |= 1 << q
+    return rows, list(values[ne:ne + g.m])
 
 
 @dataclass(frozen=True)

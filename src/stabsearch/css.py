@@ -1,9 +1,12 @@
 """CSS stabilizer codes as pairs of GF(2) check matrices.
 
-A solved coloring turns into a code by reading each stabilizer's type
-from its Pauli variable and its row support from the active edges.  The
-defining invariant is hx . hz^T = 0 over GF(2): every X generator
-overlaps every Z generator on an even number of qubits.
+A code holds its checks as int rows, bit q = qubit q, the form the
+kernel probe's candidates and the erasure decoder use too.  A solved
+coloring turns into a code through constraints.model_candidate, which
+reads each stabilizer's row from its active edges and its type from its
+Pauli variable.  The defining invariant is hx . hz^T = 0 over GF(2):
+every X generator overlaps every Z generator on an even number of
+qubits.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .constraints import EncodingParams
+from .constraints import EncodingParams, model_candidate
 from .documents import fields_shape, read_document
-from .gf2 import BitMatrix
+from .gf2 import rank_int_rows
 from .graphs import SupportGraph
 
 CODE_FORMAT_VERSION = 1
@@ -26,21 +29,27 @@ class CommutationError(ValueError):
 
 @dataclass(frozen=True)
 class CssCode:
+    """A code on n qubits; hx and hz hold one int per X and Z check, bit q = qubit q."""
+
     n: int
-    hx: BitMatrix
-    hz: BitMatrix
+    hx: tuple[int, ...]
+    hz: tuple[int, ...]
 
     def __post_init__(self):
-        _check_n(self.n)
-        if self.hx.cols != self.n or self.hz.cols != self.n:
-            raise ValueError("check matrices must have n columns")
+        limit = 1 << _check_n(self.n)
+        for key in ("hx", "hz"):
+            rows = tuple(getattr(self, key))
+            object.__setattr__(self, key, rows)
+            for i, row in enumerate(rows):
+                if not 0 <= row < limit:
+                    raise ValueError(f"CSS code: {key}[{i}] = {row} is not a row on n={self.n} qubits")
 
     def to_json(self) -> str:
         doc = {
             "format_version": CODE_FORMAT_VERSION,
             "n": self.n,
-            "hx": self.hx.to_strings(),
-            "hz": self.hz.to_strings(),
+            "hx": [format(r, f"0{self.n}b")[::-1] for r in self.hx],
+            "hz": [format(r, f"0{self.n}b")[::-1] for r in self.hz],
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -48,17 +57,13 @@ class CssCode:
     def from_json(cls, source: str | dict) -> "CssCode":
         shape = {"n": (int,), "hx": (list,), "hz": (list,)}  # matrices as bitstring rows
         doc = read_document("CSS code", source, shape, version=CODE_FORMAT_VERSION)
-        n = _check_n(doc["n"])  # before the matrices, which cannot take a negative n
+        n = _check_n(doc["n"])  # before the rows, whose length it fixes
         for key in ("hx", "hz"):
             for i, row in enumerate(doc[key]):
                 if type(row) is not str or len(row) != n or row.strip("01"):
                     raise ValueError(f"CSS code: {key}[{i}] must be a string of n={n} "
                                      f"characters 0 or 1, got {row!r}")
-        return cls(
-            n=n,
-            hx=BitMatrix.from_strings(doc["hx"], cols=n),
-            hz=BitMatrix.from_strings(doc["hz"], cols=n),
-        )
+        return cls(n, _rows(doc["hx"]), _rows(doc["hz"]))
 
 
 def _check_n(n: int) -> int:
@@ -67,10 +72,15 @@ def _check_n(n: int) -> int:
     return n
 
 
+def _rows(strings: list[str]) -> tuple[int, ...]:
+    """Int rows of bitstrings whose character q is qubit q."""
+    return tuple(int(s[::-1], 2) for s in strings)
+
+
 def check_commutation(c: CssCode) -> bool:
     """True iff hx . hz^T = 0, i.e. all X/Z generator overlaps are even."""
-    for rx in c.hx.rows:
-        for rz in c.hz.rows:
+    for rx in c.hx:
+        for rz in c.hz:
             if (rx & rz).bit_count() & 1:
                 return False
     return True
@@ -79,22 +89,14 @@ def check_commutation(c: CssCode) -> bool:
 def extract_code(g: SupportGraph, a: tuple[int, ...]) -> CssCode:
     """Decode a satisfying assignment into a CSS code.
 
-    Relies on the canonical variable layout: activators first in edge
-    order, then one Pauli variable per stabilizer.  Stabilizers with
-    Pauli value 1 become hx rows, the rest hz rows; a row has a 1 in
-    column q iff the corresponding edge is active.  Rejects assignments
-    whose induced generators do not commute.
+    Stabilizers with Pauli value 1 become hx rows, the rest hz rows, in
+    stabilizer order; a row has bit q set iff edge (q, s) is active.
+    Rejects assignments whose induced generators do not commute.
     """
-    n_edges = len(g.edges)
-    if len(a) < n_edges + g.m:
-        raise ValueError("assignment does not cover the graph's activator and Pauli variables")
-    row_of = [0] * g.m
-    for i, (q, s) in enumerate(g.edges):
-        if a[i]:
-            row_of[s] |= 1 << q
-    hx_rows = [row_of[s] for s in range(g.m) if a[n_edges + s] == 1]
-    hz_rows = [row_of[s] for s in range(g.m) if a[n_edges + s] == 0]
-    code = CssCode(n=g.n, hx=BitMatrix(tuple(hx_rows), g.n), hz=BitMatrix(tuple(hz_rows), g.n))
+    rows, paulis = model_candidate(g, a)
+    hx = tuple(r for r, x in zip(rows, paulis) if x)
+    hz = tuple(r for r, x in zip(rows, paulis) if not x)
+    code = CssCode(g.n, hx, hz)
     if not check_commutation(code):
         raise CommutationError("assignment induces anticommuting stabilizer generators")
     return code
@@ -135,25 +137,18 @@ class CodeStats:
 def stats(c: CssCode) -> CodeStats:
     """Code parameters: k from ranks (generators may be dependent), density,
     and degree histograms of the Tanner graph."""
-    m_x = c.hx.num_rows
-    m_z = c.hz.num_rows
-    m = m_x + m_z
-    k = c.n - c.hx.rank() - c.hz.rank()
-    ones = c.hx.total_weight() + c.hz.total_weight()
-    density = ones / (m * c.n) if m else 0.0
-
-    qdeg = [
-        sum((r >> q) & 1 for r in c.hx.rows) + sum((r >> q) & 1 for r in c.hz.rows)
-        for q in range(c.n)
-    ]
-    sdeg = [r.bit_count() for r in c.hx.rows] + [r.bit_count() for r in c.hz.rows]
+    rows = c.hx + c.hz
+    m = len(rows)
+    k = c.n - rank_int_rows(c.hx) - rank_int_rows(c.hz)
+    qdeg = [sum(r >> q & 1 for r in rows) for q in range(c.n)]
+    sdeg = [r.bit_count() for r in rows]
     return CodeStats(
         n=c.n,
-        m_x=m_x,
-        m_z=m_z,
+        m_x=len(c.hx),
+        m_z=len(c.hz),
         k=k,
         rate=k / c.n,
-        density=density,
+        density=sum(sdeg) / (m * c.n) if m else 0.0,
         qubit_degree_hist=dict(Counter(qdeg)),
         stab_degree_hist=dict(Counter(sdeg)),
         mean_stab_degree=(sum(sdeg) / m) if m else 0.0,
@@ -164,11 +159,12 @@ def satisfies_degree_bounds(c: CssCode, params: EncodingParams) -> bool:
     """Check the degree requirements the encoding was built with."""
     if params.min_qubit_degree > 0:
         for q in range(c.n):
-            x_deg = sum((r >> q) & 1 for r in c.hx.rows)
-            z_deg = sum((r >> q) & 1 for r in c.hz.rows)
+            x_deg = sum(r >> q & 1 for r in c.hx)
+            z_deg = sum(r >> q & 1 for r in c.hz)
             if x_deg < params.min_qubit_degree or z_deg < params.min_qubit_degree:
                 return False
-    for w in c.hx.row_weights() + c.hz.row_weights():
+    for r in c.hx + c.hz:
+        w = r.bit_count()
         if w < params.min_stab_degree:
             return False
         if params.max_stab_degree is not None and w > params.max_stab_degree:
@@ -176,20 +172,20 @@ def satisfies_degree_bounds(c: CssCode, params: EncodingParams) -> bool:
     return True
 
 
-def to_alist(mat: BitMatrix) -> str:
-    """Serialize one check matrix in the classical sparse 'alist' layout.
+def to_alist(rows: tuple[int, ...], n: int) -> str:
+    """Serialize one check matrix, its int rows on n columns, in the classical
+    sparse 'alist' layout.
 
     Header: columns rows, then max column/row weight, the per-column and
     per-row weights, then 1-based indices of nonzeros per column and per
     row.
     """
-    n, m = mat.cols, mat.num_rows
-    col_lists = [[i + 1 for i in range(m) if (mat.rows[i] >> j) & 1] for j in range(n)]
-    row_lists = [[j + 1 for j in range(n) if (mat.rows[i] >> j) & 1] for i in range(m)]
+    col_lists = [[i + 1 for i, r in enumerate(rows) if r >> j & 1] for j in range(n)]
+    row_lists = [[j + 1 for j in range(n) if r >> j & 1] for r in rows]
     col_w = [len(c) for c in col_lists]
     row_w = [len(r) for r in row_lists]
     lines = [
-        f"{n} {m}",
+        f"{n} {len(rows)}",
         f"{max(col_w, default=0)} {max(row_w, default=0)}",
         " ".join(map(str, col_w)),
         " ".join(map(str, row_w)),
@@ -199,31 +195,34 @@ def to_alist(mat: BitMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_alist(text: str) -> BitMatrix:
-    lines = [ln.strip() for ln in text.strip("\n").split("\n")]
-    n, m = map(int, lines[0].split())
-    row_start = 4 + n
-    rows = [0] * m
-    for i in range(m):
-        if row_start + i >= len(lines) or not lines[row_start + i]:
-            continue
-        for tok in lines[row_start + i].split():
-            j = int(tok)
-            if j > 0:  # zero entries are padding in some writers
-                rows[i] |= 1 << (j - 1)
-    return BitMatrix(tuple(rows), n)
+def from_alist(text: str) -> tuple[tuple[int, ...], int]:
+    """The int rows and column count of an alist text, read from its header
+    and its m per-row index lines; an index 0 is padding, as some writers
+    pad rows to the maximum weight.  Errors name the 1-based line."""
+    lines = text.splitlines()
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or not all(tok.isdecimal() for tok in header):
+        raise ValueError(f"alist line 1: header must be two non-negative integers n m, got {(lines or [''])[0]!r}")
+    n, m = map(int, header)
+    if len(lines) < 4 + n + m:
+        raise ValueError(f"alist line {len(lines) + 1}: missing; n={n} and m={m} need {4 + n + m} lines")
+    rows = []
+    for number, line in enumerate(lines[4 + n:4 + n + m], start=5 + n):
+        cols = line.split()
+        if not all(tok.isdecimal() and int(tok) <= n for tok in cols):
+            raise ValueError(f"alist line {number}: row indices must be integers in 0..{n}, got {line!r}")
+        rows.append(sum(1 << (j - 1) for j in set(map(int, cols)) if j))
+    return tuple(rows), n
 
 
 def shor_code() -> CssCode:
     """The 9-qubit code: two weight-6 X generators, six weight-2 Z generators."""
-    hx = BitMatrix.from_strings(["111111000", "000111111"])
-    hz = BitMatrix.from_strings(
-        ["110000000", "011000000", "000110000", "000011000", "000000110", "000000011"]
-    )
+    hx = _rows(["111111000", "000111111"])
+    hz = _rows(["110000000", "011000000", "000110000", "000011000", "000000110", "000000011"])
     return CssCode(n=9, hx=hx, hz=hz)
 
 
 def steane_code() -> CssCode:
     """The 7-qubit code: Hamming-code checks on both sides."""
-    rows = ["0001111", "0110011", "1010101"]
-    return CssCode(n=7, hx=BitMatrix.from_strings(rows), hz=BitMatrix.from_strings(rows))
+    rows = _rows(["0001111", "0110011", "1010101"])
+    return CssCode(n=7, hx=rows, hz=rows)

@@ -101,10 +101,9 @@ def _class_counter(c: CssCode):
     """Per-code set-up: returns g(mask, weight), equal to logical_class_log2."""
     if not check_commutation(c):
         raise CommutationError("check matrices do not commute")
-    hx, hz = list(c.hx.rows), list(c.hz.rows)
-    bx, bz = independent_rows(hx, px := {}), independent_rows(hz, pz := {})
-    lx = independent_rows(kernel(hz, range(c.n))[0], px)
-    lz = independent_rows(kernel(hx, range(c.n))[0], pz)
+    bx, bz = independent_rows(c.hx, px := {}), independent_rows(c.hz, pz := {})
+    lx = independent_rows(kernel(c.hz, range(c.n))[0], px)
+    lz = independent_rows(kernel(c.hx, range(c.n))[0], pz)
 
     def class_log2(mask: int, w: int) -> int:
         return _gain(bz, lz, mask, w) + _gain(bx, lx, mask, w)
@@ -116,7 +115,7 @@ def logical_class_log2(c: CssCode, e: ErasurePattern) -> int:
     """log2 of the number of logical classes supported on the erasure."""
     if e.n != c.n:
         raise ValueError("pattern length does not match the code")
-    hx, hz = list(c.hx.rows), list(c.hz.rows)
+    hx, hz = c.hx, c.hz
     mask, comp = e.mask, ((1 << c.n) - 1) ^ e.mask
     gx = (e.weight - rank_masked(hz, mask)) - (rank_int_rows(hx) - rank_masked(hx, comp))
     gz = (e.weight - rank_masked(hx, mask)) - (rank_int_rows(hz) - rank_masked(hz, comp))

@@ -217,7 +217,7 @@ class _Engine:
             if not self.ok:
                 return
             if isinstance(c, OrClause):
-                lits = list(c.lits)
+                lits = c.lits
                 if len(lits) == 1:
                     self.ok = self._enqueue(lits[0], None)
                     continue
@@ -225,7 +225,8 @@ class _Engine:
                 if len(lits) == 2:
                     watches[lits[0]].append(lits[1])
                     watches[lits[1]].append(lits[0])
-                else:
+                else:  # a long clause reorders its literals as its watches move: a copy
+                    lits = list(lits)
                     watches[lits[0]].append(lits)
                     watches[lits[1]].append(lits)
             elif isinstance(c, XorClause):

@@ -205,8 +205,8 @@ def brute_force_class_log2(code: CssCode, mask: int) -> int:
         assert commuting % inside == 0
         return commuting // inside
 
-    cx = sector_count(list(code.hz.rows), list(code.hx.rows))
-    cz = sector_count(list(code.hx.rows), list(code.hz.rows))
+    cx = sector_count(code.hz, code.hx)
+    cz = sector_count(code.hx, code.hz)
     total = cx * cz
     g = total.bit_length() - 1
     assert 1 << g == total, "class count must be a power of two"
@@ -227,7 +227,7 @@ def reference_failure_rate(code: CssCode, p: float, trials: int, rng: RngSpec,
     g_Z symmetric.
     """
     n, full = code.n, (1 << code.n) - 1
-    hx, hz = list(code.hx.rows), list(code.hz.rows)
+    hx, hz = code.hx, code.hz
     unit = CounterStream(rng).unit
     fail_sum = sum_sq = 0.0
     for t in range(trials):

@@ -36,6 +36,7 @@ from stabsearch.constraints import (
     degree_obstruction,
     encode,
     intersecting_pairs,
+    model_candidate,
 )
 from stabsearch.css import CommutationError, extract_code
 from stabsearch.graphs import SupportGraph, sample_support_graph
@@ -301,6 +302,7 @@ class TestLayout:
         a = consistent_completion(encode(g), rows, paulis)
         n_edges = len(g.edges)
         assert edge_rows(g, a[:n_edges]) == masked and list(a[n_edges:n_edges + m]) == paulis
+        assert model_candidate(g, a) == (masked, paulis)
         commute = all(paulis[s1] == paulis[s2] or (masked[s1] & masked[s2]).bit_count() % 2 == 0
                       for s1 in range(m) for s2 in range(s1 + 1, m))
         assert check(encode(g), a) == commute
@@ -315,8 +317,8 @@ class TestLayout:
                 extract_code(g, a)
             return
         code = extract_code(g, a)
-        assert code.hx.rows == tuple(masked[s] for s in range(m) if paulis[s])
-        assert code.hz.rows == tuple(masked[s] for s in range(m) if not paulis[s])
+        assert code.hx == tuple(masked[s] for s in range(m) if paulis[s])
+        assert code.hz == tuple(masked[s] for s in range(m) if not paulis[s])
 
 
 class TestReferenceEncoder:

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -17,7 +19,7 @@ from stabsearch.css import (
     steane_code,
     to_alist,
 )
-from stabsearch.gf2 import BitMatrix
+from stabsearch.gf2 import rank_int_rows
 from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch.rng import RngSpec
 from stabsearch.solver import (
@@ -30,23 +32,35 @@ from stabsearch.solver import (
 from oracles import naive_rank
 
 
+def int_rows(bits: list[list[int]]) -> list[int]:
+    return [sum(b << j for j, b in enumerate(row)) for row in bits]
+
+
 class TestBitMatrix:
+    """Check matrices as int rows, bit j = column j: ranks by gf2.rank_int_rows,
+    the row range and the bitstring text by CssCode."""
+
     def test_identity_rank(self):
-        eye = BitMatrix.from_bits([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-        assert eye.rank() == 4
+        eye = int_rows([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+        assert rank_int_rows(eye) == 4
 
     def test_zero_rank(self):
-        assert BitMatrix((0, 0, 0), 5).rank() == 0
+        assert rank_int_rows([0, 0, 0]) == 0
 
     def test_string_round_trip(self):
-        mat = BitMatrix.from_strings(["1010", "0110"])
-        assert mat.to_strings() == ["1010", "0110"]
-        assert mat.entry(0, 0) == 1 and mat.entry(0, 1) == 0
+        code = CssCode.from_json({"format_version": 1, "n": 4, "hx": ["1010"], "hz": ["0110"]})
+        assert code.hx == (0b0101,) and code.hz == (0b0110,)  # character j is bit j
+        assert json.loads(code.to_json())["hx"] == ["1010"]
+        assert json.loads(code.to_json())["hz"] == ["0110"]
 
     def test_row_value_range_enforced(self):
-        with pytest.raises(ValueError):
-            BitMatrix((8,), 3)  # bit 3 out of range for 3 columns
-        BitMatrix((7,), 3)
+        with pytest.raises(ValueError, match=r"CSS code: hx\[1\] = 8 is not a row on n=3 qubits"):
+            CssCode(3, (7, 8), ())  # bit 3 out of range for 3 qubits
+        with pytest.raises(ValueError, match=r"CSS code: hz\[0\] = 8 "):
+            CssCode(3, (), (8,))
+        with pytest.raises(ValueError, match=r"CSS code: hz\[1\] = -1 "):
+            CssCode(3, (), (1, -1))
+        CssCode(3, (7,), (7,))
 
     @given(st.integers(min_value=0, max_value=10**9))
     def test_rank_matches_naive_elimination(self, seed):
@@ -54,7 +68,7 @@ class TestBitMatrix:
         rows = rng.randint(1, 20)
         cols = rng.randint(1, 20)
         bits = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-        assert BitMatrix.from_bits(bits).rank() == naive_rank(bits)
+        assert rank_int_rows(int_rows(bits)) == naive_rank(bits)
 
     def test_rank_matches_naive_on_larger_matrices(self):
         rng = random.Random(9)
@@ -62,23 +76,23 @@ class TestBitMatrix:
             rows = rng.randint(30, 64)
             cols = rng.randint(30, 64)
             bits = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
-            assert BitMatrix.from_bits(bits).rank() == naive_rank(bits)
+            assert rank_int_rows(int_rows(bits)) == naive_rank(bits)
 
 
 class TestKnownCodes:
     def test_shor_structure(self):
         code = shor_code()
         assert code.n == 9
-        assert sorted(code.hx.row_weights()) == [6, 6]
-        assert sorted(code.hz.row_weights()) == [2] * 6
+        assert sorted(r.bit_count() for r in code.hx) == [6, 6]
+        assert sorted(r.bit_count() for r in code.hz) == [2] * 6
         assert check_commutation(code)
         # includes the two-qubit generator on the last pair of qubits
-        assert "000000011" in code.hz.to_strings()
+        assert "000000011" in json.loads(code.to_json())["hz"]
 
     def test_shor_ranks_and_k(self):
         code = shor_code()
-        assert code.hx.rank() == 2
-        assert code.hz.rank() == 6
+        assert rank_int_rows(code.hx) == 2
+        assert rank_int_rows(code.hz) == 6
         assert stats(code).k == 1
 
     def test_shor_density_is_one_third(self):
@@ -96,15 +110,15 @@ class TestKnownCodes:
 
 class TestCommutationPredicate:
     def test_odd_overlap_anticommutes(self):
-        code = CssCode(3, BitMatrix.from_strings(["110"]), BitMatrix.from_strings(["101"]))
+        code = CssCode(3, (0b011,), (0b101,))
         assert not check_commutation(code)
 
     def test_even_overlap_commutes(self):
-        code = CssCode(2, BitMatrix.from_strings(["11"]), BitMatrix.from_strings(["11"]))
+        code = CssCode(2, (0b11,), (0b11,))
         assert check_commutation(code)
 
     def test_empty_sides_commute(self):
-        code = CssCode(4, BitMatrix((), 4), BitMatrix((1, 2), 4))
+        code = CssCode(4, (), (1, 2))
         assert check_commutation(code)
 
 
@@ -114,7 +128,7 @@ class TestExtraction:
         cs = encode(g)
         a = consistent_completion(cs, [0] * g.m, [s % 2 for s in range(g.m)])
         code = extract_code(g, a)
-        assert code.hx.total_weight() == 0 and code.hz.total_weight() == 0
+        assert set(code.hx + code.hz) <= {0}
         assert stats(code).k == 10
 
     def test_extract_rejects_anticommuting_assignment(self):
@@ -150,11 +164,11 @@ class TestExtraction:
         reference = shor_code()
         edges = []
         paulis = []
-        for s, row in enumerate(reference.hx.rows):
+        for s, row in enumerate(reference.hx):
             paulis.append(1)
             edges.extend((q, s) for q in range(9) if (row >> q) & 1)
-        offset = reference.hx.num_rows
-        for s, row in enumerate(reference.hz.rows):
+        offset = len(reference.hx)
+        for s, row in enumerate(reference.hz):
             paulis.append(0)
             edges.extend((q, s + offset) for q in range(9) if (row >> q) & 1)
         g = SupportGraph(n=9, m=8, gamma=1.0, seed=0, edges=tuple(sorted(edges)))
@@ -163,8 +177,8 @@ class TestExtraction:
         assert check(cs, a)
         code = extract_code(g, a)
         assert code == reference
-        assert sorted(code.hx.row_weights()) == [6, 6]
-        assert sorted(code.hz.row_weights()) == [2] * 6
+        assert sorted(r.bit_count() for r in code.hx) == [6, 6]
+        assert sorted(r.bit_count() for r in code.hz) == [2] * 6
 
     def test_degree_bounds_reflected_in_extracted_code(self):
         g = sample_support_graph(14, 12, 0.8, RngSpec(21, 4))
@@ -186,13 +200,35 @@ class TestSerialization:
         assert again.to_json() == text
 
     def test_alist_round_trip(self):
-        for mat in (shor_code().hx, shor_code().hz, steane_code().hx, BitMatrix((0, 0), 4)):
-            assert from_alist(to_alist(mat)) == mat
+        for rows, n in ((shor_code().hx, 9), (shor_code().hz, 9), (steane_code().hx, 7), ((0, 0), 4)):
+            assert from_alist(to_alist(rows, n)) == (rows, n)
 
     def test_alist_header(self):
-        lines = to_alist(shor_code().hz).splitlines()
+        lines = to_alist(shor_code().hz, 9).splitlines()
         assert lines[0] == "9 6"
         assert lines[1] == "2 2"  # max column weight, max row weight
+
+    def test_alist_reads_padding_and_repeats(self):
+        text = to_alist((0b011, 0b110), 3).replace("\n1 2\n2 3\n", "\n1 2 0\n2 3 3\n")
+        assert from_alist(text) == ((0b011, 0b110), 3)
+
+    SHOR_HZ = to_alist(shor_code().hz, 9)  # 4 + 9 + 6 = 19 lines
+
+    @pytest.mark.parametrize("text, message", [
+        ("".join(SHOR_HZ.splitlines(True)[:4]), "alist line 5: missing; n=9 and m=6 need 19 lines"),
+        (SHOR_HZ.rsplit("\n", 2)[0] + "\n", "alist line 19: missing"),
+        ("", "alist line 1: header"),
+        ("9\n" + SHOR_HZ.split("\n", 1)[1], "alist line 1: header must be two non-negative integers n m, got '9'"),
+        ("9 six\n" + SHOR_HZ.split("\n", 1)[1], "alist line 1: header"),
+        ("9 -6\n" + SHOR_HZ.split("\n", 1)[1], "alist line 1: header"),
+        (SHOR_HZ.replace("\n8 9\n", "\n8 10\n"), "alist line 19: row indices must be integers in 0..9, got '8 10'"),
+        (SHOR_HZ.replace("\n1 2\n", "\n1 -2\n"), "alist line 14: row indices"),
+        (SHOR_HZ.replace("\n1 2\n", "\n1 x\n"), "alist line 14: row indices"),
+    ], ids=["cut-after-header", "last-row-missing", "empty", "one-int-header", "word-header",
+            "negative-header", "index-past-n", "negative-index", "word-index"])
+    def test_alist_rejects_malformed_text(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_alist(text)
 
     def test_k_never_below_n_minus_m(self):
         for seed in range(10):
@@ -201,4 +237,4 @@ class TestSerialization:
             code = extract_code(g, r.assignment)
             s = stats(code)
             assert s.k >= g.n - g.m
-            assert s.k == g.n - code.hx.rank() - code.hz.rank()
+            assert s.k == g.n - rank_int_rows(code.hx) - rank_int_rows(code.hz)

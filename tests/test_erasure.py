@@ -17,14 +17,13 @@ from stabsearch.erasure import (
     sample_erasure,
     success_probability,
 )
-from stabsearch.gf2 import BitMatrix
 from stabsearch.rng import RngSpec
 
 from oracles import brute_force_class_log2, reference_failure_rate
 
 
 def css(n, hx, hz):
-    return CssCode(n, BitMatrix.from_strings(hx, cols=n), BitMatrix.from_strings(hz, cols=n))
+    return CssCode.from_json({"format_version": 1, "n": n, "hx": hx, "hz": hz})
 
 
 # hand-built corner cases of the per-code set-up

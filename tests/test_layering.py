@@ -1,7 +1,7 @@
 """Module seams: the stages downstream of the solver do not depend on it,
-the solver does not read the variable layout, the sweep reaches the
-kernel probe only through solve(), and importing one stage loads only
-what that stage imports."""
+neither the solver nor code extraction reads the variable layout, the
+sweep reaches the kernel probe only through solve(), and importing one
+stage loads only what that stage imports."""
 
 import ast
 import os
@@ -56,16 +56,32 @@ def test_module_does_not_import(module, banned):
         assert not {"kernel", "kernel_candidate", "greedy_candidate"} & attributes
 
 
+LAYOUT_KINDS = {"ACTIVATOR", "PAULI", "SAME", "EVEN", "BOTH", "XIND", "ZIND"}
+
+
+def names_used(module: str) -> set[str]:
+    """The names a module imports, last dotted part only, and the attributes it reads."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    names = {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def test_solver_does_not_read_the_variable_layout():
     # The variable table's layout is known to constraints.py alone: encode writes it
     # and consistent_completion reads a candidate's (rows, paulis) back into it, so
     # the search sees a variable only by its id.  A solver that dispatched on kinds
     # again would be a second reader to keep in step with encode.
-    kinds = {"ACTIVATOR", "PAULI", "SAME", "EVEN", "BOTH", "XIND", "ZIND"}
-    tree = ast.parse((SRC / "solver.py").read_text())
-    names = {name.rsplit(".", 1)[-1] for name in imported_names(tree)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not kinds & names, kinds & names
+    names = names_used("solver")
+    assert not LAYOUT_KINDS & names, LAYOUT_KINDS & names
+
+
+def test_css_does_not_read_the_variable_layout():
+    # extract_code takes a model's (rows, paulis) from constraints.model_candidate,
+    # the inverse of consistent_completion; indexing the model by edge position
+    # here would make css.py a second reader of the layout encode writes.
+    names = names_used("css")
+    assert "model_candidate" in names
+    assert not (LAYOUT_KINDS | {"edges", "variables"}) & names, (LAYOUT_KINDS | {"edges", "variables"}) & names
 
 
 @pytest.mark.parametrize("module", ["erasure", "graphs"])

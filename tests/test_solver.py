@@ -677,7 +677,7 @@ class TestKernelProbe:
         assert candidate is not None and sum(candidate[1]) == g.m // 2 == 13
         cs = encode(g, EncodingParams(min_qubit_degree=3, balanced=True))
         model = consistent_completion(cs, *candidate)
-        assert check(cs, model) and extract_code(g, model).hx.num_rows == 13
+        assert check(cs, model) and len(extract_code(g, model).hx) == 13
 
     @pytest.mark.parametrize("params, calls", [
         (EncodingParams(min_qubit_degree=3), 1),
