@@ -188,9 +188,9 @@ class ConstraintSystem:
             else:
                 out.append('{"bound": %d, "cmp": "%s", "tag": %s, "type": "linear", "vars": [%s]}'
                            % (c.bound, c.cmp, tag, ", ".join(map(str, c.vars))))
-        tail = '], "format_version": %d, "graph": %s, "params": %s, "variables": %s}' % (
-            SYSTEM_FORMAT_VERSION, self.graph.to_json(), json.dumps(self.params.to_dict(), sort_keys=True),
-            json.dumps([[v.kind, list(v.index)] for v in self.variables]))
+        params = json.dumps(self.params.to_dict(), sort_keys=True)
+        variables = json.dumps(self.variables)  # a VarRef is a tuple: [kind, [index...]]
+        tail = f'{_TAIL}{self.graph.to_json()}{_PARAMS}{params}, "variables": {variables}}}'
         if not out:
             return '{"constraints": [' + tail
         out[0] = '{"constraints": [' + out[0]  # the end pieces carry head and tail: one join
@@ -200,22 +200,42 @@ class ConstraintSystem:
     @classmethod
     @gc_paused
     def from_json(cls, source: str | dict) -> "ConstraintSystem":
-        """encode(graph, params) for a document's graph and params.  The document is
-        accepted only if its canonical JSON, json.dumps(doc, sort_keys=True), is that
-        system's to_json(); else the error names the first key or entry that differs."""
+        """encode(graph, params) for a document's graph and params.  Text that is what
+        to_json writes is accepted after reading only the graph and params in its tail.
+        Any other document is read whole by read_document and accepted only if its
+        canonical JSON, json.dumps(doc, sort_keys=True), is that system's to_json(); else
+        the error names the first key or entry that differs."""
+        if isinstance(source, str) and (cs := _from_tail(source)) is not None:
+            return cs
         shape = dict(graph=(dict,), params=(dict,), variables=(list,), constraints=(list,))
         doc = read_document("constraint system", source, shape, version=SYSTEM_FORMAT_VERSION)
         graph, params = SupportGraph.from_json(doc["graph"]), EncodingParams.from_dict(doc["params"])
         del doc  # the parsed constraints are not kept while the system is built
         cs = encode(graph, params)
         text = cs.to_json()
-        if isinstance(source, str) and source.removesuffix("\n") == text:  # what to_json wrote
-            return cs
         doc = json.loads(source) if isinstance(source, str) else source
         if _canonical(doc) != text:
             raise ValueError(f"constraint system: {_first_difference(doc, json.loads(text))} is not "
                              "what encode writes for the document's graph and params")
         return cs
+
+
+# to_json's text between the constraints and the graph, and between the graph and the params
+_TAIL, _PARAMS = f'], "format_version": {SYSTEM_FORMAT_VERSION}, "graph": ', ', "params": '
+_read_value = json.JSONDecoder().raw_decode
+
+
+def _from_tail(text: str) -> ConstraintSystem | None:
+    """The system whose to_json() is text, less a final newline, or None.  Reads only
+    the graph after the last _TAIL and the params after it.  Sound however text is
+    laid out, as the system is returned only if its to_json() is the text itself."""
+    try:
+        graph, end = _read_value(text, text.rindex(_TAIL) + len(_TAIL))
+        params, _ = _read_value(text, end + len(_PARAMS))
+        cs = encode(SupportGraph.from_json(graph), EncodingParams.from_dict(params))
+    except ValueError:
+        return None
+    return cs if text.removesuffix("\n") == cs.to_json() else None
 
 
 # Canonical JSON text, as to_json writes it; a value JSON cannot hold reads as its repr

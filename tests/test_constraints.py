@@ -39,6 +39,7 @@ from stabsearch.constraints import (
     model_candidate,
 )
 from stabsearch.css import CommutationError, extract_code
+from stabsearch.documents import read_document
 from stabsearch.graphs import SupportGraph, sample_support_graph
 from stabsearch.rng import RngSpec
 from stabsearch.solver import UNSAT, SolverConfig, check, solve
@@ -413,6 +414,15 @@ class TestSystemDocument:
         assert empty.to_json() == reference_system_json(empty)
 
 
+def load_error(source) -> str | None:
+    """The message from_json raises on source, or None if it loads."""
+    try:
+        ConstraintSystem.from_json(source)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestSystemValidation:
     """from_json is the one way a system enters from outside.  It re-encodes the
     document's graph and params and accepts the document only if it is what to_json
@@ -458,11 +468,18 @@ class TestSystemValidation:
     @classmethod
     def load(cls, *entries):
         """from_json of the document encode writes for GRAPH and PARAMS, with its first
-        constraint entries replaced by entries; None keeps encode's entry."""
+        constraint entries replaced by entries; None keeps encode's entry.  Where JSON
+        can hold the edited document, its sorted-key text must load as the dict does."""
         doc = json.loads(cls.TEXT)
         for i, entry in enumerate(entries):
             if entry is not None:
                 doc["constraints"][i] = entry
+        try:
+            text = json.dumps(doc, sort_keys=True)  # reads graph and params from its tail, then misses
+        except TypeError:  # a value JSON cannot hold, such as a bytes tag
+            pass
+        else:
+            assert load_error(text) == load_error(doc)
         return ConstraintSystem.from_json(doc)
 
     def test_unknown_variable_rejected(self):
@@ -548,6 +565,62 @@ class TestSystemValidation:
         doc["variables"][2] = entry
         with self.rejects("variables[2]"):
             ConstraintSystem.from_json(doc)
+
+    def test_encode_written_text_loads_without_reading_the_document(self, monkeypatch):
+        def read(kind, *args, **kwargs):
+            if kind == "constraint system":
+                raise AssertionError("the whole system document was read")
+            return read_document(kind, *args, **kwargs)
+
+        monkeypatch.setattr("stabsearch.constraints.read_document", read)
+        want = encode(self.GRAPH, self.PARAMS)
+        for text in (self.TEXT, self.TEXT + "\n"):
+            assert vars(ConstraintSystem.from_json(text)) == vars(want)
+        with pytest.raises(AssertionError, match="whole system document"):  # any other text is read whole
+            ConstraintSystem.from_json(json.dumps(json.loads(self.TEXT), indent=1))
+
+    def test_text_sources_encode_once_unless_the_tail_misses(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("stabsearch.constraints.encode", lambda *args: calls.append(args) or encode(*args))
+        doc = json.loads(self.TEXT)
+        edited = json.dumps({**doc, "variables": doc["variables"][::-1]}, sort_keys=True)
+        for source, encodes in ((self.TEXT, 1), (json.dumps(doc, indent=1), 1),
+                                (json.dumps(dict(reversed(doc.items()))), 1), (doc, 1), (edited, 2)):
+            calls.clear()
+            load_error(source)
+            assert len(calls) == encodes
+
+    @pytest.mark.parametrize("old, new, where", [
+        ('"balanced": false', '"balanced": true', "constraints[2]"),
+        ("[[0, 0], [1, 0], [2, 0]]", "[[0, 0], [1, 0]]", "constraints[0]"),
+    ], ids=["balanced", "dropped-edge"])
+    def test_edited_tail_rejected(self, old, new, where):
+        assert self.TEXT.count(old) == 1
+        text = self.TEXT.replace(old, new)
+        assert load_error(text) == load_error(json.loads(text))
+        with self.rejects(where):
+            ConstraintSystem.from_json(text)
+
+    def test_text_edits_outside_the_constraints_give_the_dict_message(self):
+        doc = json.loads(self.TEXT)
+        for edited in ({**doc, "variables": [*doc["variables"][:2], 5, *doc["variables"][3:]]},
+                       {**doc, "format_version": 2}, {**doc, "extra": 1}, {**doc, "graph": {**doc["graph"], "n": 0}},
+                       {**doc, "params": {**doc["params"], "max_stab_degree": 0}}):
+            assert load_error(json.dumps(edited, sort_keys=True)) == load_error(edited) is not None
+
+    @pytest.mark.parametrize("cut", [1, 2, len(TEXT) // 2], ids=["last-brace", "tail", "half"])
+    def test_truncated_text_gives_the_readers_message(self, cut):
+        self.rejects_as_json(self.TEXT[:-cut])
+
+    @pytest.mark.parametrize("extra", ["x", "}", "\n{}", ", 1]"])
+    def test_trailing_bytes_give_the_readers_message(self, extra):
+        self.rejects_as_json(self.TEXT + extra)
+
+    @staticmethod
+    def rejects_as_json(text):
+        with pytest.raises(json.JSONDecodeError) as parse:
+            json.loads(text)
+        assert load_error(text) == f"constraint system: {parse.value}"
 
     def test_empty_linear_allowed(self):
         # encode writes an empty sum, here unsatisfiable, for a qubit with no candidate edge

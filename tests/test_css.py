@@ -230,6 +230,38 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(message)):
             from_alist(text)
 
+    @staticmethod
+    def shor_hz_with(**edits):
+        """The Shor hz alist with the 1-based lines edits names (line5="3 4") replaced."""
+        lines = TestSerialization.SHOR_HZ.splitlines()
+        for key, line in edits.items():
+            lines[int(key.removeprefix("line")) - 1] = line
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("edits, message", [
+        # the two halves disagree: the column weights read all 9s and column 1 names rows 3 and 4
+        (dict(line3="9 9 9 9 9 9 9 9 9", line5="3 4"),
+         "alist line 3: column weights must read 1 2 1 1 2 1 1 2 1 to match the row lines, got '9 9 9 9 9 9 9 9 9'"),
+        (dict(line5="3 4"), "alist line 5: column 1 must list rows [1] to match the row lines, got '3 4'"),
+        (dict(line2="2 3"), "alist line 2: maximum weights must read 2 2 to match the row lines, got '2 3'"),
+        (dict(line2="2"), "alist line 2: maximum weights"),
+        (dict(line3="1 2 1 1 2 1 1 2"), "alist line 3: column weights"),
+        (dict(line4="2 2 2 2 2 1"), "alist line 4: row weights must read 2 2 2 2 2 2 to match the row lines"),
+        (dict(line4="2 2 2 2 2 x"), "alist line 4: row weights"),
+        (dict(line6="1 2 3"), "alist line 6: column 2 must list rows [1, 2]"),
+        (dict(line6="1"), "alist line 6: column 2 must list rows [1, 2]"),
+        (dict(line13="6 7"), "alist line 13: column 9 must list rows [6]"),
+        (dict(line13="6 -1"), "alist line 13: column 9"),
+    ], ids=["found-example", "column-list", "max-weights", "max-weights-short", "column-weights-short",
+            "row-weights", "row-weights-word", "column-extra-row", "column-missing-row", "column-row-past-m",
+            "column-negative-row"])
+    def test_alist_checks_weights_and_columns_against_rows(self, edits, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_alist(self.shor_hz_with(**edits))
+
+    def test_alist_column_padding_and_repeats_pass(self):
+        assert from_alist(self.shor_hz_with(line5="1 0", line6="2 1 2 0")) == (shor_code().hz, 9)
+
     def test_k_never_below_n_minus_m(self):
         for seed in range(10):
             g = sample_support_graph(12, 10, 0.7, RngSpec(seed, 8))

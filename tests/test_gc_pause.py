@@ -1,7 +1,9 @@
 """The bulk builders and the single jobs run with the cyclic collector paused.
 
 constraints.gc_paused pauses it at two levels.  Per builder: encode,
-ConstraintSystem.to_json and from_json, cnf.export_cnf and solver.solve.
+ConstraintSystem.to_json and from_json (on to_json's text, which it
+reads from the tail, and on any other document, which it reads whole),
+cnf.export_cnf and solver.solve.
 Per job: harness.find_code (one sample) and each CLI command that works
 on one document (sample, encode, solve, export-cnf, find-code); the
 builder pauses inside a job are nested and leave the closing pass to it.
@@ -11,6 +13,7 @@ to free.
 """
 
 import gc
+import json
 
 import pytest
 
@@ -26,10 +29,12 @@ GRAPH = sample_support_graph(12, 10, 0.4, RngSpec(3))
 PARAMS = EncodingParams(min_qubit_degree=1)
 CS = encode(GRAPH, PARAMS)
 TEXT = CS.to_json()
+REORDERED = json.dumps(dict(reversed(json.loads(TEXT).items())))  # not to_json's text: read whole
 CALLS = {
     "encode": lambda: encode(GRAPH, PARAMS),
     "to_json": CS.to_json,
     "from_json": lambda: ConstraintSystem.from_json(TEXT),
+    "from_json_reordered": lambda: ConstraintSystem.from_json(REORDERED),
     "export_cnf": lambda: export_cnf(CS),
     "solve": lambda: solve(CS, SolverConfig(time_budget=0.2)),
     "find_code": lambda: find_code(12, 10, 0.6, PARAMS, RngSpec(3), SolverConfig(time_budget=0.2)),
@@ -148,6 +153,7 @@ def test_pipeline_creates_no_reference_cycles(tmp_path, monkeypatch, collector, 
     cs = encode(g, EncodingParams(min_qubit_degree=2))
     assert solve(cs, SolverConfig(time_budget=1.0)).verdict == SAT
     export_cnf(ConstraintSystem.from_json(cs.to_json()))
+    ConstraintSystem.from_json(json.dumps(dict(reversed(json.loads(cs.to_json()).items()))))
     run_phase_sweep(SweepConfig((10,), 0.6, 0.6, 0.1, samples=1,
                                 params=EncodingParams(min_qubit_degree=2), time_budget=1.0,
                                 master_seed=5, out_dir=str(tmp_path / "sweep")))
