@@ -156,7 +156,10 @@ def stats(c: CssCode) -> CodeStats:
 
 
 def satisfies_degree_bounds(c: CssCode, params: EncodingParams) -> bool:
-    """Check the degree requirements the encoding was built with."""
+    """Check the degree requirements the encoding was built with, and its
+    balance row: under params.balanced, floor(m/2) of the m rows are X type."""
+    if params.balanced and len(c.hx) != (len(c.hx) + len(c.hz)) // 2:
+        return False
     if params.min_qubit_degree > 0:
         for q in range(c.n):
             x_deg = sum(r >> q & 1 for r in c.hx)

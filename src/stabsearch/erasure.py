@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .css import CommutationError, CssCode, check_commutation
 from .gf2 import independent_rows, kernel, rank_int_rows, rank_masked
-from .rng import CounterStream, RngSpec
+from .rng import RngSpec
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _BLOCK_DRAWS = 1 << 13  # failure_rate draws about this many counters per bernoulli_bits call
@@ -46,20 +46,6 @@ class ErasurePattern:
     def weight(self) -> int:
         return self.mask.bit_count()
 
-    def erased(self, q: int) -> bool:
-        return bool((self.mask >> q) & 1)
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.mask >> q) & 1 for q in range(self.n))
-
-    def to_hex(self) -> str:
-        width = max(1, (self.n + 3) // 4)
-        return format(self.mask, f"0{width}x")
-
-    @classmethod
-    def from_hex(cls, n: int, text: str) -> "ErasurePattern":
-        return cls(n=n, mask=int(text, 16))
-
 
 def sample_erasure(n: int, p: float, rng: RngSpec, base_index: int = 0) -> ErasurePattern:
     """Erase each qubit independently with probability p.
@@ -71,7 +57,7 @@ def sample_erasure(n: int, p: float, rng: RngSpec, base_index: int = 0) -> Erasu
         raise ValueError("n must be positive")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    return ErasurePattern(n=n, mask=CounterStream(rng).bernoulli_mask(base_index, n, p))
+    return ErasurePattern(n=n, mask=int(rng.bernoulli_bits(base_index, n, p)[::-1], 2))
 
 
 def _gain(basis: list[int], logicals: list[int], s: int, size: int) -> int:
@@ -159,10 +145,10 @@ def failure_rate(
     as a coin flip with that probability.  Trial t consumes stream
     counters [t*(n+1), (t+1)*(n+1)): qubit q is erased when
     unit(t*(n+1) + q) < p, and the bernoulli coin is unit(t*(n+1) + n).
-    The erasures are drawn in blocks of trials, one
-    CounterStream.bernoulli_bits call of about _BLOCK_DRAWS counters per
-    block, so memory stays bounded for any trial count and the counters
-    each trial reads are the same as one draw per trial would read.
+    The erasures are drawn in blocks of trials, one rng.bernoulli_bits
+    call of about _BLOCK_DRAWS counters per block, so memory stays
+    bounded for any trial count and the counters each trial reads are
+    the same as one draw per trial would read.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -172,16 +158,13 @@ def failure_rate(
         raise ValueError(f"unknown estimator {estimator!r}")
     n = c.n
     class_log2 = _class_counter(c)
-    stream = CounterStream(rng)
-    draw, unit = stream.bernoulli_bits, stream.unit
-
     fail_sum = 0.0
     sum_sq = 0.0
     stride = n + 1
     block = max(1, _BLOCK_DRAWS // stride)
     for first in range(0, trials, block):
         size = min(block, trials - first)
-        bits = draw(first * stride, size * stride, p)
+        bits = rng.bernoulli_bits(first * stride, size * stride, p)
         for at in range(0, size * stride, stride):
             mask = int(bits[at:at + n][::-1], 2)
             if mask:
@@ -192,7 +175,7 @@ def failure_rate(
                 fail_sum += p_fail
                 sum_sq += p_fail * p_fail
             else:
-                failed = 1.0 if unit(first * stride + at + n) < p_fail else 0.0
+                failed = 1.0 if rng.unit(first * stride + at + n) < p_fail else 0.0
                 fail_sum += failed
                 sum_sq += failed
     mean = fail_sum / trials

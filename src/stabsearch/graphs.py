@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from itertools import compress, count
 
 from .documents import fields_shape, read_document
-from .rng import CounterStream, RngSpec
+from .rng import RngSpec
 
 GRAPH_FORMAT_VERSION = 1
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # b"0"/b"1" draws -> false/true bytes
@@ -90,7 +90,7 @@ def sample_support_graph(n: int, m: int, gamma: float, rng: RngSpec) -> SupportG
         raise ValueError("n and m must be positive")
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    bits = CounterStream(rng).bernoulli_bits(0, n * m, gamma)
+    bits = rng.bernoulli_bits(0, n * m, gamma)
     edges = [divmod(i, m) for i in compress(count(), bits.translate(_FLAGS))]
-    return SupportGraph(n=n, m=m, gamma=gamma, seed=rng.key(), edges=tuple(edges))
+    return SupportGraph(n=n, m=m, gamma=gamma, seed=rng.key, edges=tuple(edges))
 

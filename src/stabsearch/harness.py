@@ -104,6 +104,7 @@ class SweepConfig:
     out_dir: str = "sweep_out"
 
     def __post_init__(self):
+        object.__setattr__(self, "qubit_counts", tuple(self.qubit_counts))
         check_fields("sweep config", self)
         if not self.qubit_counts or not all(type(n) is int and n >= 1 for n in self.qubit_counts):
             raise ValueError(f"qubit_counts must be non-empty integers >= 1, got {self.qubit_counts!r}")
@@ -138,7 +139,6 @@ class SweepConfig:
     def from_dict(cls, doc: str | dict) -> "SweepConfig":
         """Config from a JSON object or its text, checked by documents.read_document."""
         doc = read_document("sweep config", doc, *fields_shape(cls))
-        doc["qubit_counts"] = tuple(doc["qubit_counts"])
         doc["params"] = EncodingParams.from_dict(doc.get("params", {}))
         return cls(**doc)
 
@@ -178,7 +178,7 @@ class CodeRecord:
         return cls(doc["code_id"], code, stats_, doc["provenance"])
 
     def validate(self) -> None:
-        """Re-verify commutation, stored stats, id and degree bounds."""
+        """Re-verify commutation, stored stats, id, degree bounds and balance row."""
         if self.code_id != code_content_id(self.code):
             raise RecordValidationError("code_id does not match code content")
         if not check_commutation(self.code):
@@ -188,7 +188,7 @@ class CodeRecord:
             raise RecordValidationError("stored stats do not match recomputed stats")
         params = EncodingParams.from_dict(self.provenance.get("params", {}))
         if not satisfies_degree_bounds(self.code, params):
-            raise RecordValidationError("stored code violates its encoded degree bounds")
+            raise RecordValidationError("stored code violates its encoded degree bounds or balance row")
 
 
 def code_content_id(code: CssCode) -> str:

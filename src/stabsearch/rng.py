@@ -1,20 +1,27 @@
 """Counter-based pseudo-random streams.
 
-Every random draw in this package is addressed by (stream key, counter
-index) instead of consuming a stateful generator.  This gives three
-properties the experiments rely on:
+Support graphs and erasure patterns draw every random number from an
+RngSpec: the draw is addressed by (stream key, counter index) instead of
+consuming a stateful generator.  This gives three properties the
+experiments rely on:
 
-- bit-identical streams across platforms and Python versions,
+- bit-identical graphs and erasure patterns across platforms and Python
+  versions, since a draw is integer arithmetic on its counter,
 - cheap parallelism (workers own disjoint counter ranges),
 - exact monotone coupling of graph samples: the uniform draw for a given
   edge depends only on the stream key and the edge index, never on the
   inclusion probability.
 
+The solver's random branching and the kernel probe draw from a seeded
+random.Random instead.  Those draws are deterministic per seed on a
+given Python version; Python guarantees only random()'s sequence across
+versions.
+
 The mixing function is SplitMix64, used here as a stateless hash of the
 counter.
 
 Bernoulli draws (erasures, graph edges) go through one batched kernel,
-CounterStream.bernoulli_bits.  It evaluates SplitMix64 on up to _CHUNK
+RngSpec.bernoulli_bits.  It evaluates SplitMix64 on up to _CHUNK
 counters at once inside one Python integer, one 128-bit lane per counter,
 and yields exactly the bits a loop over unit(i) < p would: a batched draw
 and a scalar one are the same function of (key, counter).
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -69,27 +76,21 @@ class RngSpec:
 
     Identical (master_seed, stream_id) pairs yield bit-identical streams.
     Distinct stream_ids give statistically independent streams off the
-    same master seed.
+    same master seed.  Value i of the stream is a pure function of
+    (key, i), so a spec reads its own counters in any order.
     """
 
     master_seed: int
     stream_id: int = 0
+    key: int = field(init=False, compare=False, repr=False)
 
-    def key(self) -> int:
-        return mix64(mix64(self.master_seed & _MASK64) ^ ((self.stream_id & _MASK64) * _GOLDEN & _MASK64))
+    def __post_init__(self):
+        key = mix64(mix64(self.master_seed & _MASK64) ^ ((self.stream_id & _MASK64) * _GOLDEN & _MASK64))
+        object.__setattr__(self, "key", key)
 
     def substream(self, *parts: int | float | str) -> "RngSpec":
         """Derive a child stream; same master seed, hashed stream id."""
         return RngSpec(self.master_seed, stable_hash64(self.stream_id, *parts))
-
-
-class CounterStream:
-    """Random access into one stream: value i is a pure function of (key, i)."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, spec: RngSpec):
-        self.key = spec.key()
 
     def u64(self, index: int) -> int:
         return mix64(self.key + ((index + 1) * _GOLDEN & _MASK64))
@@ -117,10 +118,6 @@ class CounterStream:
             out.append(_lanes(x, size, top))
             x = (x + _CHUNK_STEP) & _MASK64
         return b"".join(out)
-
-    def bernoulli_mask(self, base: int, count: int, p: float) -> int:
-        """Bit j set iff unit(base + j) < p, for j < count: bernoulli_bits as an int."""
-        return int(self.bernoulli_bits(base, count, p)[::-1] or b"0", 2)
 
 
 # SplitMix64 on up to _CHUNK counters at once: lane j is bits

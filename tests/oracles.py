@@ -59,7 +59,7 @@ from stabsearch.constraints import (
 from stabsearch.css import CssCode
 from stabsearch.erasure import Z95, DecodingReport
 from stabsearch.graphs import SupportGraph
-from stabsearch.rng import CounterStream, RngSpec
+from stabsearch.rng import RngSpec
 
 
 def _column(v: int, num_vars: int) -> int:
@@ -228,11 +228,10 @@ def reference_failure_rate(code: CssCode, p: float, trials: int, rng: RngSpec,
     """
     n, full = code.n, (1 << code.n) - 1
     hx, hz = code.hx, code.hz
-    unit = CounterStream(rng).unit
     fail_sum = sum_sq = 0.0
     for t in range(trials):
         base = t * (n + 1)
-        mask = sum(1 << q for q in range(n) if unit(base + q) < p)
+        mask = sum(1 << q for q in range(n) if rng.unit(base + q) < p)
         p_fail = 0.0
         if mask:
             w, comp = mask.bit_count(), full ^ mask
@@ -243,7 +242,7 @@ def reference_failure_rate(code: CssCode, p: float, trials: int, rng: RngSpec,
             fail_sum += p_fail
             sum_sq += p_fail * p_fail
         else:
-            failed = 1.0 if unit(base + n) < p_fail else 0.0
+            failed = 1.0 if rng.unit(base + n) < p_fail else 0.0
             fail_sum += failed
             sum_sq += failed
     mean = fail_sum / trials

@@ -302,7 +302,7 @@ def test_criterion_08_erasure_oracle_equivalence(small_discovered_codes):
             e = sample_erasure(n, 0.5, RngSpec(606, ci * 1000 + t))
             assert logical_class_log2(rec.code, e) == brute_force_class_log2(
                 rec.code, e.mask
-            ), f"code {rec.code_id} pattern {e.to_hex()}"
+            ), f"code {rec.code_id} pattern {e.mask:x}"
     assert time.time() - t0 < 1800
 
 

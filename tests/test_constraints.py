@@ -608,6 +608,15 @@ class TestSystemValidation:
                        {**doc, "params": {**doc["params"], "max_stab_degree": 0}}):
             assert load_error(json.dumps(edited, sort_keys=True)) == load_error(edited) is not None
 
+    def test_missing_format_version_rejected(self):
+        """Unlike the other documents, a system without format_version is not read
+        as the current version: encode writes it, so its absence is an edit."""
+        doc = json.loads(self.TEXT)
+        del doc["format_version"]
+        message = ("constraint system: format_version is not what encode writes "
+                   "for the document's graph and params")
+        assert load_error(doc) == load_error(json.dumps(doc, sort_keys=True)) == message
+
     @pytest.mark.parametrize("cut", [1, 2, len(TEXT) // 2], ids=["last-brace", "tail", "half"])
     def test_truncated_text_gives_the_readers_message(self, cut):
         self.rejects_as_json(self.TEXT[:-cut])

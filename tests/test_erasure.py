@@ -67,19 +67,14 @@ class TestPatterns:
         ((13, 0.999, RngSpec(3), 5), "1fff"),
     ])
     def test_pinned_patterns(self, args, hex_mask):
-        assert sample_erasure(*args).to_hex() == hex_mask.zfill((args[0] + 3) // 4)
-
-    def test_hex_round_trip(self):
-        e = ErasurePattern(n=12, mask=0b101100001111)
-        assert ErasurePattern.from_hex(12, e.to_hex()) == e
-        assert ErasurePattern(4, 0).to_hex() == "0"
+        assert sample_erasure(*args).mask == int(hex_mask, 16)
 
     def test_pattern_bits_and_bounds(self):
-        e = ErasurePattern(n=4, mask=0b1010)
-        assert e.bits() == (0, 1, 0, 1)
-        assert e.erased(1) and not e.erased(0)
-        with pytest.raises(ValueError):
-            ErasurePattern(n=3, mask=0b1000)
+        assert ErasurePattern(n=4, mask=0b1010).weight == 2
+        assert ErasurePattern(n=3, mask=0b111).weight == 3
+        for mask in (0b1000, -1):
+            with pytest.raises(ValueError):
+                ErasurePattern(n=3, mask=mask)
 
 
 class TestLogicalClasses:

@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from stabsearch.graphs import SupportGraph, sample_support_graph
-from stabsearch.rng import CounterStream, RngSpec
+from stabsearch.rng import RngSpec
 
 from oracles import shared_qubits
 
@@ -63,10 +63,9 @@ def test_edge_count_mean_matches_binomial_law():
 def test_edges_are_per_edge_unit_below_gamma(n, m, gamma):
     """Edge (q, s) is present exactly when unit(q*m + s) < gamma."""
     rng = RngSpec(2024, n * m)
-    unit = CounterStream(rng).unit
     g = sample_support_graph(n, m, gamma, rng)
-    assert g.edges == tuple((q, s) for q in range(n) for s in range(m) if unit(q * m + s) < gamma)
-    assert g.seed == rng.key()
+    assert g.edges == tuple((q, s) for q in range(n) for s in range(m) if rng.unit(q * m + s) < gamma)
+    assert g.seed == rng.key
 
 
 def test_determinism_across_calls():

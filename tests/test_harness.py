@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from stabsearch.constraints import EncodingParams
-from stabsearch.css import shor_code
+from stabsearch.css import CssCode, check_commutation, shor_code
 from stabsearch import harness
 from stabsearch.erasure import exact_failure_rate, failure_rate
 from stabsearch.harness import (
@@ -191,6 +191,21 @@ class TestFindCode:
         with pytest.raises(RecordValidationError):
             CodeRecord.from_json(json.dumps(doc2)).validate()
 
+    def test_validation_checks_the_balance_row(self):
+        """A balanced find-code record with one Z row moved to the X side
+        still commutes, and is rejected only for its balance row."""
+        params = EncodingParams(min_qubit_degree=1, balanced=True)
+        _, record = find_code(12, 10, 0.7, params, RngSpec(3, 0), SolverConfig(time_budget=60, seed=3))
+        record.validate()
+        code = record.code
+        moves = (CssCode(code.n, code.hx + (row,), code.hz[:i] + code.hz[i + 1:]) for i, row in enumerate(code.hz))
+        moved = next(c for c in moves if check_commutation(c))
+        assert (len(moved.hx), len(moved.hz)) == (6, 4)
+        with pytest.raises(RecordValidationError, match="balance row"):
+            CodeRecord.build(moved, record.provenance).validate()
+        unbalanced = {**record.provenance, "params": {**record.provenance["params"], "balanced": False}}
+        CodeRecord.build(moved, unbalanced).validate()
+
 
 @pytest.mark.parametrize("field, value, got", [("samples", True, "a boolean"), ("samples", 2.5, "a number"),
                                                ("workers", 1.5, "a number")])
@@ -231,6 +246,17 @@ class TestSweep:
             assert (tmp_path / "a" / "codes" / name).read_bytes() == (
                 tmp_path / "b" / "codes" / name
             ).read_bytes()
+
+    def test_list_config_resumes(self, tmp_path):
+        """A config given qubit counts as a list equals and hashes as its
+        stored form, so a second run on it resumes to the same pixels."""
+        cfg = dataclasses.replace(tiny_config(tmp_path / "s"), qubit_counts=[6, 8])
+        assert cfg == tiny_config(tmp_path / "s") and cfg.qubit_counts == (6, 8)
+        assert hash(cfg) == hash(tiny_config(tmp_path / "s"))
+        first = run_phase_sweep(cfg)
+        csv = (tmp_path / "s" / "pixels.csv").read_bytes()
+        assert run_phase_sweep(cfg) == first
+        assert (tmp_path / "s" / "pixels.csv").read_bytes() == csv
 
     def test_interrupt_and_resume_matches_uninterrupted(self, tmp_path, monkeypatch):
         cfg_full = tiny_config(tmp_path / "full")

@@ -1,7 +1,8 @@
 """Module seams: the stages downstream of the solver do not depend on it,
 neither the solver nor code extraction reads the variable layout, the
-sweep reaches the kernel probe only through solve(), and importing one
-stage loads only what that stage imports."""
+sweep reaches the kernel probe only through solve(), graphs and erasures
+draw without the random module, and importing one stage loads only what
+that stage imports."""
 
 import ast
 import os
@@ -82,6 +83,21 @@ def test_css_does_not_read_the_variable_layout():
     names = names_used("css")
     assert "model_candidate" in names
     assert not (LAYOUT_KINDS | {"edges", "variables"}) & names, (LAYOUT_KINDS | {"edges", "variables"}) & names
+
+
+def test_counter_stages_import_no_random():
+    # Graphs and erasures draw from RngSpec counters alone, which is what keeps them
+    # identical across Python versions; random.Random promises only random()'s
+    # sequence across versions, so its seeded draws stay in the solver and the probe.
+    imports = {path.stem: imported_names(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
+    assert {module for module, names in imports.items() if "random" in names} == {"probe", "solver"}
+    reached, todo = set(), ["rng", "graphs", "erasure"]
+    while todo:
+        module = todo.pop()
+        assert not {"random", ".probe", "stabsearch.probe"} & imports[module], module
+        reached.add(module)
+        todo += {name[1:].split(".")[0] for name in imports[module] if name.startswith(".")} & imports.keys() - reached
+    assert not {"probe", "solver"} & reached, reached
 
 
 @pytest.mark.parametrize("module", ["erasure", "graphs"])

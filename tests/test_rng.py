@@ -1,23 +1,25 @@
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from stabsearch.rng import _CHUNK, CounterStream, RngSpec, mix64, stable_hash64
+from stabsearch.erasure import sample_erasure
+from stabsearch.rng import _CHUNK, RngSpec, mix64, stable_hash64
 
 
 def test_same_spec_same_stream():
-    a = CounterStream(RngSpec(123, 5))
-    b = CounterStream(RngSpec(123, 5))
+    a = RngSpec(123, 5)
+    b = RngSpec(123, 5)
     assert [a.u64(i) for i in range(100)] == [b.u64(i) for i in range(100)]
 
 
 def test_distinct_streams_differ():
-    a = CounterStream(RngSpec(123, 5))
-    b = CounterStream(RngSpec(123, 6))
-    c = CounterStream(RngSpec(124, 5))
+    a = RngSpec(123, 5)
+    b = RngSpec(123, 6)
+    c = RngSpec(124, 5)
     assert [a.u64(i) for i in range(10)] != [b.u64(i) for i in range(10)]
     assert [a.u64(i) for i in range(10)] != [c.u64(i) for i in range(10)]
 
@@ -31,12 +33,12 @@ def test_known_mix64_properties():
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**16))
 def test_unit_in_range(seed, idx):
-    u = CounterStream(RngSpec(seed, 0)).unit(idx)
+    u = RngSpec(seed, 0).unit(idx)
     assert 0.0 <= u < 1.0
 
 
 def test_unit_mean_is_half():
-    s = CounterStream(RngSpec(2718, 0))
+    s = RngSpec(2718, 0)
     n = 20000
     mean = sum(s.unit(i) for i in range(n)) / n
     assert abs(mean - 0.5) < 4 / math.sqrt(12 * n)
@@ -58,30 +60,44 @@ def test_substream_derivation():
     assert base.substream("a", 1).master_seed == 9
 
 
-def test_bernoulli_mask_is_unit_below_p():
-    s = CounterStream(RngSpec(31, 4))
-    for p in (0.0, 1e-300, 0.3, 0.5, 1 - 2**-53, 1.0, -0.5, 2.0):
-        assert s.bernoulli_mask(100, 70, p) == sum(1 << j for j in range(70) if s.unit(100 + j) < p)
+def test_key_is_derived_once_and_not_part_of_the_name():
+    a, b = RngSpec(123, 5), RngSpec(123, 5)
+    assert a.key == b.key != RngSpec(123, 6).key
+    assert a.key == mix64(mix64(123) ^ (5 * 0x9E3779B97F4A7C15 & (2**64 - 1)))
+    assert a == b and hash(a) == hash(b) and repr(a) == "RngSpec(master_seed=123, stream_id=5)"
+    assert a.u64(0) == mix64(a.key + 0x9E3779B97F4A7C15)
+    assert pickle.loads(pickle.dumps(a)).key == a.key
 
 
 # The batched kernel against the scalar definition: byte j of
-# bernoulli_bits(base, count, p) is b"1" exactly when unit(base + j) < p.
-# unit() hashes one counter with mix64, which shares no code with the lanes.
+# bernoulli_bits(base, count, p) is b"1" exactly when unit(base + j) < p,
+# and bit j of sample_erasure's mask is set exactly then.  unit() hashes
+# one counter with mix64, which shares no code with the lanes.
 
-def scalar_bits(s: CounterStream, base: int, count: int, p: float) -> bytes:
+def scalar_bits(s: RngSpec, base: int, count: int, p: float) -> bytes:
     return b"".join(b"1" if s.unit(base + j) < p else b"0" for j in range(count))
 
 
-def stream_with_key(key: int) -> CounterStream:
-    s = CounterStream(RngSpec(0))
-    s.key = key
+def stream_with_key(key: int) -> RngSpec:
+    s = RngSpec(0)
+    object.__setattr__(s, "key", key)
     return s
 
 
-def check_kernel(s: CounterStream, base: int, count: int, p: float) -> None:
+def check_kernel(s: RngSpec, base: int, count: int, p: float) -> None:
     want = scalar_bits(s, base, count, p)
     assert s.bernoulli_bits(base, count, p) == want, (s.key, base, count, p)
-    assert s.bernoulli_mask(base, count, p) == int(want[::-1] or b"0", 2)
+    if count:
+        assert sample_erasure(count, p, s, base_index=base).mask == int(want[::-1], 2)
+
+
+def test_bernoulli_mask_is_unit_below_p():
+    s = RngSpec(31, 4)
+    for p in (0.0, 1e-300, 0.3, 0.5, 1 - 2**-53, 1.0):
+        want = sum(1 << j for j in range(70) if s.unit(100 + j) < p)
+        assert sample_erasure(70, p, s, base_index=100).mask == want
+    for p in (-0.5, 2.0):  # bernoulli_bits clamps p; sample_erasure rejects it
+        assert s.bernoulli_bits(100, 70, p) == scalar_bits(s, 100, 70, p)
 
 
 def test_bernoulli_mask_threshold_is_exact():
@@ -90,15 +106,15 @@ def test_bernoulli_mask_threshold_is_exact():
     Includes draws whose u64 has 11 zero low bits, so that it equals the
     threshold when p is the draw, and 11 one low bits, so that it is the
     threshold minus one when p is a step above; both also inside a batch."""
-    s = CounterStream(RngSpec(7, 1))
+    s = RngSpec(7, 1)
     edges = [i for i in range(40000) if s.u64(i) & 0x7FF in (0, 0x7FF)]
     assert sum(s.u64(i) & 0x7FF == 0 for i in edges) >= 5
     assert sum(s.u64(i) & 0x7FF == 0x7FF for i in edges) >= 5
     for i in list(range(200)) + edges:
         u = s.unit(i)
         above = u + 2**-53  # the next multiple of 2^-53, exact below 1
-        assert s.bernoulli_mask(i, 1, u) == 0
-        assert s.bernoulli_mask(i, 1, math.nextafter(u, 1.0)) == 1
+        assert sample_erasure(1, u, s, base_index=i).mask == 0
+        assert sample_erasure(1, math.nextafter(u, 1.0), s, base_index=i).mask == 1
         assert s.bernoulli_bits(i, 1, above) == b"1"
         if i >= 200:
             base = max(0, i - 700)  # the same draw inside a longer batch
