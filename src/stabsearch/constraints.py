@@ -345,6 +345,37 @@ def encode(g: SupportGraph, params: EncodingParams | None = None) -> ConstraintS
     return ConstraintSystem(g, variables, cons, params)
 
 
+def flip_variable(cs: ConstraintSystem) -> int | None:
+    """The id of p(0), stabilizer 0's Pauli variable, where encode's X/Z flip symmetry
+    lets a search fix it either way; None where the table does not hold p(0) at id
+    len(edges), as encode lays it out, or where balanced params have an odd m.
+
+    The flip negates every p(s), exchanges x(e) with z(e) and fixes every other
+    variable.  It maps each constraint family encode writes onto itself:
+    - commute-or, even-xor, both-and and the stabilizer degree rows read only
+      activators and pair auxiliaries, which it fixes;
+    - same-xor, same XOR p(s1) XOR p(s2) = 1, negates two variables, so keeps its parity;
+    - xind-and (x <-> a AND p) and zind-and (z <-> a AND NOT p) map onto each other,
+      and so do a qubit's x-degree and z-degree rows;
+    - balance, sum of p(s) == m // 2, becomes sum of p(s) == m - m // 2: itself iff m is even.
+    So the flip maps encode's models onto its models, and one with p(0) = 1 exists iff
+    one with p(0) = 0 does.  The layout alone does not make a system encode's:
+    is_encoded confirms that before a refutation under a fixed p(0) is trusted.
+    """
+    p0 = len(cs.graph.edges)
+    if cs.params.balanced and cs.graph.m % 2:
+        return None
+    if p0 >= cs.num_vars or cs.variables[p0] != (PAULI, (0,)):
+        return None
+    return p0
+
+
+def is_encoded(cs: ConstraintSystem) -> bool:
+    """Whether cs is encode(cs.graph, cs.params), the rule from_json applies to a document."""
+    expected = encode(cs.graph, cs.params)
+    return cs.variables == expected.variables and cs.constraints == expected.constraints
+
+
 def consistent_completion(cs: ConstraintSystem, rows: list[int], paulis: list[int]) -> tuple[int, ...]:
     """The total assignment a candidate determines, in one pass over the variable table.
 

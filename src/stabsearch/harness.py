@@ -235,15 +235,21 @@ def find_code(
     return result, record
 
 
-def _run_sample(task: tuple) -> tuple[str, CodeRecord | None]:
-    """One (pixel, sample) unit of sweep work; module-level for pickling."""
+def solve_sample(task: tuple) -> tuple[SolveResult, CodeRecord | None]:
+    """find_code on one sweep task, (n, m, gamma, sample_idx, master_seed, params,
+    time_budget), with the graph stream and solver seed a sweep gives that sample."""
     n, m, gamma, sample_idx, master_seed, params, time_budget = task
     rng = RngSpec(master_seed, stable_hash64(n, gamma, sample_idx))
     solver_cfg = SolverConfig(
         time_budget=time_budget,
         seed=stable_hash64("solver", n, gamma, sample_idx, master_seed) & 0x7FFFFFFF,
     )
-    result, record = find_code(n, m, gamma, params, rng, solver_cfg)
+    return find_code(n, m, gamma, params, rng, solver_cfg)
+
+
+def _run_sample(task: tuple) -> tuple[str, CodeRecord | None]:
+    """One (pixel, sample) unit of sweep work; module-level for pickling."""
+    result, record = solve_sample(task)
     return result.verdict, record
 
 

@@ -24,6 +24,17 @@ starts the search from a greedy candidate's saved phases; without a
 qubit degree the all-inactive coloring is tried.  Each candidate
 becomes a total assignment through constraints.consistent_completion,
 and a probe hit leaves through the same check as a CDCL model.
+
+Swapping X and Z, which negates every Pauli variable and exchanges each
+edge's x and z indicators, maps every system encode writes onto itself,
+unless it balances an odd number of stabilizers.  Where
+constraints.flip_variable names stabilizer 0's Pauli variable, every
+slice fixes it at its saved phase at level 0 (X under greedy phases, Z
+with none), so it searches half the space.  A model still leaves only
+through check.  A refutation under the fixed value refutes the whole
+system because the flip maps any model onto one with the fixed value;
+solve trusts that only once constraints.is_encoded confirms the system
+is encode's, and otherwise searches the other half.
 """
 
 from __future__ import annotations
@@ -33,7 +44,8 @@ import random
 from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
 
-from .constraints import ConstraintSystem, Linear, OrClause, XorClause, consistent_completion, gc_paused
+from .constraints import (ConstraintSystem, Linear, OrClause, XorClause, consistent_completion, flip_variable,
+                          gc_paused, is_encoded)
 from .probe import greedy_candidate, kernel_candidate
 
 SAT = "sat"
@@ -705,6 +717,12 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     verdict is re-validated with the independent checker before being
     returned.  No clock is read: the budget, the probes and the slices
     are all counted in work units, the kernel probe's ahead of slice 1.
+
+    Where flip_variable(cs) names p(0), every slice fixes it at its saved
+    phase, one work unit, and a refutation under it is the system's
+    unsat only if is_encoded(cs) holds: one encode, on a search-refuted
+    unsat alone.  Otherwise the slices go on under the other value with
+    the budget left, and their refutation completes the system's.
     """
     cfg = cfg or SolverConfig()
     stats = SolverStats()
@@ -729,13 +747,24 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     work = max(_MIN_SLICE, int(budget * _FIRST_SLICE_FRACTION))
     seed = cfg.seed
     verdict, model = (SAT, phases) if hit else (UNKNOWN, None)
+    # the literal that puts p(0) at its saved phase, which every slice enqueues at level 0
+    flip = flip_variable(cs)
+    fixed = None if flip is None else 2 * flip + ((phases[flip] if phases else 0) ^ 1)
+    other_half = fixed is not None  # whether a refutation may still need the other half
     while verdict == UNKNOWN and stats.propagations < budget:
         limit = min(stats.propagations + work, budget)
         engine = _Engine(cs, seed, phases, stats)
+        if fixed is not None and engine.ok:
+            engine.ok = engine._enqueue(fixed, None)
         verdict = engine.search(limit)
         model = tuple(engine.values)
         work *= 2
         seed += 1
+        if verdict == UNSAT and other_half:
+            other_half = False
+            if not is_encoded(cs):
+                fixed ^= 1
+                verdict = UNKNOWN
 
     if verdict != SAT:
         return SolveResult(verdict, None, stats)

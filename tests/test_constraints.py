@@ -35,7 +35,9 @@ from stabsearch.constraints import (
     constraint_census,
     degree_obstruction,
     encode,
+    flip_variable,
     intersecting_pairs,
+    is_encoded,
     model_candidate,
 )
 from stabsearch.css import CommutationError, extract_code
@@ -53,7 +55,7 @@ from oracles import (
     shared_qubits,
 )
 from test_graphs import fig_two_stabilizers_graph
-from test_solver import free_variables
+from test_solver import free_variables, raw_system
 
 
 def semantic_commutes(g, activators, paulis):
@@ -636,6 +638,89 @@ class TestSystemValidation:
         g = SupportGraph(n=2, m=1, gamma=0.5, seed=0, edges=((0, 0),))
         cs = ConstraintSystem.from_json(encode(g, EncodingParams(min_qubit_degree=1)).to_json())
         assert Linear((), ">=", 1, TAG_XDEG) in cs.constraints
+
+
+def flip_rows(cs: ConstraintSystem, flip: bool) -> Counter:
+    """The constraints as a multiset of normalized rows, each taken through the X/Z flip
+    when flip is set: every p(s) negated, x(e) and z(e) exchanged, and the xind/zind and
+    x-degree/z-degree tags exchanged with them."""
+    ids = {v: i for i, v in enumerate(cs.variables)}
+    image, negated = list(range(cs.num_vars)), [False] * cs.num_vars
+    swap_kind = {XIND: ZIND, ZIND: XIND}
+    swap_tag = {TAG_XIND: TAG_ZIND, TAG_ZIND: TAG_XIND, TAG_XDEG: TAG_ZDEG, TAG_ZDEG: TAG_XDEG}
+    if flip:
+        for i, (kind, index) in enumerate(cs.variables):
+            negated[i] = kind == PAULI
+            if kind in swap_kind:
+                image[i] = ids[(swap_kind[kind], index)]
+    rows = Counter()
+    for c in cs.constraints:
+        tag = swap_tag.get(c.tag, c.tag) if flip else c.tag
+        if isinstance(c, OrClause):
+            lits = sorted(2 * image[lit // 2] + (lit % 2 ^ negated[lit // 2]) for lit in c.lits)
+            rows[("or", tag, tuple(lits))] += 1
+        elif isinstance(c, XorClause):
+            parity = c.parity ^ sum(negated[v] for v in c.vars) % 2
+            rows[("xor", tag, tuple(sorted(image[v] for v in c.vars)), parity)] += 1
+        else:  # a row of negated variables counts the false ones: sum(1 - v) cmp bound
+            flips = {negated[v] for v in c.vars}
+            assert len(flips) <= 1, "a cardinality row mixes negated and plain variables"
+            cmp, bound = c.cmp, c.bound
+            if flips == {True}:
+                cmp, bound = {">=": "<=", "<=": ">=", "==": "=="}[cmp], len(c.vars) - bound
+            rows[("linear", tag, tuple(sorted(image[v] for v in c.vars)), cmp, bound)] += 1
+    return rows
+
+
+class TestXZFlip:
+    """The X/Z flip maps encode's systems onto themselves, which is what lets a search
+    fix p(0); flip_variable names p(0) only where it does, and is_encoded confirms it."""
+
+    FAMILIES = {
+        "commutation": EncodingParams(),
+        "qubit-degree": EncodingParams(min_qubit_degree=2),
+        "stab-degree": EncodingParams(min_stab_degree=1, max_stab_degree=4),
+        "balanced": EncodingParams(balanced=True),
+        "all": EncodingParams(2, 1, 4, True),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 7), half_m=st.integers(1, 4),
+           gamma=st.sampled_from([0.3, 0.6, 1.0]))
+    def test_flip_maps_each_family_onto_itself(self, family, seed, n, half_m, gamma):
+        params = self.FAMILIES[family]
+        g = sample_support_graph(n, 2 * half_m, gamma, RngSpec(seed))  # even m, so balance too
+        cs = encode(g, params)
+        assert flip_rows(cs, True) == flip_rows(cs, False)
+        assert flip_variable(cs) == len(g.edges)
+
+    def test_balance_with_odd_m_is_not_symmetric(self):
+        for params in (EncodingParams(balanced=True), self.FAMILIES["all"]):
+            for m in (1, 3, 5):
+                g = sample_support_graph(6, m, 0.6, RngSpec(m))
+                cs = encode(g, params)
+                assert flip_rows(cs, True) != flip_rows(cs, False)  # sum p == m // 2 becomes m - m // 2
+                assert flip_variable(cs) is None
+                assert flip_variable(encode(g, EncodingParams(params.min_qubit_degree))) == len(g.edges)
+
+    def test_a_table_without_p0_at_its_place_has_no_flip(self):
+        assert flip_variable(raw_system(6, [OrClause((0, 3), "t")])) is None
+        g = sample_support_graph(5, 4, 0.6, RngSpec(2))
+        cs = encode(g)
+        assert flip_variable(ConstraintSystem(g, cs.variables[:len(g.edges)], ())) is None  # table too short
+        variables = list(cs.variables)
+        variables[len(g.edges)], variables[len(g.edges) + 1] = variables[len(g.edges) + 1], variables[len(g.edges)]
+        assert flip_variable(ConstraintSystem(g, variables, cs.constraints)) is None  # p(1) where p(0) belongs
+
+    def test_is_encoded_holds_only_for_what_encode_writes(self):
+        g = sample_support_graph(8, 6, 0.5, RngSpec(3))
+        cs = encode(g, self.FAMILIES["all"])
+        assert is_encoded(cs) and is_encoded(ConstraintSystem.from_json(cs.to_json()))
+        p0 = flip_variable(encode(g))
+        for changed in [cs.constraints + (OrClause((2 * p0,), "t"),), cs.constraints[1:],
+                        cs.constraints[1::-1] + cs.constraints[2:]]:
+            assert not is_encoded(ConstraintSystem(g, cs.variables, changed, cs.params))
+        assert not is_encoded(ConstraintSystem(g, cs.variables, cs.constraints))  # the params differ
 
 
 class TestCensusScaling:

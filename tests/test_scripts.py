@@ -1,12 +1,15 @@
 """Smoke tests: the experiment scripts run end to end and write what they claim."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from stabsearch.constraints import EncodingParams
 from stabsearch.css import shor_code
 from stabsearch.erasure import exact_failure_rate
+from stabsearch.harness import SweepConfig, run_phase_sweep, solve_sample
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,3 +44,28 @@ def test_readme_library_example_prints_a_code_and_a_report():
     out = subprocess.run([sys.executable, "-c", block], check=True, capture_output=True,
                          text=True, env=env, timeout=300).stdout
     assert "CodeStats(" in out and "DecodingReport(" in out, out
+
+
+def test_sample_work_reports_each_sweep_sample_and_the_totals(tmp_path):
+    # every sample of a small grid, in sweep order, with the verdict and work a sweep's
+    # find_code gets for it; the sweep's pixel files hold the same verdicts
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sample_work.py"), "--qubit-counts", "20",
+         "--gamma-min", "0.5", "--gamma-max", "0.6", "--gamma-step", "0.1", "--samples", "2", "--budget", "0.2"],
+        check=True, capture_output=True, text=True, env=env, timeout=300,
+    ).stdout.splitlines()
+    rows, totals = [json.loads(line) for line in out[:-1]], json.loads(out[-1])
+    assert [(r["gamma"], r["sample"]) for r in rows] == [(0.5, 0), (0.5, 1), (0.6, 0), (0.6, 1)]
+    params = EncodingParams(min_qubit_degree=3)
+    for r in rows:
+        result, _ = solve_sample((20, 18, r["gamma"], r["sample"], 20240808, params, 0.2))
+        assert (r["verdict"], r["work"]) == (result.verdict, result.stats.propagations)
+    assert totals["samples"] == len(rows) and totals["work"] == sum(r["work"] for r in rows)
+    assert sum(t["samples"] for t in totals["by_verdict"].values()) == len(rows)
+    pixels = run_phase_sweep(SweepConfig((20,), 0.5, 0.6, 0.1, samples=2, params=params, time_budget=0.2,
+                                         master_seed=20240808, out_dir=str(tmp_path)))
+    counts = [[sum(r["verdict"] == v for r in rows if r["gamma"] == px.gamma) for v in ("sat", "unsat", "unknown")]
+              for px in pixels]
+    assert counts == [[px.sat, px.unsat, px.unknown] for px in pixels]

@@ -17,6 +17,7 @@ from stabsearch.constraints import (
     XorClause,
     consistent_completion,
     encode,
+    flip_variable,
 )
 from stabsearch.css import extract_code, satisfies_degree_bounds, stats as code_stats
 from stabsearch.gf2 import kernel, rank_int_rows
@@ -279,6 +280,90 @@ class TestOracleAgreement:
                 seen_unsat = seen_unsat or verdict == UNSAT
 
 
+def small_encoded_systems(params: EncodingParams, count: int):
+    """count encoded systems of at most 20 variables on random graphs of 2-4 qubits and
+    1-4 stabilizers; odd m included, so balanced params meet systems with no flip too."""
+    rng = random.Random(repr(params))
+    made = 0
+    while made < count:
+        n, m = rng.randint(2, 4), rng.randint(1, 4)
+        g = sample_support_graph(n, m, rng.choice([0.5, 0.7, 1.0]), RngSpec(rng.getrandbits(32)))
+        cs = encode(g, params)
+        if cs.num_vars <= 20:
+            made += 1
+            yield cs
+
+
+class TestXZFlip:
+    """Every slice fixes p(0) at its saved phase where flip_variable names it.  A model
+    still leaves only through check, and a refutation under the fixed value counts
+    for the system only once is_encoded confirms it is encode's; else the other half
+    is searched."""
+
+    FAMILIES = [EncodingParams(), EncodingParams(min_qubit_degree=1), EncodingParams(min_stab_degree=1),
+                EncodingParams(min_stab_degree=1, max_stab_degree=2), EncodingParams(balanced=True),
+                EncodingParams(min_qubit_degree=1, min_stab_degree=1, balanced=True)]
+
+    @pytest.mark.parametrize("params", FAMILIES, ids=str)
+    def test_agrees_with_brute_force_on_small_encoded_systems(self, params):
+        verdicts = Counter()
+        for i, cs in enumerate(small_encoded_systems(params, 25)):
+            got = solve(cs, SolverConfig(time_budget=1.0, seed=i))
+            assert got.verdict == brute_force_verdict(cs)
+            verdicts[got.verdict] += 1
+        assert verdicts[SAT]
+
+    def test_balance_with_odd_m_searches_both_types_of_stabilizer_0(self):
+        # stabilizers 1 and 2 have one edge each, on qubit 0: active, so of one type, and
+        # with one X stabilizer of three, stabilizer 0 must be it.  A flip that ignored
+        # the balance row's parity would fix p(0) to Z (no saved phases) and refute.
+        g = SupportGraph(2, 3, 1.0, 0, ((0, 1), (0, 2), (1, 0)))
+        cs = encode(g, EncodingParams(min_stab_degree=1, balanced=True))
+        assert flip_variable(cs) is None
+        result = solve(cs, SolverConfig(time_budget=1.0))
+        assert result.verdict == SAT and result.assignment[len(g.edges)] == 1
+
+    def test_a_system_that_forces_p0_is_solved_in_the_other_half(self, monkeypatch):
+        # encode's system plus two clauses that force p(0) through activator 0 is no longer
+        # symmetric: where they oppose the fixed value, the refuted half is followed by the other
+        fixed = []
+        hook_engine(monkeypatch, "search", before=lambda engine: fixed.append(engine.values[p0]))
+        other_halves = 0
+        for params in [EncodingParams(), EncodingParams(min_stab_degree=1),
+                       EncodingParams(min_qubit_degree=1, min_stab_degree=1, balanced=True)]:
+            for cs in small_encoded_systems(params, 12):
+                if brute_force_verdict(cs) != SAT:
+                    continue
+                p0 = flip_variable(cs)
+                for value in (0, 1):
+                    lit = 2 * p0 + 1 - value  # p(0) = value
+                    force = (OrClause((lit, 0), "t"), OrClause((lit, 1), "t"))
+                    forced = ConstraintSystem(cs.graph, cs.variables, cs.constraints + force, cs.params)
+                    fixed.clear()
+                    result = solve(forced, SolverConfig(time_budget=1.0))
+                    assert result.verdict == SAT and result.assignment[p0] == value
+                    assert check(forced, result.assignment)
+                    if fixed and fixed[0] != value:  # the first half was refuted
+                        assert fixed[-1] == value
+                        other_halves += 1
+        assert other_halves > 10
+
+    def test_a_refutation_is_confirmed_by_re_encoding_or_followed_by_the_other_half(self, monkeypatch):
+        # band_sweep's n=40, gamma=0.3 graph fails the degree screen, so a search refutes it
+        cs = encode(band_graph(40, 0.3), EncodingParams(min_qubit_degree=3))
+        p0 = flip_variable(cs)
+        fixed, confirmed = [], []
+        hook_engine(monkeypatch, "search", before=lambda engine: fixed.append(engine.values[p0]))
+        is_encoded = solver.is_encoded
+        monkeypatch.setattr(solver, "is_encoded", lambda cs_: confirmed.append(is_encoded(cs_)) or confirmed[-1])
+        assert solve(cs, band_config(40, 0.3)).verdict == UNSAT
+        assert confirmed == [True] and len(fixed) == 1
+        fixed.clear()
+        monkeypatch.setattr(solver, "is_encoded", lambda cs_: False)
+        assert solve(cs, band_config(40, 0.3)).verdict == UNSAT
+        assert len(fixed) == 2 and fixed[0] != fixed[1]
+
+
 class TestDeterminism:
     def test_same_config_reproduces_assignment(self):
         rng = random.Random(12)
@@ -304,18 +389,18 @@ class TestDeterminism:
 
         for name in ("monotonic", "perf_counter", "time", "process_time"):
             monkeypatch.setattr(time, name, no_clock)
-        # band_sweep's n=30, gamma=0.4 sample: sat only after the first slice ran out
-        result = solve(encode(band_graph(30, 0.4), EncodingParams(min_qubit_degree=3)), band_config(30, 0.4))
+        # band_sweep's n=30, gamma=0.5 sample: sat only after the first slice ran out
+        result = solve(encode(band_graph(30, 0.5), EncodingParams(min_qubit_degree=3)), band_config(30, 0.5))
         assert result.stats.propagations > solver._MIN_SLICE
-        assert work_row(result) == PINNED_BAND_SWEEP[1]
+        assert work_row(result) == PINNED_BAND_SWEEP[2]
 
     def test_solving_twice_leaves_the_system_as_stored(self):
         # every slice's engine loads the system's own literal and variable tuples
-        cs = encode(band_graph(30, 0.4), EncodingParams(min_qubit_degree=3))
+        cs = encode(band_graph(30, 0.5), EncodingParams(min_qubit_degree=3))
         text = cs.to_json()
-        first = solve(cs, band_config(30, 0.4))
+        first = solve(cs, band_config(30, 0.5))
         assert first.stats.propagations > solver._MIN_SLICE  # more than one slice ran
-        assert solve(cs, band_config(30, 0.4)) == first
+        assert solve(cs, band_config(30, 0.5)) == first
         assert cs.to_json() == text
 
 
@@ -324,12 +409,12 @@ SCREENED = ("unsat", 0, 0, 0, 0, 0, None)  # settled by the degree screen, befor
 PINNED_BAND = [
     SCREENED,
     SCREENED,
-    ("sat", 1358, 627, 125196, 2, 627, "a67c09a3451bbcae"),
-    ("sat", 678, 232, 39632, 1, 232, "6a3c28439a2e8d88"),
+    ("unknown", 1629, 754, 150492, 3, 754, None),
+    ("sat", 683, 213, 32731, 1, 213, "5909549f4133e8bf"),
     SCREENED,
     SCREENED,
-    ("unknown", 1405, 737, 150049, 3, 737, None),
-    ("unknown", 2034, 851, 150161, 4, 851, None),
+    ("unknown", 1249, 698, 150018, 3, 698, None),
+    ("unknown", 2128, 815, 150339, 4, 815, None),
 ]
 PINNED_RANDOM = [
     ("sat", 2, 0, 7, 0, 0, "3d5b3e09988c1358"), ("unsat", 0, 1, 9, 0, 0, None),
@@ -361,11 +446,11 @@ PINNED_RANDOM = [
 # band_sweep's own grid: n=30 and 40, gamma 0.3-0.6, delta_q=3, budget 1.0
 PINNED_BAND_SWEEP = [
     SCREENED,
-    ("sat", 1782, 547, 129957, 2, 547, "adec86a7c966facb"),
-    ("sat", 2209, 409, 106703, 2, 409, "d153121a06bfbe6f"),
+    ("sat", 969, 185, 47762, 1, 185, "a291d7604cdb3a8d"),
+    ("sat", 2832, 545, 106991, 2, 544, "dcb66183ef095d30"),
     ("sat", 0, 0, 1187, 0, 0, "7e0b657718710de3"),
     SCREENED,
-    ("unknown", 2680, 390, 150023, 1, 390, None),
+    ("unknown", 2036, 303, 150349, 1, 303, None),
     ("sat", 0, 0, 2064, 0, 0, "695b77057b26e558"),
     ("sat", 0, 0, 1461, 0, 0, "98e29372a2e34bac"),
 ]
@@ -781,7 +866,8 @@ class TestKernelProbe:
         record_calls(monkeypatch, solver, "kernel_candidate", log)
         record_calls(monkeypatch, solver._Engine, "search", log)
         solve(encode(cut, EncodingParams(min_qubit_degree=3)), SolverConfig(time_budget=0.05, seed=3))
-        assert log[0] == ("kernel_candidate", 0) and log[1][:2] == ("search", 0)
+        # the first search starts at one unit: the level-0 enqueue that fixes p(0)
+        assert log[0] == ("kernel_candidate", 0) and log[1][:2] == ("search", 1)
 
     def test_no_slice_after_a_probe_that_spends_the_budget(self, monkeypatch):
         cfg = SolverConfig(time_budget=0.05, seed=3)
@@ -809,6 +895,6 @@ class TestKernelProbe:
                for n, gamma in [(20, 0.6), (40, 0.3)]]
         charges = [work for _, work in log]
         assert len(charges) == 2 and charges[0] > 0
-        first_slice = [("sat", 678, 232, 39540, 1, 232, "6a3c28439a2e8d88"),
-                       ("unsat", 366, 26, 7859, 0, 21, None)]
+        first_slice = [("sat", 683, 213, 32639, 1, 213, "5909549f4133e8bf"),
+                       ("unsat", 353, 25, 8030, 0, 20, None)]
         assert got == [row[:3] + (row[3] + charge,) + row[4:] for row, charge in zip(first_slice, charges)]
