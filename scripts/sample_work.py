@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
 """Verdict and solver work of every sample of a sweep grid.
 
-Runs each (n, gamma, sample) of the grid through harness.find_code with the
-graph stream and solver seed a sweep gives that sample, over two worker
-processes, and writes no sweep directory.  Prints one JSON line per sample,
-in sweep order, with its verdict and work units (propagations, the kernel
-probe's charge included), then one line of totals by verdict.
+Reads a sweep config, the JSON file `stabsearch sweep --config` reads, and
+runs each (n, gamma, sample) of its grid through harness.solve_sample, with
+the graph stream and solver seed the sweep gives that sample, on the
+config's workers; writes no sweep directory.  Prints one JSON line per
+sample, in sweep order, with its verdict and work units (propagations, the
+kernel probe's charge included), then one line of totals: by verdict, and
+over the unsat samples the solver refuted ("refuted"; the degree screen's
+unsat count no work).
 
-    PYTHONPATH=src python3 scripts/sample_work.py --qubit-counts 30 40 \\
-        --gamma-min 0.35 --gamma-max 0.55 --gamma-step 0.05 --samples 8 --budget 1
+    PYTHONPATH=src python3 scripts/sample_work.py --config desk.json
 """
 
 import argparse
 import json
 import sys
-from multiprocessing import get_context
+from pathlib import Path
 
-from stabsearch.constraints import EncodingParams
-from stabsearch.harness import SweepConfig, solve_sample
+from stabsearch.harness import SweepConfig, sample_map, solve_sample, sweep_tasks
 
 
 def sample_row(task: tuple) -> dict:
@@ -30,30 +31,22 @@ def sample_row(task: tuple) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--qubit-counts", type=int, nargs="+", required=True)
-    ap.add_argument("--gamma-min", type=float, required=True)
-    ap.add_argument("--gamma-max", type=float, required=True)
-    ap.add_argument("--gamma-step", type=float, default=0.05)
-    ap.add_argument("--samples", type=int, default=10)
-    ap.add_argument("--budget", type=float, default=60.0, help="solver budget per sample, in seconds of work")
-    ap.add_argument("--delta-q", type=int, default=3)
-    ap.add_argument("--ratio", type=float, default=0.9, help="m = round(ratio * n)")
-    ap.add_argument("--master-seed", type=int, default=20240808)
-    args = ap.parse_args()
+    ap.add_argument("--config", required=True, help="sweep config JSON")
+    cfg = SweepConfig.from_dict(Path(ap.parse_args().config).read_text())
 
-    cfg = SweepConfig(args.qubit_counts, args.gamma_min, args.gamma_max, args.gamma_step, args.samples,
-                      args.ratio, EncodingParams(min_qubit_degree=args.delta_q), args.budget, args.master_seed)
-    tasks = [(n, cfg.m_for(n), gamma, si, cfg.master_seed, cfg.params, cfg.time_budget)
-             for n in cfg.qubit_counts for gamma in cfg.gammas() for si in range(cfg.samples)]
-    totals = {}
-    with get_context("spawn").Pool(2) as pool:
-        for row in pool.imap(sample_row, tasks):
+    rows = []
+    with sample_map(cfg.workers) as run:
+        tasks = sweep_tasks(cfg, [(n, gamma) for n in cfg.qubit_counts for gamma in cfg.gammas()])
+        for row in run(sample_row, tasks):
             print(json.dumps(row), flush=True)
-            total = totals.setdefault(row["verdict"], {"samples": 0, "work": 0})
-            total["samples"] += 1
-            total["work"] += row["work"]
-    print(json.dumps({"samples": len(tasks), "work": sum(t["work"] for t in totals.values()),
-                      "by_verdict": dict(sorted(totals.items()))}))
+            rows.append(row)
+
+    def total(selected: list[dict]) -> dict:
+        return {"samples": len(selected), "work": sum(r["work"] for r in selected)}
+
+    verdicts = sorted({r["verdict"] for r in rows})
+    print(json.dumps({**total(rows), "by_verdict": {v: total([r for r in rows if r["verdict"] == v]) for v in verdicts},
+                      "refuted": total([r for r in rows if r["verdict"] == "unsat" and r["work"] > 0])}))
     return 0
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import signal
-from contextlib import ExitStack
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from multiprocessing import Pool
@@ -247,6 +247,23 @@ def solve_sample(task: tuple) -> tuple[SolveResult, CodeRecord | None]:
     return find_code(n, m, gamma, params, rng, solver_cfg)
 
 
+def sweep_tasks(cfg: SweepConfig, pixels) -> list[tuple]:
+    """solve_sample's task for every sample of each (n, gamma) in pixels, in sweep order."""
+    return [(n, cfg.m_for(n), gamma, si, cfg.master_seed, cfg.params, cfg.time_budget)
+            for n, gamma in pixels for si in range(cfg.samples)]
+
+
+@contextmanager
+def sample_map(workers: int):
+    """An ordered map: map itself for one worker, else the imap of a pool whose workers
+    ignore Ctrl-C, so only this process raises it.  Leaving the block terminates the pool."""
+    if workers == 1:
+        yield map
+        return
+    with Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+        yield pool.imap
+
+
 def _run_sample(task: tuple) -> tuple[str, CodeRecord | None]:
     """One (pixel, sample) unit of sweep work; module-level for pickling."""
     result, record = solve_sample(task)
@@ -322,13 +339,8 @@ def run_phase_sweep(cfg: SweepConfig) -> list[PixelResult]:
             for n in cfg.qubit_counts for gi, gamma in enumerate(cfg.gammas())]
     pixels = {path: _read_pixel(path) for path, _, _ in grid if path.exists()}
     pending = {path: (n, gamma) for path, n, gamma in grid if path not in pixels}
-    tasks = [(n, cfg.m_for(n), gamma, si, cfg.master_seed, cfg.params, cfg.time_budget)
-             for n, gamma in pending.values() for si in range(cfg.samples)]
-    with ExitStack() as stack:  # leaving it terminates the workers
-        run = map
-        if cfg.workers > 1:  # the workers ignore Ctrl-C, so only this process raises it
-            run = stack.enter_context(Pool(cfg.workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))).imap
-        outcomes = run(_run_sample, tasks)
+    with sample_map(cfg.workers) as run:
+        outcomes = run(_run_sample, sweep_tasks(cfg, pending.values()))
         for path, (n, gamma) in pending.items():
             pixels[path] = _write_pixel(cfg, path, n, gamma, list(islice(outcomes, cfg.samples)))
 

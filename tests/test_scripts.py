@@ -47,25 +47,31 @@ def test_readme_library_example_prints_a_code_and_a_report():
 
 
 def test_sample_work_reports_each_sweep_sample_and_the_totals(tmp_path):
-    # every sample of a small grid, in sweep order, with the verdict and work a sweep's
-    # find_code gets for it; the sweep's pixel files hold the same verdicts
+    # every sample of a config's grid, in sweep order, with the verdict and work a sweep's
+    # find_code gets for it; the sweep's pixel files hold the same verdicts.  Samples 5 and 6
+    # at gamma 0.35 are refuted by the solver, and the grid has screened unsat too.
+    cfg = SweepConfig((20,), 0.35, 0.4, 0.05, samples=7, params=EncodingParams(min_qubit_degree=2),
+                      time_budget=0.2, master_seed=20240808, workers=2, out_dir=str(tmp_path / "sweep"))
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(cfg.to_dict()))
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "sample_work.py"), "--qubit-counts", "20",
-         "--gamma-min", "0.5", "--gamma-max", "0.6", "--gamma-step", "0.1", "--samples", "2", "--budget", "0.2"],
+        [sys.executable, str(ROOT / "scripts" / "sample_work.py"), "--config", str(config)],
         check=True, capture_output=True, text=True, env=env, timeout=300,
     ).stdout.splitlines()
     rows, totals = [json.loads(line) for line in out[:-1]], json.loads(out[-1])
-    assert [(r["gamma"], r["sample"]) for r in rows] == [(0.5, 0), (0.5, 1), (0.6, 0), (0.6, 1)]
-    params = EncodingParams(min_qubit_degree=3)
+    assert [(r["gamma"], r["sample"]) for r in rows] == [(g, i) for g in (0.35, 0.4) for i in range(7)]
     for r in rows:
-        result, _ = solve_sample((20, 18, r["gamma"], r["sample"], 20240808, params, 0.2))
+        result, _ = solve_sample((20, 18, r["gamma"], r["sample"], 20240808, cfg.params, 0.2))
         assert (r["verdict"], r["work"]) == (result.verdict, result.stats.propagations)
     assert totals["samples"] == len(rows) and totals["work"] == sum(r["work"] for r in rows)
     assert sum(t["samples"] for t in totals["by_verdict"].values()) == len(rows)
-    pixels = run_phase_sweep(SweepConfig((20,), 0.5, 0.6, 0.1, samples=2, params=params, time_budget=0.2,
-                                         master_seed=20240808, out_dir=str(tmp_path)))
+    refuted = [r for r in rows if r["verdict"] == "unsat" and r["work"] > 0]
+    assert [(r["gamma"], r["sample"]) for r in refuted] == [(0.35, 5), (0.35, 6)]
+    assert any(r["verdict"] == "unsat" and r["work"] == 0 for r in rows)
+    assert totals["refuted"] == {"samples": len(refuted), "work": sum(r["work"] for r in refuted)}
+    pixels = run_phase_sweep(cfg)
     counts = [[sum(r["verdict"] == v for r in rows if r["gamma"] == px.gamma) for v in ("sat", "unsat", "unknown")]
               for px in pixels]
     assert counts == [[px.sat, px.unsat, px.unknown] for px in pixels]
