@@ -434,32 +434,21 @@ class Census:
 
     counts: Counter
 
-    def _widths(self, cls=None, tag=None) -> list[tuple[int, int]]:
-        """(width, count) pairs of the constraints that match cls and tag (None matches any)."""
-        return [(w, n) for (c, t, w), n in self.counts.items() if cls in (None, c) and tag in (None, t)]
+    def _count(self, cls) -> int:
+        """The number of constraints of class cls."""
+        return sum(n for (c, _, _), n in self.counts.items() if c is cls)
 
     @property
     def or_count(self) -> int:
-        return sum(n for _, n in self._widths(OrClause))
+        return self._count(OrClause)
 
     @property
     def xor_count(self) -> int:
-        return sum(n for _, n in self._widths(XorClause))
+        return self._count(XorClause)
 
     @property
     def linear_count(self) -> int:
-        return sum(n for _, n in self._widths(Linear))
-
-    def tag_count(self, tag: str) -> int:
-        return sum(n for _, n in self._widths(tag=tag))
-
-    def tag_width_count(self, tag: str, width: int) -> int:
-        return sum(n for w, n in self._widths(tag=tag) if w == width)
-
-    def tag_mean_width(self, tag: str) -> float:
-        widths = self._widths(tag=tag)
-        count = sum(n for _, n in widths)
-        return sum(w * n for w, n in widths) / count if count else 0.0
+        return self._count(Linear)
 
 
 def constraint_census(cs: ConstraintSystem) -> Census:

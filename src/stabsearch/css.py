@@ -175,67 +175,6 @@ def satisfies_degree_bounds(c: CssCode, params: EncodingParams) -> bool:
     return True
 
 
-def to_alist(rows: tuple[int, ...], n: int) -> str:
-    """Serialize one check matrix, its int rows on n columns, in the classical
-    sparse 'alist' layout.
-
-    Header: columns rows, then max column/row weight, the per-column and
-    per-row weights, then 1-based indices of nonzeros per column and per
-    row.
-    """
-    col_lists = [[i + 1 for i, r in enumerate(rows) if r >> j & 1] for j in range(n)]
-    row_lists = [[j + 1 for j in range(n) if r >> j & 1] for r in rows]
-    col_w = [len(c) for c in col_lists]
-    row_w = [len(r) for r in row_lists]
-    lines = [
-        f"{n} {len(rows)}",
-        f"{max(col_w, default=0)} {max(row_w, default=0)}",
-        " ".join(map(str, col_w)),
-        " ".join(map(str, row_w)),
-    ]
-    lines.extend(" ".join(map(str, c)) for c in col_lists)
-    lines.extend(" ".join(map(str, r)) for r in row_lists)
-    return "\n".join(lines) + "\n"
-
-
-def from_alist(text: str) -> tuple[tuple[int, ...], int]:
-    """The int rows and column count of an alist text, read from its header
-    and its m per-row index lines, and checked against its weight lines and
-    its n per-column index lines; an index 0 is padding, as some writers
-    pad lists to the maximum weight.  Errors name the 1-based line."""
-    lines = text.splitlines()
-    header = lines[0].split() if lines else []
-    if len(header) != 2 or not all(tok.isdecimal() for tok in header):
-        raise ValueError(f"alist line 1: header must be two non-negative integers n m, got {(lines or [''])[0]!r}")
-    n, m = map(int, header)
-    if len(lines) < 4 + n + m:
-        raise ValueError(f"alist line {len(lines) + 1}: missing; n={n} and m={m} need {4 + n + m} lines")
-    rows = []
-    for number, line in enumerate(lines[4 + n:4 + n + m], start=5 + n):
-        cols = _alist_ints(line)
-        if cols is None or any(j > n for j in cols):
-            raise ValueError(f"alist line {number}: row indices must be integers in 0..{n}, got {line!r}")
-        rows.append(sum(1 << (j - 1) for j in set(cols) if j))
-    col_sets = [{i + 1 for i, r in enumerate(rows) if r >> j & 1} for j in range(n)]
-    col_w, row_w = [len(c) for c in col_sets], [r.bit_count() for r in rows]
-    for number, what, want in ((2, "maximum weights", [max(col_w, default=0), max(row_w, default=0)]),
-                               (3, "column weights", col_w), (4, "row weights", row_w)):
-        if _alist_ints(lines[number - 1]) != want:
-            raise ValueError(f"alist line {number}: {what} must read {' '.join(map(str, want))} "
-                             f"to match the row lines, got {lines[number - 1]!r}")
-    for number, (line, want) in enumerate(zip(lines[4:4 + n], col_sets), start=5):
-        if (got := _alist_ints(line)) is None or set(got) - {0} != want:
-            raise ValueError(f"alist line {number}: column {number - 4} must list rows {sorted(want)} "
-                             f"to match the row lines, got {line!r}")
-    return tuple(rows), n
-
-
-def _alist_ints(line: str) -> list[int] | None:
-    """The integers of an alist line, or None if a token is not one."""
-    tokens = line.split()
-    return list(map(int, tokens)) if all(tok.isdecimal() for tok in tokens) else None
-
-
 def shor_code() -> CssCode:
     """The 9-qubit code: two weight-6 X generators, six weight-2 Z generators."""
     hx = _rows(["111111000", "000111111"])

@@ -22,8 +22,10 @@ A system with a minimum qubit degree but no stabilizer degree bounds
 first takes a kernel-probe candidate (stabsearch.probe), and on a miss
 starts the search from a greedy candidate's saved phases; without a
 qubit degree the all-inactive coloring is tried.  Each candidate
-becomes a total assignment through constraints.consistent_completion,
-and a probe hit leaves through the same check as a CDCL model.
+becomes a total assignment through constraints.consistent_completion.
+A probe hit, like the all-inactive coloring, is returned only if it
+passes check; a hit that fails it stays only as the search's saved
+phases, and the search's model leaves through the same check.
 
 Swapping X and Z, which negates every Pauli variable and exchanges each
 edge's x and z indicators, maps every system encode writes onto itself,
@@ -730,23 +732,25 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     g, dq = cs.graph, params.min_qubit_degree
     # The kernel probe runs once, first, unless stabilizer degree bounds make
     # it hopeless (its empty and concentrated rows break them).  Its hit, or
-    # on a miss the greedy candidate, is completed once: the model or the
-    # saved phases.  Slice k gets seed cfg.seed + k and twice the work of
-    # slice k - 1, cut at the budget; its limit is taken before the engine
-    # loads, so level-0 units enqueued at load count towards it.
-    hit = phases = None
+    # on a miss the greedy candidate, is completed once: the model if it
+    # passes check, and the saved phases either way.  Slice k gets seed
+    # cfg.seed + k and twice the work of slice k - 1, cut at the budget; its
+    # limit is taken before the engine loads, so level-0 units enqueued at
+    # load count towards it.
+    hit = phases = model = None
     if dq:
         if not params.min_stab_degree and params.max_stab_degree is None:
             hit, stats.propagations = kernel_candidate(g, dq, cfg.seed)
         phases = consistent_completion(cs, *(hit or greedy_candidate(g, dq, params.balanced)))
+        model = phases if hit else None
     elif not params.min_stab_degree:
         model = consistent_completion(cs, [0] * g.m, [0] * g.m)
-        if check(cs, model):
-            return SolveResult(SAT, model, stats)
+    if model is not None and check(cs, model):
+        return SolveResult(SAT, model, stats)
     budget = int(cfg.time_budget * PROPS_PER_SECOND)
     work = max(_MIN_SLICE, int(budget * _FIRST_SLICE_FRACTION))
     seed = cfg.seed
-    verdict, model = (SAT, phases) if hit else (UNKNOWN, None)
+    verdict = UNKNOWN
     # the literal that puts p(0) at its saved phase, which every slice enqueues at level 0
     flip = flip_variable(cs)
     fixed = None if flip is None else 2 * flip + ((phases[flip] if phases else 0) ^ 1)

@@ -19,7 +19,9 @@ evaluation code with the package's solver or rank-based fast paths:
   each stabilizer pair's shared qubits found by a set intersection;
 - the model checker in its original form: isinstance dispatch, a
   generator per OR clause and per cardinality sum, and a tuple test per
-  value.
+  value;
+- census queries by tag (a count, a count at one width, a mean width),
+  read from constraints.Census.counts.
 
 Each reader of an OR clause decodes its literals with its own arithmetic:
 literal l is variable l // 2, true when l is even.
@@ -49,6 +51,7 @@ from stabsearch.constraints import (
     TAG_ZIND,
     XIND,
     ZIND,
+    Census,
     ConstraintSystem,
     EncodingParams,
     Linear,
@@ -467,3 +470,22 @@ def reference_check(cs: ConstraintSystem, values: tuple[int, ...]) -> bool:
             elif total != c.bound:
                 return False
     return True
+
+
+def _tag_widths(census: Census, tag: str) -> list[tuple[int, int]]:
+    """(width, count) pairs of the census's constraints tagged tag."""
+    return [(w, n) for (_, t, w), n in census.counts.items() if t == tag]
+
+
+def tag_count(census: Census, tag: str) -> int:
+    return sum(n for _, n in _tag_widths(census, tag))
+
+
+def tag_width_count(census: Census, tag: str, width: int) -> int:
+    return sum(n for w, n in _tag_widths(census, tag) if w == width)
+
+
+def tag_mean_width(census: Census, tag: str) -> float:
+    widths = _tag_widths(census, tag)
+    count = sum(n for _, n in widths)
+    return sum(w * n for w, n in widths) / count if count else 0.0

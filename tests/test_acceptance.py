@@ -58,6 +58,9 @@ from oracles import (
     brute_force_verdict,
     edge_rows,
     satisfying_set,
+    tag_count,
+    tag_mean_width,
+    tag_width_count,
 )
 from test_constraints import semantic_commutes
 from test_harness import run_interrupted
@@ -243,21 +246,21 @@ def test_criterion_07_constraint_census():
     for sid in range(seeds):
         g = sample_support_graph(n, m, gamma, RngSpec(7001, sid))
         census = constraint_census(encode(g, params))
-        add("or2_commute", census.tag_count(TAG_COMMUTE))
-        add("xor3_same", census.tag_count(TAG_SAME))
-        add("xor_even", census.tag_count(TAG_EVEN))
-        add("or3_both", census.tag_width_count(TAG_BOTH, 3))
-        add("or3_xind", census.tag_width_count(TAG_XIND, 3))
-        add("or3_zind", census.tag_width_count(TAG_ZIND, 3))
-        add("lin_x", census.tag_count(TAG_XDEG))
-        add("lin_z", census.tag_count(TAG_ZDEG))
-        add("lin_smin", census.tag_count(TAG_SDEG_MIN))
-        add("lin_smax", census.tag_count(TAG_SDEG_MAX))
-        add("lin_bal", census.tag_count(TAG_BALANCE))
-        add("even_width", census.tag_mean_width(TAG_EVEN))
-        add("qubit_lin_width", census.tag_mean_width(TAG_XDEG))
-        add("stab_lin_width", census.tag_mean_width(TAG_SDEG_MIN))
-        add("bal_width", census.tag_mean_width(TAG_BALANCE))
+        add("or2_commute", tag_count(census, TAG_COMMUTE))
+        add("xor3_same", tag_count(census, TAG_SAME))
+        add("xor_even", tag_count(census, TAG_EVEN))
+        add("or3_both", tag_width_count(census, TAG_BOTH, 3))
+        add("or3_xind", tag_width_count(census, TAG_XIND, 3))
+        add("or3_zind", tag_width_count(census, TAG_ZIND, 3))
+        add("lin_x", tag_count(census, TAG_XDEG))
+        add("lin_z", tag_count(census, TAG_ZDEG))
+        add("lin_smin", tag_count(census, TAG_SDEG_MIN))
+        add("lin_smax", tag_count(census, TAG_SDEG_MAX))
+        add("lin_bal", tag_count(census, TAG_BALANCE))
+        add("even_width", tag_mean_width(census, TAG_EVEN))
+        add("qubit_lin_width", tag_mean_width(census, TAG_XDEG))
+        add("stab_lin_width", tag_mean_width(census, TAG_SDEG_MIN))
+        add("bal_width", tag_mean_width(census, TAG_BALANCE))
 
     def mean(key):
         return acc[key] / seeds

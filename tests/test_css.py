@@ -1,6 +1,5 @@
 import json
 import random
-import re
 
 import pytest
 from hypothesis import given
@@ -12,12 +11,10 @@ from stabsearch.css import (
     CssCode,
     check_commutation,
     extract_code,
-    from_alist,
     satisfies_degree_bounds,
     shor_code,
     stats,
     steane_code,
-    to_alist,
 )
 from stabsearch.gf2 import rank_int_rows
 from stabsearch.graphs import SupportGraph, sample_support_graph
@@ -198,69 +195,6 @@ class TestSerialization:
         again = CssCode.from_json(text)
         assert again == code
         assert again.to_json() == text
-
-    def test_alist_round_trip(self):
-        for rows, n in ((shor_code().hx, 9), (shor_code().hz, 9), (steane_code().hx, 7), ((0, 0), 4)):
-            assert from_alist(to_alist(rows, n)) == (rows, n)
-
-    def test_alist_header(self):
-        lines = to_alist(shor_code().hz, 9).splitlines()
-        assert lines[0] == "9 6"
-        assert lines[1] == "2 2"  # max column weight, max row weight
-
-    def test_alist_reads_padding_and_repeats(self):
-        text = to_alist((0b011, 0b110), 3).replace("\n1 2\n2 3\n", "\n1 2 0\n2 3 3\n")
-        assert from_alist(text) == ((0b011, 0b110), 3)
-
-    SHOR_HZ = to_alist(shor_code().hz, 9)  # 4 + 9 + 6 = 19 lines
-
-    @pytest.mark.parametrize("text, message", [
-        ("".join(SHOR_HZ.splitlines(True)[:4]), "alist line 5: missing; n=9 and m=6 need 19 lines"),
-        (SHOR_HZ.rsplit("\n", 2)[0] + "\n", "alist line 19: missing"),
-        ("", "alist line 1: header"),
-        ("9\n" + SHOR_HZ.split("\n", 1)[1], "alist line 1: header must be two non-negative integers n m, got '9'"),
-        ("9 six\n" + SHOR_HZ.split("\n", 1)[1], "alist line 1: header"),
-        ("9 -6\n" + SHOR_HZ.split("\n", 1)[1], "alist line 1: header"),
-        (SHOR_HZ.replace("\n8 9\n", "\n8 10\n"), "alist line 19: row indices must be integers in 0..9, got '8 10'"),
-        (SHOR_HZ.replace("\n1 2\n", "\n1 -2\n"), "alist line 14: row indices"),
-        (SHOR_HZ.replace("\n1 2\n", "\n1 x\n"), "alist line 14: row indices"),
-    ], ids=["cut-after-header", "last-row-missing", "empty", "one-int-header", "word-header",
-            "negative-header", "index-past-n", "negative-index", "word-index"])
-    def test_alist_rejects_malformed_text(self, text, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            from_alist(text)
-
-    @staticmethod
-    def shor_hz_with(**edits):
-        """The Shor hz alist with the 1-based lines edits names (line5="3 4") replaced."""
-        lines = TestSerialization.SHOR_HZ.splitlines()
-        for key, line in edits.items():
-            lines[int(key.removeprefix("line")) - 1] = line
-        return "\n".join(lines) + "\n"
-
-    @pytest.mark.parametrize("edits, message", [
-        # the two halves disagree: the column weights read all 9s and column 1 names rows 3 and 4
-        (dict(line3="9 9 9 9 9 9 9 9 9", line5="3 4"),
-         "alist line 3: column weights must read 1 2 1 1 2 1 1 2 1 to match the row lines, got '9 9 9 9 9 9 9 9 9'"),
-        (dict(line5="3 4"), "alist line 5: column 1 must list rows [1] to match the row lines, got '3 4'"),
-        (dict(line2="2 3"), "alist line 2: maximum weights must read 2 2 to match the row lines, got '2 3'"),
-        (dict(line2="2"), "alist line 2: maximum weights"),
-        (dict(line3="1 2 1 1 2 1 1 2"), "alist line 3: column weights"),
-        (dict(line4="2 2 2 2 2 1"), "alist line 4: row weights must read 2 2 2 2 2 2 to match the row lines"),
-        (dict(line4="2 2 2 2 2 x"), "alist line 4: row weights"),
-        (dict(line6="1 2 3"), "alist line 6: column 2 must list rows [1, 2]"),
-        (dict(line6="1"), "alist line 6: column 2 must list rows [1, 2]"),
-        (dict(line13="6 7"), "alist line 13: column 9 must list rows [6]"),
-        (dict(line13="6 -1"), "alist line 13: column 9"),
-    ], ids=["found-example", "column-list", "max-weights", "max-weights-short", "column-weights-short",
-            "row-weights", "row-weights-word", "column-extra-row", "column-missing-row", "column-row-past-m",
-            "column-negative-row"])
-    def test_alist_checks_weights_and_columns_against_rows(self, edits, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            from_alist(self.shor_hz_with(**edits))
-
-    def test_alist_column_padding_and_repeats_pass(self):
-        assert from_alist(self.shor_hz_with(line5="1 0", line6="2 1 2 0")) == (shor_code().hz, 9)
 
     def test_k_never_below_n_minus_m(self):
         for seed in range(10):

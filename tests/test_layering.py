@@ -1,8 +1,9 @@
 """Module seams: the stages downstream of the solver do not depend on it,
 neither the solver nor code extraction reads the variable layout, the
 sweep reaches the kernel probe only through solve(), graphs and erasures
-draw without the random module, and importing one stage loads only what
-that stage imports."""
+draw without the random module, importing one stage loads only what
+that stage imports, and every public function or class is reached by
+the package, its scripts or its benchmark, not by tests alone."""
 
 import ast
 import os
@@ -15,6 +16,7 @@ import pytest
 import stabsearch
 
 SRC = Path(stabsearch.__file__).parent
+ROOT = SRC.parent.parent
 
 
 def imported_names(tree) -> set[str]:
@@ -83,6 +85,49 @@ def test_css_does_not_read_the_variable_layout():
     names = names_used("css")
     assert "model_candidate" in names
     assert not (LAYOUT_KINDS | {"edges", "variables"}) & names, (LAYOUT_KINDS | {"edges", "variables"}) & names
+
+
+# Public names that only tests reach, each kept on purpose.
+KEPT = {
+    "steane_code": "a known code that anchors the tests of code stats and erasure decoding",
+    "success_probability": "the acceptance suite's criterion 8 compares the decoder with it",
+    "erasure_capacity_limit": "the bound the paper's capacity claim is measured against (ROADMAP item 19)",
+}
+
+
+def names_referenced(nodes) -> set[str]:
+    """Every name the AST nodes mention: names, attributes, imported names and their
+    aliases, and string constants (perfbench reaches functions through getattr)."""
+    found = set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name.rsplit(".", 1)[-1], node.asname)))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_public_definition_is_reached_outside_tests():
+    # A function that only its own tests call is code to maintain that no verdict or
+    # artifact depends on: delete it with its tests, or name it in KEPT with a reason.
+    outside = [*ROOT.joinpath("scripts").glob("*.py"), *ROOT.joinpath("perfbench").glob("*.py")]
+    outside_names = names_referenced(ast.parse(path.read_text()) for path in outside)
+    modules = {path: ast.parse(path.read_text()).body for path in SRC.glob("*.py")}
+    referenced = {path: names_referenced(body) for path, body in modules.items()}
+    unreached = set()
+    for path, body in modules.items():
+        elsewhere = outside_names.union(*(names for p, names in referenced.items() if p != path))
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in elsewhere
+                    and node.name not in names_referenced(n for n in body if n is not node)):
+                unreached.add(node.name)
+    assert not unreached - KEPT.keys(), sorted(unreached - KEPT.keys())
+    assert KEPT.keys() <= unreached, sorted(KEPT.keys() - unreached)  # a KEPT name now reached, or gone
 
 
 def test_counter_stages_import_no_random():

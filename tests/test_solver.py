@@ -18,6 +18,7 @@ from stabsearch.constraints import (
     consistent_completion,
     encode,
     flip_variable,
+    model_candidate,
 )
 from stabsearch.css import extract_code, satisfies_degree_bounds, stats as code_stats
 from stabsearch.gf2 import kernel, rank_int_rows
@@ -811,11 +812,41 @@ class TestKernelProbe:
         assert [entry[0] for entry in log] == ["kernel_candidate", "greedy", "engine", "engine"]
         assert log[0][1] > 0
 
-    def test_a_hit_that_fails_the_check_is_an_internal_error(self, monkeypatch):
-        # a kernel hit leaves through the same check as a CDCL model
-        monkeypatch.setattr(solver, "kernel_candidate", lambda g, dq, seed: (([0] * g.m, [0] * g.m), 0))
+    def test_a_hit_that_fails_the_check_is_searched_from(self, monkeypatch):
+        # encode's system plus two clauses forcing p(0) against a model of encode's
+        # system: that model, returned as the probe's hit, fails the check, so it
+        # only seeds the saved phases and the search decides the system
+        searched = 0
+        for cs, models in self.sat_systems():
+            candidate = model_candidate(cs.graph, assignment_bits((models & -models).bit_length() - 1, cs.num_vars))
+            monkeypatch.setattr(solver, "kernel_candidate", lambda g, dq, seed: (candidate, 0))
+            p0 = flip_variable(cs)
+            lit = 2 * p0 + candidate[1][0]  # p(0) = 1 - the hit's
+            force = (OrClause((lit, 0), "t"), OrClause((lit, 1), "t"))
+            forced = ConstraintSystem(cs.graph, cs.variables, cs.constraints + force, cs.params)
+            assert not check(forced, consistent_completion(forced, *candidate))
+            result = solve(forced, SolverConfig(time_budget=1.0))
+            # the X/Z flip of the hit's model meets the forcing clauses
+            assert result.verdict == brute_force_verdict(forced) == SAT
+            assert check(forced, result.assignment) and result.stats.propagations > 0  # the probe charged 0
+            searched += 1
+        assert searched >= 5
+
+    @staticmethod
+    def sat_systems():
+        """Satisfiable small encoded systems under a qubit degree, with their model sets."""
+        for cs in small_encoded_systems(EncodingParams(min_qubit_degree=1), 60):
+            if models := satisfying_set(cs):
+                yield cs, models
+
+    def test_a_search_model_that_fails_the_check_is_an_internal_error(self, monkeypatch):
+        # the pre-search candidate fails the check and is searched from; the search's
+        # model leaves through the same check, and its failure is the solver's fault
+        cs, _ = next(self.sat_systems())
+        assert solve(cs, SolverConfig(time_budget=1.0)).verdict == SAT
+        monkeypatch.setattr(solver, "check", lambda cs, values: False)
         with pytest.raises(RuntimeError, match="invalid model"):
-            solve(band_system(), SolverConfig(time_budget=1.0))
+            solve(cs, SolverConfig(time_budget=1.0))
 
     def test_unknown_after_a_missed_probe_ends_at_the_budget(self, monkeypatch):
         # band_sweep's n=40, gamma=0.4 sample: the probe misses and the budget runs out
