@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass
 from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .documents import check_fields, fields_shape, read_document
+from .documents import check_fields, fields_shape, parse_document, read_document
 from .graphs import SupportGraph
 
 SYSTEM_FORMAT_VERSION = 1
@@ -207,15 +207,18 @@ class ConstraintSystem:
         the error names the first key or entry that differs."""
         if isinstance(source, str) and (cs := _from_tail(source)) is not None:
             return cs
+        kind = "constraint system"
         shape = dict(graph=(dict,), params=(dict,), variables=(list,), constraints=(list,))
-        doc = read_document("constraint system", source, shape, version=SYSTEM_FORMAT_VERSION)
-        graph, params = SupportGraph.from_json(doc["graph"]), EncodingParams.from_dict(doc["params"])
-        del doc  # the parsed constraints are not kept while the system is built
+        doc = parse_document(kind, source)
+        found = read_document(kind, doc, shape, version=SYSTEM_FORMAT_VERSION)
+        graph, params = SupportGraph.from_json(found["graph"]), EncodingParams.from_dict(found["params"])
+        canonical = _canonical(doc)
+        del doc, found  # only the canonical text is kept while the system is built
         cs = encode(graph, params)
         text = cs.to_json()
-        doc = json.loads(source) if isinstance(source, str) else source
-        if _canonical(doc) != text:
-            raise ValueError(f"constraint system: {_first_difference(doc, json.loads(text))} is not "
+        if canonical != text:
+            doc = parse_document(kind, source)  # parsed again only to name the difference
+            raise ValueError(f"{kind}: {_first_difference(doc, json.loads(text))} is not "
                              "what encode writes for the document's graph and params")
         return cs
 

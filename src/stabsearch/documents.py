@@ -19,14 +19,19 @@ _NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean
           int: "an integer", float: "a number", type(None): "null"}
 
 
+def parse_document(kind: str, source: str | dict):
+    """The parsed document: source itself unless it is JSON text."""
+    try:
+        return json.loads(source) if isinstance(source, str) else source
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{kind}: {exc}") from None
+
+
 def read_document(kind: str, source: str | dict, shape: dict, optional: frozenset = frozenset(),
                   version: int = 1) -> dict:
     """Check a document, as text or parsed, against shape: key -> the types its
     value may take (an int passes for a float).  Returns the keys of shape it has."""
-    try:
-        doc = json.loads(source) if isinstance(source, str) else source
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{kind}: {exc}") from None
+    doc = parse_document(kind, source)
     if not isinstance(doc, dict):
         raise ValueError(f"{kind}: expected a JSON object, got {_name(doc)}")
     found = doc.get("format_version", version)

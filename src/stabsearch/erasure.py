@@ -11,20 +11,29 @@ For CSS codes the count splits into X and Z sectors.  The reference,
 ``logical_class_log2``, takes four GF(2) ranks of column-restricted check
 matrices, g_X = [|e| - rank(hz on e)] - [rank(hx) - rank(hx off e)] and
 symmetrically for g_Z; the test suite checks it against a brute-force
-class enumeration.  The decoding loops need two eliminations per erasure
-instead.  With row bases Bx, Bz and logical representatives Lx (ker hz
-modulo rowspace hx) and Lz (ker hx modulo rowspace hz), rowspace(hx) =
-ker [Bz; Lz] gives g_X(e) = rank([Bz; Lz] on e) - rank(Bz on e), and
-likewise g_Z from Bx and Lx.
+class enumeration.  The decoding loops need one column elimination per
+sector instead.  With B a row basis of hz and L logical representatives
+(ker hx modulo rowspace hz), rowspace(hx) = ker [B; L] gives
+g_X(e) = rank([B; L] on e) - rank(B on e); g_Z swaps hx and hz.  Per code,
+column j of [L; B] is one int, the k logical rows in the low bits and the
+basis rows above them.  Per erasure the columns in e go into a leading-bit
+pivot table.  In an echelon basis of V = span{columns in e}, the vectors
+whose leading bit is below k span V ∩ (logical block), of dimension
+dim V - dim(V projected on the basis block) = g_X(e).  With B in reduced
+echelon form and L reduced modulo B, the column at each leading bit of B
+is a single basis bit.  Those columns are not inserted: their span lies in
+the basis block, so clearing their bits in the other columns leaves
+V ∩ (logical block) as it is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .css import CommutationError, CssCode, check_commutation
-from .gf2 import independent_rows, kernel, rank_int_rows, rank_masked
+from .gf2 import kernel, rank_int_rows, rank_masked, reduced_echelon
 from .rng import RngSpec
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -60,39 +69,75 @@ def sample_erasure(n: int, p: float, rng: RngSpec, base_index: int = 0) -> Erasu
     return ErasurePattern(n=n, mask=int(rng.bernoulli_bits(base_index, n, p)[::-1], 2))
 
 
-def _gain(basis: list[int], logicals: list[int], s: int, size: int) -> int:
-    """rank([basis; logicals] on s) - rank(basis on s) in one elimination,
-    stopping once the pivots span the |s| = size columns."""
-    pivots = [0] * s.bit_length()  # leading bit -> row, 0 while free
-    rank = 0
-    for rows in (basis, logicals):
-        start = rank
-        for row in rows:
-            cur = row & s
-            while cur:
-                b = cur.bit_length() - 1
-                piv = pivots[b]
-                if piv:
-                    cur ^= piv
-                else:
-                    pivots[b] = cur
-                    rank += 1
-                    if rank == size:
-                        return 0 if rows is basis else size - start
-                    break
-    return rank - start
+def _sector(checks: tuple[int, ...], dual: tuple[int, ...], n: int):
+    """One sector's per-code set-up: (k, k + rank B, tables).  B is rowspace(checks)
+    and L is ker(dual) modulo B, both in reduced echelon form.  Column j of [L; B]
+    is one int, logical i at bit i and basis row r at bit k + r; a column that is
+    a single basis bit is a unit, and every other nonzero column is kept.  Tables
+    c, (kept, units), map the byte of a mask on qubits 8c..8c+7 to the tuple of its
+    kept columns and to the OR of its units."""
+    basis = reduced_echelon(checks)[0]
+    logicals = kernel(dual, range(n))[0]
+    for c, r in basis.items():  # L modulo B: zero in every leading bit of B
+        logicals = [row ^ r if row >> c & 1 else row for row in logicals]
+    logicals = reduced_echelon(logicals)[0]
+    k = len(logicals)
+    cols = [0] * n
+    for i, row in enumerate([*logicals.values(), *basis.values()]):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    tables = []
+    for start in range(0, n, 8):
+        kept, units = [()], [0]  # doubled once per column: entry s is for byte s
+        for col in cols[start:start + 8]:
+            if col & (col - 1) or 0 < col < 1 << k:  # neither zero nor a unit
+                kept += [t + (col,) for t in kept]
+                units += units
+            else:
+                kept += kept
+                units += [u | col for u in units]
+        tables.append((kept, units))
+    return k, k + len(basis), tables
 
 
+@functools.lru_cache(maxsize=1)
 def _class_counter(c: CssCode):
-    """Per-code set-up: returns g(mask, weight), equal to logical_class_log2."""
+    """Per-code set-up: returns class_log2(mask), equal to logical_class_log2.
+    Cached for the last code, as decoding runs one code over a grid of p."""
     if not check_commutation(c):
         raise CommutationError("check matrices do not commute")
-    bx, bz = independent_rows(c.hx, px := {}), independent_rows(c.hz, pz := {})
-    lx = independent_rows(kernel(c.hz, range(c.n))[0], px)
-    lz = independent_rows(kernel(c.hx, range(c.n))[0], pz)
+    sectors = [s for s in (_sector(c.hz, c.hx, c.n), _sector(c.hx, c.hz, c.n)) if s[0]]  # k > 0
+    nbytes = (c.n + 7) // 8
 
-    def class_log2(mask: int, w: int) -> int:
-        return _gain(bz, lz, mask, w) + _gain(bx, lx, mask, w)
+    def class_log2(mask: int) -> int:
+        data = mask.to_bytes(nbytes, "little")
+        g = 0
+        for k, size, tables in sectors:
+            cols, units = (), 0
+            for (cols_of, units_of), byte in zip(tables, data):
+                cols += cols_of[byte]
+                units |= units_of[byte]
+            keep = ~units  # the bits of the units are cleared in every kept column
+            pivots = [0] * size  # leading bit -> column, 0 while free
+            low = 0
+            for col in cols:
+                col &= keep
+                while col:
+                    b = col.bit_length() - 1
+                    piv = pivots[b]
+                    if piv:
+                        col ^= piv
+                    else:
+                        pivots[b] = col
+                        if b < k:
+                            low += 1
+                        break
+                if low == k:
+                    break
+            g += low
+        return g
 
     return class_log2
 
@@ -168,7 +213,7 @@ def failure_rate(
         for at in range(0, size * stride, stride):
             mask = int(bits[at:at + n][::-1], 2)
             if mask:
-                p_fail = 1.0 - 2.0 ** (-class_log2(mask, mask.bit_count()))
+                p_fail = 1.0 - 2.0 ** (-class_log2(mask))
             else:
                 p_fail = 0.0
             if estimator == "exact":
@@ -204,7 +249,7 @@ def exact_failure_rate(c: CssCode, p: float) -> float:
         if prob == 0.0:
             continue
         if mask:
-            total += prob * (1.0 - 2.0 ** (-class_log2(mask, w)))
+            total += prob * (1.0 - 2.0 ** (-class_log2(mask)))
     return total
 
 

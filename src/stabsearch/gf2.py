@@ -36,16 +36,11 @@ def rank_masked(rows: Iterable[int], mask: int) -> int:
     return rank_int_rows([r & mask for r in rows])
 
 
-def kernel(rows: Iterable[int], cols: Iterable[int]) -> tuple[list[int], int]:
-    """A basis of the vectors on the columns cols with even overlap against
-    every row, and the number of row XORs the elimination took.
-
-    Basis vector i is the i-th free column of cols, in the order given,
-    plus the pivot columns that cancel it.
-    """
-    cols = list(cols)
-    mask = sum(1 << c for c in cols)
-    piv: dict[int, int] = {}  # pivot column -> row, zero in every other pivot column
+def reduced_echelon(rows: Iterable[int], mask: int = -1) -> tuple[dict[int, int], int]:
+    """The reduced row echelon form of the rows restricted to mask, as leading
+    bit -> row, each row zero in every other leading bit; and the number of row
+    XORs the elimination took."""
+    piv: dict[int, int] = {}
     xors = 0
     for row in rows:
         row &= mask
@@ -55,8 +50,22 @@ def kernel(rows: Iterable[int], cols: Iterable[int]) -> tuple[list[int], int]:
                 xors += 1
         if row:
             b = row.bit_length() - 1
-            xors += sum(r >> b & 1 for r in piv.values())
-            piv = {c: r ^ row if r >> b & 1 else r for c, r in piv.items()} | {b: row}
+            for c in [c for c, r in piv.items() if r >> b & 1]:
+                piv[c] ^= row
+                xors += 1
+            piv[b] = row
+    return piv, xors
+
+
+def kernel(rows: Iterable[int], cols: Iterable[int]) -> tuple[list[int], int]:
+    """A basis of the vectors on the columns cols with even overlap against
+    every row, and the number of row XORs the elimination took.
+
+    Basis vector i is the i-th free column of cols, in the order given,
+    plus the pivot columns that cancel it.
+    """
+    cols = list(cols)
+    piv, xors = reduced_echelon(rows, sum(1 << c for c in cols))
     basis = [1 << f | sum(1 << c for c, r in piv.items() if r >> f & 1) for f in cols if f not in piv]
     return basis, xors
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -665,7 +666,27 @@ class TestSweepAndDensity:
             assert not out_dir.exists()
 
 
+# sha256 of the CSV `decode --code R --grid 0.25,0.35,0.45 --trials 300 --seed 7 --out`
+# writes for three committed records R of perfbench/codes.jsonl, at n = 20, 30 and 40
+DECODE_RECORDS = Path(__file__).parents[1] / "perfbench" / "codes.jsonl"
+PINNED_DECODE_CSV = {
+    "2ba00b0d49996db8": "226a25a7f91dd6188c6c3398b5f10fa43dcc7d36f388d2e186627751ee34a02c",
+    "0915f8b7d5e7214a": "319a1794a41caa5d32c8a3bef014aad828bc9506efd3b18448bc724095437888",
+    "5827bb73fd1eece2": "0fafc02243aa955faa223ab8358791f579bc8f77e04cfc123c9fca68dc36b801",
+}
+
+
 class TestDecode:
+    @pytest.mark.parametrize("code_id", PINNED_DECODE_CSV)
+    def test_decode_csv_bytes_are_pinned(self, tmp_path, code_id):
+        line = next(line for line in DECODE_RECORDS.read_text().splitlines()
+                    if line and json.loads(line)["code_id"] == code_id)
+        record, out_csv = tmp_path / "record.json", tmp_path / "dec.csv"
+        record.write_text(line)
+        assert run(["decode", "--code", str(record), "--grid", "0.25,0.35,0.45",
+                    "--trials", "300", "--seed", "7", "--out", str(out_csv)]) == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == PINNED_DECODE_CSV[code_id]
+
     def test_decode_plain_code_document(self, tmp_path, capsys):
         code_path = tmp_path / "shor.json"
         code_path.write_text(shor_code().to_json())

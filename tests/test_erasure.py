@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from stabsearch.css import CommutationError, CssCode, shor_code, stats, steane_code
 from stabsearch import erasure
+from stabsearch.gf2 import kernel
 from stabsearch.erasure import (
     ErasurePattern,
     _class_counter,
@@ -36,6 +37,52 @@ EDGE_CODES = {
     "steane-redundant-rows": css(7, ["1010101", "0110011", "0001111", "1010101", "1100110", "0000000"],
                                  ["1010101", "0110011", "0001111", "0111100"]),
 }
+
+
+def random_css(n, x_rows, z_rows, seed, sparse=False):
+    """A random commuting code: hx holds x_rows random rows and a sum of two of
+    them, hz the first z_rows of a unit-triangular mix of hx's kernel basis (so
+    rank hz = min(z_rows, dim ker hx)); sparse rows have about a quarter of the
+    qubits set."""
+    rng = random.Random(seed)
+    draw = (lambda: rng.getrandbits(n) & rng.getrandbits(n)) if sparse else (lambda: rng.getrandbits(n))
+    hx = [draw() for _ in range(x_rows)]
+    ker = kernel(hx, range(n))[0]
+    hz = []
+    for i, row in enumerate(ker[:z_rows]):
+        for other in ker[i + 1:]:
+            if rng.random() < 0.5:
+                row ^= other
+        hz.append(row)
+    if len(hx) > 1:
+        hx.append(hx[0] ^ hx[-1])
+    return CssCode(n, tuple(hx), tuple(hz))
+
+
+# n on both sides of the 8-qubit table edges; per n, (x_rows, z_rows, sparse)
+# from k = 0 (hz spans hx's whole kernel) up to k = n (no checks)
+CHUNK_NS = [8, 9, 15, 16, 17, 40, 64, 65, 100]
+CHUNK_SHAPES = [
+    lambda n: (n // 2, n, False),
+    lambda n: (n // 3, n // 3, True),
+    lambda n: (n // 4, n // 4, False),
+    lambda n: (n // 5, 2, True),
+    lambda n: (1, 0, False),
+    lambda n: (0, 0, False),
+]
+CHUNK_CODES = [random_css(n, x_rows, z_rows, 100 * n + i, sparse)
+               for n in CHUNK_NS for i, (x_rows, z_rows, sparse) in enumerate(s(n) for s in CHUNK_SHAPES)]
+
+
+def chunk_edge_masks(n):
+    """The empty, full and single-qubit masks, and masks that start, end or
+    straddle each edge between 8-qubit tables."""
+    full = (1 << n) - 1
+    masks = {0, full, *(1 << q for q in range(n))}
+    for edge in range(8, n, 8):
+        below = (1 << edge) - 1
+        masks |= {below, full ^ below, 3 << (edge - 1), 0xFF << (edge - 8), full & 0xFF << edge}
+    return sorted(masks)
 
 
 class TestPatterns:
@@ -133,13 +180,13 @@ class TestLogicalClasses:
         g = _class_counter(code)
         for mask in range(1 << code.n):
             want = logical_class_log2(code, ErasurePattern(code.n, mask))
-            assert g(mask, mask.bit_count()) == want, f"pattern {mask:0{code.n}b}"
+            assert g(mask) == want, f"pattern {mask:0{code.n}b}"
 
     def test_kernel_edge_codes_match_oracle(self):
         for name, code in EDGE_CODES.items():
             g = _class_counter(code)
             for mask in range(1 << code.n):
-                assert g(mask, mask.bit_count()) == brute_force_class_log2(code, mask), name
+                assert g(mask) == brute_force_class_log2(code, mask), name
 
     def test_kernel_equals_reference_on_discovered_codes(self, small_discovered_codes):
         rng = random.Random(17)
@@ -148,7 +195,25 @@ class TestLogicalClasses:
             for _ in range(300):
                 p = rng.random()
                 mask = sum(1 << q for q in range(n) if rng.random() < p)
-                assert g(mask, mask.bit_count()) == logical_class_log2(rec.code, ErasurePattern(n, mask))
+                assert g(mask) == logical_class_log2(rec.code, ErasurePattern(n, mask))
+
+    @pytest.mark.parametrize("code", CHUNK_CODES,
+                             ids=[f"n{c.n}-k{stats(c).k}" for c in CHUNK_CODES])
+    def test_kernel_equals_reference_across_chunk_edges(self, code):
+        n, g = code.n, _class_counter(code)
+        rng = random.Random(n)
+        masks = chunk_edge_masks(n)
+        masks += [sum(1 << q for q in range(n) if rng.random() < p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)
+                  for _ in range(12)]
+        for mask in masks:
+            assert g(mask) == logical_class_log2(code, ErasurePattern(n, mask)), f"mask {mask:x}"
+
+    def test_chunk_codes_span_the_rate_range(self):
+        ks = {c.n: set() for c in CHUNK_CODES}
+        for c in CHUNK_CODES:
+            ks[c.n].add(stats(c).k)
+        for n, seen in ks.items():
+            assert min(seen) == 0 and max(seen) == n, n
 
     def test_g_bounded_by_two_k(self):
         code = shor_code()
@@ -192,7 +257,8 @@ class TestFailureRate:
     @pytest.mark.parametrize("estimator", ["exact", "bernoulli"])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_report_equals_original_trial_loop(self, p, estimator):
-        codes = [shor_code(), steane_code(), *EDGE_CODES.values()]
+        codes = [shor_code(), steane_code(), *EDGE_CODES.values(),
+                 random_css(40, 12, 14, seed=1), random_css(65, 20, 25, seed=2, sparse=True)]
         for i, code in enumerate(codes):
             rng = RngSpec(41, i)
             want = reference_failure_rate(code, p, 200, rng, estimator)
@@ -214,6 +280,27 @@ class TestFailureRate:
             failure_rate(code, 0.5, 10, RngSpec(0))
         with pytest.raises(CommutationError):
             exact_failure_rate(code, 0.5)
+
+    def test_set_up_cache_follows_the_code(self):
+        """The cached per-code set-up answers for the code it is called with,
+        whichever code was decoded last."""
+        a, b = random_css(40, 12, 14, seed=1), random_css(17, 5, 3, seed=4, sparse=True)
+        for i, code in enumerate([a, b, a, b, a]):
+            rng = RngSpec(47, i)
+            assert failure_rate(code, 0.4, 100, rng) == reference_failure_rate(code, 0.4, 100, rng, "exact")
+            full = (1 << code.n) - 1
+            assert _class_counter(code)(full) == 2 * stats(code).k
+            assert _class_counter.cache_info().currsize <= 1
+
+    def test_non_commuting_code_raises_on_every_call(self):
+        bad = css(3, ["110"], ["100"])
+        for code in (bad, shor_code(), bad, bad):
+            if code is bad:
+                with pytest.raises(CommutationError):
+                    failure_rate(code, 0.5, 10, RngSpec(0))
+            else:
+                failure_rate(code, 0.5, 10, RngSpec(0))
+        assert _class_counter.cache_info().currsize <= 1
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
