@@ -18,7 +18,6 @@ import signal
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
-from multiprocessing import Pool
 from pathlib import Path
 
 from .constraints import EncodingParams, degree_obstruction, encode, gc_paused
@@ -260,6 +259,8 @@ def sample_map(workers: int):
     if workers == 1:
         yield map
         return
+    from multiprocessing import Pool  # loaded only for a pool
+
     with Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
         yield pool.imap
 

@@ -173,7 +173,10 @@ class _Engine:
       entry is popped.  _backtrack pushes v only when its key changed,
       so every unassigned v has the live entry (-var_act[v], v): only
       assigned variables are bumped, and a rescale scales the keys and
-      heap_top with the activities.
+      heap_top with the activities.  The heap holds at most 2 * nvars
+      entries: once it passes that, _backtrack drops the superseded ones.
+      Each is above its variable's live entry (activities only grow), so
+      it could only ever be popped and skipped.
     - An OR implication's reason is its clause, unless that is an original
       binary clause (below).  An XOR implication's is (0, row_vars) and a
       cardinality implication's is (1, lits), with lits the row's false
@@ -312,6 +315,9 @@ class _Engine:
             if heap_top[v] != key:
                 heap_top[v] = key
                 heappush(heap, (key, v))
+        if len(heap) > 2 * self.nvars:  # keep only the live entries
+            heap[:] = [(key, v) for v, key in enumerate(heap_top) if key is not None]
+            heapify(heap)
         del trail[limit:]
         del self.trail_lim[target_level:]
         self.qhead = len(trail)
@@ -719,6 +725,8 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
     verdict is re-validated with the independent checker before being
     returned.  No clock is read: the budget, the probes and the slices
     are all counted in work units, the kernel probe's ahead of slice 1.
+    One slice engine is alive at a time, so a solve's memory is its system
+    plus one engine, whatever the budget.
 
     Where flip_variable(cs) names p(0), every slice fixes it at its saved
     phase, one work unit, and a refutation under it is the system's
@@ -761,7 +769,9 @@ def solve(cs: ConstraintSystem, cfg: SolverConfig | None = None) -> SolveResult:
         if fixed is not None and engine.ok:
             engine.ok = engine._enqueue(fixed, None)
         verdict = engine.search(limit)
-        model = tuple(engine.values)
+        if verdict == SAT:
+            model = tuple(engine.values)
+        del engine  # the next slice's engine loads without this one
         work *= 2
         seed += 1
         if verdict == UNSAT and other_half:

@@ -25,8 +25,11 @@ from stabsearch.harness import SweepConfig, find_code, run_phase_sweep
 from stabsearch.rng import RngSpec
 from stabsearch.solver import SAT, SolverConfig, solve
 
-GRAPH = sample_support_graph(12, 10, 0.4, RngSpec(3))
+RNG = RngSpec(3)
+GRAPH = sample_support_graph(12, 10, 0.4, RNG)
 PARAMS = EncodingParams(min_qubit_degree=1)
+# built once, so a measured call allocates no tracked object before its own pause
+SOLVER_CFG = SolverConfig(time_budget=0.2)
 CS = encode(GRAPH, PARAMS)
 TEXT = CS.to_json()
 REORDERED = json.dumps(dict(reversed(json.loads(TEXT).items())))  # not to_json's text: read whole
@@ -36,8 +39,8 @@ CALLS = {
     "from_json": lambda: ConstraintSystem.from_json(TEXT),
     "from_json_reordered": lambda: ConstraintSystem.from_json(REORDERED),
     "export_cnf": lambda: export_cnf(CS),
-    "solve": lambda: solve(CS, SolverConfig(time_budget=0.2)),
-    "find_code": lambda: find_code(12, 10, 0.6, PARAMS, RngSpec(3), SolverConfig(time_budget=0.2)),
+    "solve": lambda: solve(CS, SOLVER_CFG),
+    "find_code": lambda: find_code(12, 10, 0.6, PARAMS, RNG, SOLVER_CFG),
 }
 SAMPLE = ["sample", "--n", "12", "--m", "10", "--gamma", "0.6", "--seed", "3", "--out", "g.json"]
 # Each document command, and an argument list that makes it exit 4

@@ -145,12 +145,23 @@ def test_counter_stages_import_no_random():
     assert not {"probe", "solver"} & reached, reached
 
 
+def loaded_after_import(modules: str, heavy: list[str]) -> str:
+    """The names in heavy that a fresh interpreter has loaded after importing modules."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    script = f"import sys, {modules}; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip() + out.stderr
+
+
 @pytest.mark.parametrize("module", ["erasure", "graphs"])
 def test_stage_import_loads_no_solver_or_pool(module):
     # the package root re-exports nothing, so a decoding-only process never
     # compiles the solver nor loads the sweep's process pool
     heavy = ["stabsearch.solver", "stabsearch.harness", "stabsearch.cli", "multiprocessing"]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
-    script = f"import sys, stabsearch.{module}; print([m for m in {heavy!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]", out.stdout + out.stderr
+    assert loaded_after_import(f"stabsearch.{module}", heavy) == "[]"
+
+
+def test_sweep_import_loads_no_pool():
+    # sample_map imports the pool only for workers > 1, so a serial sweep or a
+    # single job never loads it
+    assert loaded_after_import("stabsearch.harness, stabsearch.cli", ["multiprocessing"]) == "[]"

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -680,6 +681,52 @@ class TestActivityRescale:
         hook_engine(monkeypatch, "_pick_branch_var", check_heap_entries)
         solve(band_system(), SolverConfig(time_budget=1.0, seed=1))
         assert sum(e.var_inc < 1e97 for e in engines) >= 2  # var_inc only falls in a rescale
+
+
+def desk_sample(n: int, gamma: float, sample: int) -> tuple[ConstraintSystem, int]:
+    """The desk sweep's (n, gamma, sample) system (m = 0.9 n, delta_q=3, master seed
+    20240808) and the solver seed solve_sample gives it."""
+    g = sample_support_graph(n, round(0.9 * n), gamma, RngSpec(20240808, stable_hash64(n, gamma, sample)))
+    seed = stable_hash64("solver", n, gamma, sample, 20240808) & 0x7FFFFFFF
+    return encode(g, EncodingParams(min_qubit_degree=3)), seed
+
+
+class TestMemoryBounds:
+    """An engine's heap stays at 2 * nvars entries or fewer without changing the search,
+    and a solve holds one slice engine at a time."""
+
+    def test_long_search_is_pinned_and_its_heap_stays_bounded(self, monkeypatch):
+        cs, seed = desk_sample(40, 0.35, 8)
+        sizes = []
+        hook_engine(monkeypatch, "_backtrack", before=lambda e: sizes.append(len(e.heap)),
+                    after=lambda e: sizes.append(len(e.heap)))
+        engine = solver._Engine(cs, seed, None, solver.SolverStats())
+        verdict = engine.search(300_000)
+        s = engine.stats
+        digest = hashlib.sha256(bytes(v + 1 for v in engine.values)).hexdigest()[:16]
+        assert (verdict, s.decisions, s.conflicts, s.propagations, digest) == (
+            UNKNOWN, 3354, 691, 300583, "c87dd590404b7e83")
+        assert len(engine.heap) <= 2 * engine.nvars
+        assert sum(after < before for before, after in zip(sizes[::2], sizes[1::2])) >= 3  # dropped 3+ times
+
+    @pytest.mark.parametrize("n, gamma", [(40, 0.4), (30, 0.5)])
+    def test_solve_peaks_below_two_loaded_engines(self, monkeypatch, n, gamma):
+        cs = encode(band_graph(n, gamma), EncodingParams(min_qubit_degree=3))
+        slices = hook_engine(monkeypatch, "search")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            engine = solver._Engine(cs, 0, None, solver.SolverStats())
+            loaded = tracemalloc.get_traced_memory()[0] - base
+            del engine
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            solve(cs, band_config(n, gamma))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(slices) == 2
+        assert peak < 2 * loaded, (peak, loaded)
 
 
 def record_calls(monkeypatch, owner, name, log):
